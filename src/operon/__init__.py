@@ -48,7 +48,6 @@ from .linalg import (
     householder_qr,
     jacobi_svd,
     least_squares,
-    matmul,
     solve_upper_triangular,
 )
 from .nn import GradientSet, Mlp, backward, forward, gradcheck, init_mlp

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -74,8 +75,24 @@ SWEEP_CONFIG_KEYS = {
 }
 
 
+# Sweep config keys that name a SweepSettings field differently.
+_SWEEP_FIELD_NAMES = {"init": "init_scheme", "seed": "base_seed"}
+
+
 class ConfigError(Exception):
     """Invalid run configuration (exit code 2)."""
+
+
+def _dataclass_from_config(cls, config: dict, **extra):
+    """Build cls from the config keys that name its fields, lists as
+    tuples; the dataclass supplies the defaults for absent keys."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    present = {
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in config.items()
+        if key in names
+    }
+    return cls(**present, **extra)
 
 
 def _load_config(path: str, allowed: dict) -> dict:
@@ -199,18 +216,7 @@ def _cmd_train(args) -> int:
     data = load_dataset(args.data)
     model = _make_model(config, data)
     method = {"van": "van", "2st": "two_step", "2st-noqr": "two_step_no_qr"}[args.method]
-    cfg = TrainConfig(
-        method=method,
-        iters_trunk=config.get("iters_trunk", 1000),
-        iters_branch=config.get("iters_branch", 1000),
-        iters_mono=config.get("iters_mono", 1000),
-        lr=config.get("lr", 1e-3),
-        schedule_factor=config.get("schedule_factor"),
-        schedule_every=config.get("schedule_every"),
-        seed=config.get("seed", 0),
-        a_init_scale=config.get("a_init_scale", 0.1),
-        ls_refit_every=config.get("ls_refit_every", 0),
-    )
+    cfg = _dataclass_from_config(TrainConfig, config, method=method)
     try:
         cfg.validate()
     except ValueError as exc:
@@ -232,6 +238,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     data = load_dataset(args.data)
+    for index in args.map_index:
+        if not 0 <= index < data.n_samples:
+            raise ConfigError(f"--map-index {index} is outside 0..{data.n_samples - 1}")
     report = ev.evaluate_model(model, data, truncate_m=args.truncate)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -276,25 +285,8 @@ def _cmd_sweep(args) -> int:
         values = [int(v) for v in args.values.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--values must be comma-separated ints: {exc}") from exc
-    settings = ev.SweepSettings(
-        example=config.get("example", "ex1"),
-        k_train=config.get("k_train", 50),
-        k_test=config.get("k_test", 25),
-        grid_n=config.get("grid_n", 17),
-        beta_lo=config.get("beta_lo", 1.0),
-        beta_hi=config.get("beta_hi", 100.0),
-        n_width=config.get("n_width", 20),
-        trunk_hidden=tuple(config.get("trunk_hidden", [40, 40, 40])),
-        branch_hidden=tuple(config.get("branch_hidden", [48])),
-        activation=config.get("activation", "relu"),
-        init_scheme=config.get("init", "he"),
-        iters_trunk=config.get("iters_trunk", 2000),
-        iters_branch=config.get("iters_branch", 2000),
-        lr=config.get("lr", 1e-3),
-        ls_refit_every=config.get("ls_refit_every", 0),
-        a_init_scale=config.get("a_init_scale", 0.1),
-        base_seed=config.get("seed", 0),
-    )
+    renamed = {_SWEEP_FIELD_NAMES.get(key, key): value for key, value in config.items()}
+    settings = _dataclass_from_config(ev.SweepSettings, renamed)
     workers = int(os.environ.get("OPERON_THREADS", "1"))
     try:
         table = ev.generalization_sweep(

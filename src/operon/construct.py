@@ -152,6 +152,14 @@ def build_interpolating_trunk(
     a_star stacks a zero row over diag(sigma) V^T (zero padded), so
     Phi a_star is the best rank-r~ reconstruction of u.
     """
+    trunk, a_star, _ = _build_trunk(y_sensors, u, n_width, seed)
+    return trunk, a_star
+
+
+def _build_trunk(
+    y_sensors, u, n_width: int, seed: int
+) -> tuple[Mlp, np.ndarray, linalg.SvdFactors]:
+    """build_interpolating_trunk, also returning the SVD of u it used."""
     if n_width < 1:
         raise ValueError(f"n_width must be >= 1, got {n_width}")
     y = np.ascontiguousarray(y_sensors, dtype=np.float64)
@@ -202,7 +210,7 @@ def build_interpolating_trunk(
 
     a_star = np.zeros((n_width + 1, u.shape[1]))
     a_star[1 : r + 1] = svd.sigma[:r, None] * svd.v[:, :r].T
-    return trunk, a_star
+    return trunk, a_star, svd
 
 
 @dataclass
@@ -271,17 +279,17 @@ def verify_zero_loss_pipeline(
     """
     u_train = data.train_u()
     f_train = data.train_f()
-    trunk, a_star = build_interpolating_trunk(
-        data.y_sensors, u_train, n_width, seed=seed
-    )
-    rank = linalg.jacobi_svd(u_train).rank
+    # One factorization of U serves the trunk, the rank and the
+    # Eckart-Young bound.
+    trunk, a_star, svd = _build_trunk(data.y_sensors, u_train, n_width, seed)
+    rank = svd.rank
     m_y, k = u_train.shape
 
     phi = assemble_phi(trunk, data.y_sensors)
     resid = phi @ a_star - u_train
     resid_sq = float(np.sum(resid * resid))
     u_sq = float(np.sum(u_train * u_train))
-    ey = linalg.best_rank_k_error(u_train, n_width)
+    ey = float(np.sum(svd.sigma[n_width:] ** 2))
     step1_loss = resid_sq / (m_y * k)
 
     t_star, target = orthonormalize(trunk, a_star, data.y_sensors)

@@ -75,7 +75,7 @@ class OperatorDataset:
             raise ValueError("train/test indices must be set together")
         if self.train_idx is not None:
             combined = np.concatenate([self.train_idx, self.test_idx])
-            if len(set(combined.tolist())) != k or combined.size != k:
+            if combined.size != k or set(combined.tolist()) != set(range(k)):
                 raise ValueError("split must partition 0..K-1")
 
     def _train_indices(self) -> np.ndarray:

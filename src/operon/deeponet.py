@@ -45,11 +45,13 @@ class DeepONetModel:
                 raise ValueError("t_matrix contains NaN or Inf")
 
 
+def _phi_from_values(values: np.ndarray) -> np.ndarray:
+    return np.hstack([np.ones((values.shape[0], 1)), values])
+
+
 def assemble_phi(trunk: Mlp, y_sensors) -> np.ndarray:
     """Trunk value matrix: row i is (1, phi_1(y_i), ..., phi_N(y_i))."""
-    values = nn.forward(trunk, y_sensors)
-    ones = np.ones((values.shape[0], 1))
-    return np.hstack([ones, values])
+    return _phi_from_values(nn.forward(trunk, y_sensors))
 
 
 def assemble_c(branch: Mlp, f_inputs) -> np.ndarray:
@@ -89,20 +91,24 @@ def monolithic_loss_and_grads(
     if model.t_matrix is not None:
         raise ValueError("joint training applies to models without a T matrix")
     m_y, k = u.shape
-    phi = assemble_phi(model.trunk, y_sensors)
-    c = assemble_c(model.branch, f_inputs)
+    trunk_cache = nn._forward_cached(model.trunk, y_sensors)
+    branch_cache = nn._forward_cached(model.branch, f_inputs)
+    phi = _phi_from_values(trunk_cache[-1])
+    c = branch_cache[-1].T
     resid = phi @ c - u
     loss = float(np.sum(resid * resid)) / (m_y * k)
     scale = 2.0 / (m_y * k)
     # d loss / d phi, dropping the constant column for the trunk.
     trunk_upstream = scale * (resid @ c.T)[:, 1:]
     branch_upstream = scale * (phi.T @ resid).T
-    trunk_grads = nn.backward(model.trunk, y_sensors, trunk_upstream)
-    branch_grads = nn.backward(model.branch, f_inputs, branch_upstream)
+    trunk_grads = nn.backward(model.trunk, y_sensors, trunk_upstream, trunk_cache)
+    branch_grads = nn.backward(model.branch, f_inputs, branch_upstream, branch_cache)
     return loss, trunk_grads, branch_grads
 
 
 MODEL_MANIFEST = "model.json"
+MODEL_KEYS = ("trunk_arch", "branch_arch", "trunk_activation", "branch_activation",
+              "width", "has_t_matrix")
 
 
 def _pack_mlp(net: Mlp) -> bytes:
@@ -170,6 +176,9 @@ def load_model(directory) -> DeepONetModel:
     if not manifest_path.exists():
         raise CorruptDatasetError(f"missing {MODEL_MANIFEST} in {directory}")
     manifest = json.loads(manifest_path.read_text())
+    missing = [key for key in MODEL_KEYS if key not in manifest]
+    if missing:
+        raise CorruptDatasetError(f"{MODEL_MANIFEST} missing key {missing[0]!r}")
     trunk = _unpack_mlp(
         (directory / "trunk.bin").read_bytes(),
         tuple(manifest["trunk_arch"]),

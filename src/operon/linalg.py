@@ -65,15 +65,6 @@ class SvdFactors:
     rank: int
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def householder_qr(a) -> QrFactors:
     """Thin QR of an m x n matrix (m >= n) by Householder reflections.
 

@@ -40,13 +40,6 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return np.tanh(z)
 
 
-def _act_deriv(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
 def init_mlp(arch, activation: str, scheme: str = "he", seed: int = 0) -> Mlp:
     """Seeded He (normal) or Xavier (uniform) initialization, zero biases."""
     arch = tuple(int(w) for w in arch)
@@ -80,24 +73,27 @@ def _check_input(net: Mlp, x: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
-    """Pre-activations z1..zL for a batch; zL is the network output."""
-    pres = []
-    h = x
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        if l > 0:
-            h = _act(pres[-1], net.activation)
-        pres.append(h @ w.T + b)
-    return pres
+    """Activations h1..h_{L-1} for a batch, followed by the network output."""
+    h = _check_input(net, x)
+    acts = []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = _act(h @ w.T + b, net.activation)
+        acts.append(h)
+    acts.append(h @ net.weights[-1].T + net.biases[-1])
+    return acts
 
 
 def forward(net: Mlp, x) -> np.ndarray:
     """Batched evaluation: rows of x are samples."""
-    x = _check_input(net, x)
     return _forward_cached(net, x)[-1]
 
 
-def backward(net: Mlp, x, upstream) -> GradientSet:
-    """Gradients of sum_batch <upstream, output> w.r.t. all parameters."""
+def backward(net: Mlp, x, upstream, cache: list[np.ndarray]) -> GradientSet:
+    """Gradients of sum_batch <upstream, output> w.r.t. all parameters.
+
+    cache is _forward_cached(net, x) from the pass that produced the
+    output; derivatives are formed from its activations (1 - h^2 for
+    tanh, h > 0 for relu), so the network is not evaluated again."""
     x = _check_input(net, x)
     upstream = np.ascontiguousarray(upstream, dtype=np.float64)
     n_layers = len(net.weights)
@@ -106,16 +102,18 @@ def backward(net: Mlp, x, upstream) -> GradientSet:
             f"upstream shape {upstream.shape} != (batch, nL) "
             f"({x.shape[0]}, {net.arch[-1]})"
         )
-    pres = _forward_cached(net, x)
+    if len(cache) != n_layers:
+        raise ShapeError(f"cache holds {len(cache)} arrays, expected {n_layers}")
     dweights: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
     dbiases: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
     delta = upstream
     for l in range(n_layers - 1, -1, -1):
-        inp = x if l == 0 else _act(pres[l - 1], net.activation)
+        inp = x if l == 0 else cache[l - 1]
         dweights[l] = delta.T @ inp
         dbiases[l] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ net.weights[l]) * _act_deriv(pres[l - 1], net.activation)
+            deriv = inp > 0.0 if net.activation == "relu" else 1.0 - inp * inp
+            delta = (delta @ net.weights[l]) * deriv
     return GradientSet(dweights=dweights, dbiases=dbiases)
 
 
@@ -124,10 +122,8 @@ def gradcheck(net: Mlp, x, epsilon: float = 1e-6) -> float:
     for the scalar loss 0.5 * ||forward(x)||^2."""
     if not 0.0 < epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in (0, 1e-3], got {epsilon}")
-    x = _check_input(net, x)
-
-    out = forward(net, x)
-    grads = backward(net, x, out)
+    cache = _forward_cached(net, x)
+    grads = backward(net, x, cache[-1], cache)
 
     def loss() -> float:
         y = forward(net, x)
@@ -170,10 +166,6 @@ def gradient_arrays(grads: GradientSet) -> list[np.ndarray]:
         out.append(dw)
         out.append(db)
     return out
-
-
-def param_count(net: Mlp) -> int:
-    return sum(w.size + b.size for w, b in zip(net.weights, net.biases))
 
 
 def mlp_copy(net: Mlp) -> Mlp:

@@ -22,6 +22,7 @@ from . import linalg, nn
 from .data import OperatorDataset
 from .deeponet import (
     DeepONetModel,
+    _phi_from_values,
     assemble_c,
     assemble_phi,
     monolithic_loss,
@@ -115,8 +116,23 @@ def save_report(report: TrainReport, directory) -> None:
             _write_trace_csv(directory / "trace_branch.csv", report.branch_trace)
 
 
-def _abort_with_iteration(exc: NonFiniteGradientError, iteration: int) -> None:
-    raise NonFiniteGradientError(f"{exc} (at iteration {iteration})") from exc
+def _adam_loop(
+    step, params: list[np.ndarray], iters: int, cfg: TrainConfig
+) -> list[float]:
+    """Full-batch Adam for iters iterations. step(t) returns (loss, grads)
+    at the current parameters for iteration t = 1..iters; the losses form
+    the returned trace."""
+    state = AdamState.for_params(params, lr=cfg.lr)
+    trace: list[float] = []
+    for t in range(1, iters + 1):
+        loss, grads = step(t)
+        trace.append(loss)
+        state.lr = cfg.lr_at(state.t)
+        try:
+            adam_step(params, grads, state)
+        except NonFiniteGradientError as exc:
+            raise NonFiniteGradientError(f"{exc} (at iteration {t})") from exc
+    return trace
 
 
 def train_monolithic(
@@ -128,20 +144,15 @@ def train_monolithic(
         raise ValueError("monolithic training starts from a model without T")
     start = time.perf_counter()
     f_train, u_train = data.train_f(), data.train_u()
-    params = nn.parameters(model.trunk) + nn.parameters(model.branch)
-    state = AdamState.for_params(params, lr=cfg.lr)
-    trace: list[float] = []
-    for t in range(1, cfg.iters_mono + 1):
+
+    def step(t):
         loss, trunk_g, branch_g = monolithic_loss_and_grads(
             model, f_train, u_train, data.y_sensors
         )
-        trace.append(loss)
-        grads = nn.gradient_arrays(trunk_g) + nn.gradient_arrays(branch_g)
-        state.lr = cfg.lr_at(state.t)
-        try:
-            adam_step(params, grads, state)
-        except NonFiniteGradientError as exc:
-            _abort_with_iteration(exc, t)
+        return loss, nn.gradient_arrays(trunk_g) + nn.gradient_arrays(branch_g)
+
+    params = nn.parameters(model.trunk) + nn.parameters(model.branch)
+    trace = _adam_loop(step, params, cfg.iters_mono, cfg)
     final = monolithic_loss(model, data)
     report = TrainReport(
         method="van",
@@ -175,28 +186,20 @@ def train_trunk_step1(
         )
     rng = np.random.default_rng(cfg.seed)
     a = rng.normal(0.0, cfg.a_init_scale, size=(n_width + 1, k))
-
-    params = nn.parameters(trunk) + [a]
-    state = AdamState.for_params(params, lr=cfg.lr)
     scale = 2.0 / (m_y * k)
-    trace: list[float] = []
-    for t in range(1, cfg.iters_trunk + 1):
-        phi = assemble_phi(trunk, data.y_sensors)
+
+    def step(t):
+        cache = nn._forward_cached(trunk, data.y_sensors)
+        phi = _phi_from_values(cache[-1])
         if cfg.ls_refit_every > 0 and (t - 1) % cfg.ls_refit_every == 0:
             a[...] = linalg.least_squares(phi, u_train)
         resid = phi @ a - u_train
         loss = float(np.sum(resid * resid)) / (m_y * k)
-        trace.append(loss)
         trunk_upstream = scale * (resid @ a.T)[:, 1:]
-        trunk_grads = nn.backward(trunk, data.y_sensors, trunk_upstream)
-        a_grad = scale * (phi.T @ resid)
-        grads = nn.gradient_arrays(trunk_grads) + [a_grad]
-        state.lr = cfg.lr_at(state.t)
-        try:
-            adam_step(params, grads, state)
-        except NonFiniteGradientError as exc:
-            _abort_with_iteration(exc, t)
+        trunk_grads = nn.backward(trunk, data.y_sensors, trunk_upstream, cache)
+        return loss, nn.gradient_arrays(trunk_grads) + [scale * (phi.T @ resid)]
 
+    trace = _adam_loop(step, nn.parameters(trunk) + [a], cfg.iters_trunk, cfg)
     phi = assemble_phi(trunk, data.y_sensors)
     if cfg.ls_refit_every > 0:
         a[...] = linalg.least_squares(phi, u_train)
@@ -236,21 +239,15 @@ def train_branch_step2(
     n1, k = target.shape
     if branch.arch[-1] != n1:
         raise ValueError(f"branch output {branch.arch[-1]} != target rows {n1}")
-    params = nn.parameters(branch)
-    state = AdamState.for_params(params, lr=cfg.lr)
-    trace: list[float] = []
-    for t in range(1, cfg.iters_branch + 1):
-        c = assemble_c(branch, f_inputs)
-        diff = c - target
+
+    def step(t):
+        cache = nn._forward_cached(branch, f_inputs)
+        diff = cache[-1].T - target
         loss = float(np.sum(diff * diff)) / k
-        trace.append(loss)
-        upstream = (2.0 / k) * diff.T
-        grads = nn.gradient_arrays(nn.backward(branch, f_inputs, upstream))
-        state.lr = cfg.lr_at(state.t)
-        try:
-            adam_step(params, grads, state)
-        except NonFiniteGradientError as exc:
-            _abort_with_iteration(exc, t)
+        grads = nn.backward(branch, f_inputs, (2.0 / k) * diff.T, cache)
+        return loss, nn.gradient_arrays(grads)
+
+    trace = _adam_loop(step, nn.parameters(branch), cfg.iters_branch, cfg)
     c = assemble_c(branch, f_inputs)
     diff = c - target
     final_loss = float(np.sum(diff * diff)) / k

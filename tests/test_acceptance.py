@@ -189,7 +189,12 @@ def test_criterion_01_gradient_correctness():
         x = None
         for _ in range(100):
             candidate = rng.normal(size=(3, 3))
-            pres = _forward_cached(net, candidate)
+            # The cache holds post-activations; rebuild z1..z_{L-1}.
+            acts = _forward_cached(net, candidate)
+            pres = [
+                h @ w.T + b
+                for h, w, b in zip([candidate] + acts, net.weights, net.biases)
+            ]
             if min(float(np.min(np.abs(p))) for p in pres[:-1]) > 1e-3:
                 x = candidate
                 break

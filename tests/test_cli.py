@@ -154,6 +154,28 @@ class TestEval:
         assert (out / "histogram.csv").exists()
         assert (out / "error_map_0.csv").exists()
 
+    @pytest.mark.parametrize("index", ["999", "-1"])
+    def test_map_index_out_of_range_exits_2(self, trained, dataset_dir, tmp_path, capsys, index):
+        code = main(
+            ["eval", "--model", str(trained), "--data", str(dataset_dir), "--out", str(tmp_path / "e"), "--map-index", index]
+        )
+        assert code == 2
+        assert "error: --map-index" in capsys.readouterr().err
+
+    def test_model_manifest_missing_key_exits_1(self, trained, dataset_dir, tmp_path, capsys):
+        import shutil
+
+        broken = tmp_path / "model"
+        shutil.copytree(trained, broken)
+        manifest = json.loads((broken / "model.json").read_text())
+        del manifest["width"]
+        (broken / "model.json").write_text(json.dumps(manifest))
+        code = main(
+            ["eval", "--model", str(broken), "--data", str(dataset_dir), "--out", str(tmp_path / "e")]
+        )
+        assert code == 1
+        assert "missing key 'width'" in capsys.readouterr().err
+
     def test_truncate_flag(self, trained, dataset_dir, tmp_path):
         out = tmp_path / "eval_t"
         code = main(

@@ -12,7 +12,6 @@ from operon.linalg import (
     householder_qr,
     jacobi_svd,
     least_squares,
-    matmul,
     solve_upper_triangular,
 )
 
@@ -28,26 +27,6 @@ def _cholesky_upper(g):
         for j in range(i + 1, n):
             r[i, j] = (g[i, j] - np.sum(r[:i, i] * r[:i, j])) / r[i, i]
     return r
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        assert np.array_equal(matmul(a, b), np.array([[2.0], [4.0]]))
-
-    def test_zero_times_anything(self):
-        rng = np.random.default_rng(0)
-        b = rng.normal(size=(3, 4))
-        assert np.array_equal(matmul(np.zeros((2, 3)), b), np.zeros((2, 4)))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 class TestHouseholderQr:

@@ -4,12 +4,12 @@ import pytest
 from operon.errors import ShapeError
 from operon.nn import (
     Mlp,
+    _forward_cached,
     backward,
     forward,
     gradcheck,
     init_mlp,
     mlp_copy,
-    param_count,
 )
 
 
@@ -27,7 +27,7 @@ class TestInit:
     def test_branch_parameter_count(self):
         # 500*1 + 500 + 51*500 + 51
         net = init_mlp((1, 500, 51), "relu", "he", seed=7)
-        assert param_count(net) == 26551
+        assert sum(a.size for a in net.weights + net.biases) == 26551
 
     def test_layer_shapes(self):
         net = init_mlp((2, 50, 50, 50, 50), "relu", "he", seed=0)
@@ -93,7 +93,7 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         net = init_mlp((2, 6, 3), "tanh", "he", seed=3)
         x = np.random.default_rng(3).normal(size=(4, 2))
-        grads = backward(net, x, np.zeros((4, 3)))
+        grads = backward(net, x, np.zeros((4, 3)), _forward_cached(net, x))
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.dweights)
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.dbiases)
 
@@ -106,7 +106,7 @@ class TestBackward:
         )
         x = np.array([[3.0]])
         g = np.array([[2.0]])
-        grads = backward(net, x, g)
+        grads = backward(net, x, g, _forward_cached(net, x))
         assert grads.dweights[0][0, 0] == pytest.approx(2.0 * 3.0)
         assert grads.dbiases[0][0] == pytest.approx(2.0)
 
@@ -120,7 +120,7 @@ class TestBackward:
     def test_gradient_shapes_mirror_net(self):
         net = init_mlp((2, 5, 3), "relu", "he", seed=4)
         x = np.random.default_rng(4).normal(size=(6, 2))
-        grads = backward(net, x, np.ones((6, 3)))
+        grads = backward(net, x, np.ones((6, 3)), _forward_cached(net, x))
         for w, dw in zip(net.weights, grads.dweights):
             assert w.shape == dw.shape
         for b, db in zip(net.biases, grads.dbiases):
@@ -135,9 +135,11 @@ class TestGradcheck:
             # keep pre-activations away from 0 by retrying inputs
             for _ in range(50):
                 x = rng.normal(size=(3, 2)) + 0.5
-                from operon.nn import _forward_cached
-
-                pres = _forward_cached(net, x)
+                # The cache holds post-activations; rebuild z1..z_{L-1}.
+                acts = _forward_cached(net, x)
+                pres = [
+                    h @ w.T + b for h, w, b in zip([x] + acts, net.weights, net.biases)
+                ]
                 if min(np.min(np.abs(p)) for p in pres[:-1]) > 1e-3:
                     break
             assert gradcheck(net, x, 1e-6) <= 1e-4
