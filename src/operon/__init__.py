@@ -50,7 +50,7 @@ from .linalg import (
     least_squares,
     solve_upper_triangular,
 )
-from .nn import GradientSet, Mlp, backward, forward, gradcheck, init_mlp
+from .nn import Mlp, backward, forward, gradcheck, init_mlp
 from .optimize import AdamState, adam_step, step_decay
 from .train import (
     TrainConfig,

@@ -8,6 +8,7 @@ through the substitution w = p^2, which is exact whenever p > 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -430,13 +431,52 @@ def _write_blob(path: Path, arr: np.ndarray) -> None:
 
 
 def _read_blob(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    expected = int(np.prod(shape)) * 8
+    """A little-endian float64 blob of the given shape; its length must
+    match and every entry must be finite."""
+    expected = math.prod(shape) * 8
     raw = path.read_bytes()
     if len(raw) != expected:
         raise CorruptDatasetError(
             f"{path.name}: expected {expected} bytes for shape {shape}, got {len(raw)}"
         )
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise CorruptDatasetError(f"{path.name} contains NaN or Inf")
+    return arr
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive_int(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def _check_manifest(manifest) -> None:
+    """Schema of manifest.json: positive int sizes, an optional params
+    object, and a split that is null or lists int train and test indices
+    (whether they partition 0..K-1 is OperatorDataset.validate's check)."""
+    if not isinstance(manifest, dict):
+        raise CorruptDatasetError("manifest.json must hold a JSON object")
+    for key in ("m_x", "m_y", "K", "d_x", "d_y"):
+        if key not in manifest:
+            raise CorruptDatasetError(f"manifest missing key {key!r}")
+        if not _is_positive_int(manifest[key]):
+            raise CorruptDatasetError(
+                f"manifest {key} must be a positive int, got {manifest[key]!r}"
+            )
+    if not isinstance(manifest.get("params", {}), dict):
+        raise CorruptDatasetError("manifest params must be a JSON object")
+    split = manifest.get("split")
+    if split is None:
+        return
+    if not isinstance(split, dict):
+        raise CorruptDatasetError("manifest split must be null or a JSON object")
+    for key in ("train", "test"):
+        indices = split.get(key)
+        if not (isinstance(indices, list) and all(map(_is_int, indices))):
+            raise CorruptDatasetError(f"manifest split {key} must be a list of ints")
 
 
 def save_dataset(data: OperatorDataset, directory) -> None:
@@ -481,11 +521,9 @@ def load_dataset(directory) -> OperatorDataset:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise CorruptDatasetError(f"unreadable manifest: {exc}") from exc
-    try:
-        m_x, m_y, k = manifest["m_x"], manifest["m_y"], manifest["K"]
-        d_x, d_y = manifest["d_x"], manifest["d_y"]
-    except KeyError as exc:
-        raise CorruptDatasetError(f"manifest missing key {exc}") from exc
+    _check_manifest(manifest)
+    m_x, m_y, k = manifest["m_x"], manifest["m_y"], manifest["K"]
+    d_x, d_y = manifest["d_x"], manifest["d_y"]
 
     data = OperatorDataset(
         x_sensors=_read_blob(directory / "x_sensors.bin", (m_x, d_x)),
@@ -495,11 +533,11 @@ def load_dataset(directory) -> OperatorDataset:
         meta={"generator": manifest.get("generator"), **manifest.get("params", {})},
     )
     split = manifest.get("split")
-    if split is not None:
-        data.train_idx = np.asarray(split["train"], dtype=np.int64)
-        data.test_idx = np.asarray(split["test"], dtype=np.int64)
     try:
+        if split is not None:
+            data.train_idx = np.asarray(split["train"], dtype=np.int64)
+            data.test_idx = np.asarray(split["test"], dtype=np.int64)
         data.validate()
-    except (ShapeError, ValueError) as exc:
+    except (ShapeError, ValueError, OverflowError) as exc:
         raise CorruptDatasetError(f"dataset fails validation: {exc}") from exc
     return data

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import OperatorDataset
+from .data import OperatorDataset, _is_int, _is_positive_int, _read_blob
 from .errors import CorruptDatasetError, ShapeError
-from .nn import GradientSet, Mlp
+from .nn import Mlp
 
 
 @dataclass
@@ -86,8 +86,9 @@ def monolithic_loss(model: DeepONetModel, data: OperatorDataset) -> float:
 
 def monolithic_loss_and_grads(
     model: DeepONetModel, f_inputs: np.ndarray, u: np.ndarray, y_sensors: np.ndarray
-) -> tuple[float, GradientSet, GradientSet]:
-    """Loss plus exact gradients for both sub-networks (no T matrix)."""
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss plus exact gradients for both sub-networks (no T matrix), each
+    in the layout of the sub-network's params."""
     if model.t_matrix is not None:
         raise ValueError("joint training applies to models without a T matrix")
     m_y, k = u.shape
@@ -112,38 +113,45 @@ MODEL_KEYS = ("trunk_arch", "branch_arch", "trunk_activation", "branch_activatio
 
 
 def _pack_mlp(net: Mlp) -> bytes:
-    chunks = []
-    for w, b in zip(net.weights, net.biases):
-        chunks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    return b"".join(chunks)
+    return net.params.astype("<f8").tobytes()
 
 
-def _unpack_mlp(raw: bytes, arch: tuple[int, ...], activation: str) -> Mlp:
-    expected = 8 * sum(
-        fan_out * fan_in + fan_out for fan_in, fan_out in zip(arch[:-1], arch[1:])
-    )
-    if len(raw) != expected:
-        raise CorruptDatasetError(
-            f"network blob has {len(raw)} bytes, expected {expected} for arch {arch}"
-        )
-    weights, biases = [], []
-    offset = 0
-    for fan_in, fan_out in zip(arch[:-1], arch[1:]):
-        n_w = fan_out * fan_in * 8
-        weights.append(
-            np.frombuffer(raw, dtype="<f8", count=fan_out * fan_in, offset=offset)
-            .astype(np.float64)
-            .reshape(fan_out, fan_in)
-        )
-        offset += n_w
-        biases.append(
-            np.frombuffer(raw, dtype="<f8", count=fan_out, offset=offset).astype(
-                np.float64
+def _unpack_mlp(path: Path, arch: tuple[int, ...], activation: str) -> Mlp:
+    flat = _read_blob(path, (nn._param_size(arch),))
+    return Mlp(arch, *nn._layer_views(flat, arch), activation)
+
+
+def _check_model_manifest(manifest) -> None:
+    """Schema of model.json: archs of >= 2 positive ints, known
+    activations, an int width equal to the trunk output and a bool
+    has_t_matrix."""
+    if not isinstance(manifest, dict):
+        raise CorruptDatasetError(f"{MODEL_MANIFEST} must hold a JSON object")
+    missing = [key for key in MODEL_KEYS if key not in manifest]
+    if missing:
+        raise CorruptDatasetError(f"{MODEL_MANIFEST} missing key {missing[0]!r}")
+    for key in ("trunk_arch", "branch_arch"):
+        arch = manifest[key]
+        if not (
+            isinstance(arch, list) and len(arch) >= 2 and all(map(_is_positive_int, arch))
+        ):
+            raise CorruptDatasetError(
+                f"{MODEL_MANIFEST} {key} must list >= 2 positive ints, got {arch!r}"
             )
+    for key in ("trunk_activation", "branch_activation"):
+        if manifest[key] not in nn.ACTIVATIONS:
+            raise CorruptDatasetError(
+                f"{MODEL_MANIFEST} {key} must be one of {nn.ACTIVATIONS}, "
+                f"got {manifest[key]!r}"
+            )
+    width = manifest["width"]
+    if not (_is_int(width) and width == manifest["trunk_arch"][-1]):
+        raise CorruptDatasetError(
+            f"{MODEL_MANIFEST} width must be the int trunk output "
+            f"{manifest['trunk_arch'][-1]}, got {width!r}"
         )
-        offset += fan_out * 8
-    return Mlp(arch=arch, weights=weights, biases=biases, activation=activation)
+    if not isinstance(manifest["has_t_matrix"], bool):
+        raise CorruptDatasetError(f"{MODEL_MANIFEST} has_t_matrix must be a bool")
 
 
 def save_model(model: DeepONetModel, directory) -> None:
@@ -175,31 +183,30 @@ def load_model(directory) -> DeepONetModel:
     manifest_path = directory / MODEL_MANIFEST
     if not manifest_path.exists():
         raise CorruptDatasetError(f"missing {MODEL_MANIFEST} in {directory}")
-    manifest = json.loads(manifest_path.read_text())
-    missing = [key for key in MODEL_KEYS if key not in manifest]
-    if missing:
-        raise CorruptDatasetError(f"{MODEL_MANIFEST} missing key {missing[0]!r}")
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise CorruptDatasetError(f"unreadable {MODEL_MANIFEST}: {exc}") from exc
+    _check_model_manifest(manifest)
     trunk = _unpack_mlp(
-        (directory / "trunk.bin").read_bytes(),
+        directory / "trunk.bin",
         tuple(manifest["trunk_arch"]),
         manifest["trunk_activation"],
     )
     branch = _unpack_mlp(
-        (directory / "branch.bin").read_bytes(),
+        directory / "branch.bin",
         tuple(manifest["branch_arch"]),
         manifest["branch_activation"],
     )
     t_matrix = None
     if manifest["has_t_matrix"]:
         n1 = manifest["width"] + 1
-        raw = (directory / "t_matrix.bin").read_bytes()
-        if len(raw) != 8 * n1 * n1:
-            raise CorruptDatasetError(
-                f"t_matrix.bin has {len(raw)} bytes, expected {8 * n1 * n1}"
-            )
-        t_matrix = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n1, n1)
+        t_matrix = _read_blob(directory / "t_matrix.bin", (n1, n1))
     model = DeepONetModel(
         trunk=trunk, branch=branch, t_matrix=t_matrix, width=manifest["width"]
     )
-    model.validate()
+    try:
+        model.validate()
+    except ShapeError as exc:
+        raise CorruptDatasetError(f"model fails validation: {exc}") from exc
     return model

@@ -8,8 +8,6 @@ to be 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
@@ -18,20 +16,41 @@ ACTIVATIONS = ("relu", "tanh")
 INIT_SCHEMES = ("he", "xavier")
 
 
-@dataclass
+def _layer_views(flat: np.ndarray, arch: tuple[int, ...]):
+    """Views (weights, biases) into a flat vector laid out as W1, b1, W2,
+    b2, ... with each W row-major: the layout of params and trunk.bin."""
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(arch[:-1], arch[1:]):
+        weights.append(flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        offset += fan_out * fan_in
+        biases.append(flat[offset : offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
+def _param_size(arch) -> int:
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(arch[:-1], arch[1:]))
+
+
 class Mlp:
-    arch: tuple[int, ...]
-    weights: list[np.ndarray]  # weights[l] has shape (n_{l+1}, n_l)
-    biases: list[np.ndarray]  # biases[l] has shape (n_{l+1},)
-    activation: str
+    """An MLP whose parameters live in one float64 vector, params.
 
+    weights[l] (shape (n_{l+1}, n_l)) and biases[l] (shape (n_{l+1},)) are
+    views into params, so in-place edits of either show in both. The arrays
+    passed in are copied, never aliased."""
 
-@dataclass
-class GradientSet:
-    """Parameter gradients, shaped exactly like the owning Mlp."""
-
-    dweights: list[np.ndarray]
-    dbiases: list[np.ndarray]
+    def __init__(self, arch, weights, biases, activation: str):
+        self.arch = tuple(int(w) for w in arch)
+        self.activation = activation
+        self.params = np.empty(_param_size(self.arch))
+        self.weights, self.biases = _layer_views(self.params, self.arch)
+        if len(weights) != len(self.weights) or len(biases) != len(self.biases):
+            raise ShapeError(f"arch {self.arch} has {len(self.weights)} layers")
+        for view, arr in zip(self.weights + self.biases, [*weights, *biases]):
+            if np.shape(arr) != view.shape:
+                raise ShapeError(f"array shape {np.shape(arr)} != {view.shape} in arch {self.arch}")
+            view[...] = arr
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -88,8 +107,9 @@ def forward(net: Mlp, x) -> np.ndarray:
     return _forward_cached(net, x)[-1]
 
 
-def backward(net: Mlp, x, upstream, cache: list[np.ndarray]) -> GradientSet:
-    """Gradients of sum_batch <upstream, output> w.r.t. all parameters.
+def backward(net: Mlp, x, upstream, cache: list[np.ndarray]) -> np.ndarray:
+    """Gradient of sum_batch <upstream, output> w.r.t. net.params, as one
+    vector in the layout of net.params.
 
     cache is _forward_cached(net, x) from the pass that produced the
     output; derivatives are formed from its activations (1 - h^2 for
@@ -104,17 +124,17 @@ def backward(net: Mlp, x, upstream, cache: list[np.ndarray]) -> GradientSet:
         )
     if len(cache) != n_layers:
         raise ShapeError(f"cache holds {len(cache)} arrays, expected {n_layers}")
-    dweights: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    dbiases: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
+    grad = np.empty_like(net.params)
+    dweights, dbiases = _layer_views(grad, net.arch)
     delta = upstream
     for l in range(n_layers - 1, -1, -1):
         inp = x if l == 0 else cache[l - 1]
-        dweights[l] = delta.T @ inp
-        dbiases[l] = delta.sum(axis=0)
+        np.matmul(delta.T, inp, out=dweights[l])
+        np.sum(delta, axis=0, out=dbiases[l])
         if l > 0:
             deriv = inp > 0.0 if net.activation == "relu" else 1.0 - inp * inp
             delta = (delta @ net.weights[l]) * deriv
-    return GradientSet(dweights=dweights, dbiases=dbiases)
+    return grad
 
 
 def gradcheck(net: Mlp, x, epsilon: float = 1e-6) -> float:
@@ -123,55 +143,25 @@ def gradcheck(net: Mlp, x, epsilon: float = 1e-6) -> float:
     if not 0.0 < epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in (0, 1e-3], got {epsilon}")
     cache = _forward_cached(net, x)
-    grads = backward(net, x, cache[-1], cache)
+    grad = backward(net, x, cache[-1], cache)
 
     def loss() -> float:
         y = forward(net, x)
         return 0.5 * float(np.sum(y * y))
 
     worst = 0.0
-    for arrays, danalytic in (
-        (net.weights, grads.dweights),
-        (net.biases, grads.dbiases),
-    ):
-        for theta, dtheta in zip(arrays, danalytic):
-            flat = theta.ravel()
-            dflat = dtheta.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + epsilon
-                up = loss()
-                flat[i] = orig - epsilon
-                down = loss()
-                flat[i] = orig
-                fd = (up - down) / (2.0 * epsilon)
-                rel = abs(dflat[i] - fd) / max(1.0, abs(dflat[i]))
-                worst = max(worst, rel)
+    theta = net.params
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + epsilon
+        up = loss()
+        theta[i] = orig - epsilon
+        down = loss()
+        theta[i] = orig
+        fd = (up - down) / (2.0 * epsilon)
+        worst = max(worst, abs(grad[i] - fd) / max(1.0, abs(grad[i])))
     return worst
 
 
-def parameters(net: Mlp) -> list[np.ndarray]:
-    """Flat parameter list (W1, b1, W2, b2, ...) aliasing the net's arrays."""
-    out = []
-    for w, b in zip(net.weights, net.biases):
-        out.append(w)
-        out.append(b)
-    return out
-
-
-def gradient_arrays(grads: GradientSet) -> list[np.ndarray]:
-    """Gradient list in the same order as parameters()."""
-    out = []
-    for dw, db in zip(grads.dweights, grads.dbiases):
-        out.append(dw)
-        out.append(db)
-    return out
-
-
 def mlp_copy(net: Mlp) -> Mlp:
-    return Mlp(
-        arch=net.arch,
-        weights=[w.copy() for w in net.weights],
-        biases=[b.copy() for b in net.biases],
-        activation=net.activation,
-    )
+    return Mlp(net.arch, net.weights, net.biases, net.activation)

@@ -149,10 +149,9 @@ def train_monolithic(
         loss, trunk_g, branch_g = monolithic_loss_and_grads(
             model, f_train, u_train, data.y_sensors
         )
-        return loss, nn.gradient_arrays(trunk_g) + nn.gradient_arrays(branch_g)
+        return loss, [trunk_g, branch_g]
 
-    params = nn.parameters(model.trunk) + nn.parameters(model.branch)
-    trace = _adam_loop(step, params, cfg.iters_mono, cfg)
+    trace = _adam_loop(step, [model.trunk.params, model.branch.params], cfg.iters_mono, cfg)
     final = monolithic_loss(model, data)
     report = TrainReport(
         method="van",
@@ -196,10 +195,10 @@ def train_trunk_step1(
         resid = phi @ a - u_train
         loss = float(np.sum(resid * resid)) / (m_y * k)
         trunk_upstream = scale * (resid @ a.T)[:, 1:]
-        trunk_grads = nn.backward(trunk, data.y_sensors, trunk_upstream, cache)
-        return loss, nn.gradient_arrays(trunk_grads) + [scale * (phi.T @ resid)]
+        trunk_grad = nn.backward(trunk, data.y_sensors, trunk_upstream, cache)
+        return loss, [trunk_grad, scale * (phi.T @ resid)]
 
-    trace = _adam_loop(step, nn.parameters(trunk) + [a], cfg.iters_trunk, cfg)
+    trace = _adam_loop(step, [trunk.params, a], cfg.iters_trunk, cfg)
     phi = assemble_phi(trunk, data.y_sensors)
     if cfg.ls_refit_every > 0:
         a[...] = linalg.least_squares(phi, u_train)
@@ -244,10 +243,10 @@ def train_branch_step2(
         cache = nn._forward_cached(branch, f_inputs)
         diff = cache[-1].T - target
         loss = float(np.sum(diff * diff)) / k
-        grads = nn.backward(branch, f_inputs, (2.0 / k) * diff.T, cache)
-        return loss, nn.gradient_arrays(grads)
+        grad = nn.backward(branch, f_inputs, (2.0 / k) * diff.T, cache)
+        return loss, [grad]
 
-    trace = _adam_loop(step, nn.parameters(branch), cfg.iters_branch, cfg)
+    trace = _adam_loop(step, [branch.params], cfg.iters_branch, cfg)
     c = assemble_c(branch, f_inputs)
     diff = c - target
     final_loss = float(np.sum(diff * diff)) / k

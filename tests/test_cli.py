@@ -1,5 +1,7 @@
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from operon.cli import main
@@ -128,6 +130,20 @@ class TestTrain:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def _broken_copy(src, dst, name, edit=None, blob_value=None):
+    """Copy an artifact directory, then replace its JSON manifest `name` by
+    edit(manifest) or set the first float64 of blob `name` to blob_value."""
+    shutil.copytree(src, dst)
+    path = dst / name
+    if edit is not None:
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    else:
+        raw = bytearray(path.read_bytes())
+        raw[:8] = np.array([blob_value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+    return dst
+
+
 @pytest.fixture(scope="module")
 def trained(dataset_dir, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("trained")
@@ -163,18 +179,58 @@ class TestEval:
         assert "error: --map-index" in capsys.readouterr().err
 
     def test_model_manifest_missing_key_exits_1(self, trained, dataset_dir, tmp_path, capsys):
-        import shutil
-
-        broken = tmp_path / "model"
-        shutil.copytree(trained, broken)
-        manifest = json.loads((broken / "model.json").read_text())
-        del manifest["width"]
-        (broken / "model.json").write_text(json.dumps(manifest))
+        broken = _broken_copy(
+            trained, tmp_path / "model", "model.json", lambda m: {k: v for k, v in m.items() if k != "width"}
+        )
         code = main(
             ["eval", "--model", str(broken), "--data", str(dataset_dir), "--out", str(tmp_path / "e")]
         )
         assert code == 1
         assert "missing key 'width'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("trunk_activation", "sigmoid"),
+            ("trunk_arch", ["a", 6, 4]),
+            ("width", "4"),
+            ("has_t_matrix", "yes"),
+        ],
+        ids=["activation-sigmoid", "arch-not-int", "width-string", "t-flag-string"],
+    )
+    def test_model_manifest_schema_exits_1(self, trained, dataset_dir, tmp_path, capsys, key, value):
+        broken = _broken_copy(trained, tmp_path / "model", "model.json", lambda m: {**m, key: value})
+        code = main(["eval", "--model", str(broken), "--data", str(dataset_dir), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert f"error: model.json {key}" in capsys.readouterr().err
+
+    def test_model_blob_not_finite_exits_1(self, trained, dataset_dir, tmp_path, capsys):
+        broken = _broken_copy(trained, tmp_path / "model", "trunk.bin", blob_value=np.nan)
+        code = main(["eval", "--model", str(broken), "--data", str(dataset_dir), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert "error: trunk.bin contains NaN or Inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: {**m, "K": "8"},
+            lambda m: {**m, "split": {"train": m["split"]["train"]}},
+            lambda m: [],
+        ],
+        ids=["K-string", "split-without-test", "list-manifest"],
+    )
+    def test_dataset_manifest_schema_exits_1(self, trained, dataset_dir, tmp_path, capsys, edit):
+        broken = _broken_copy(dataset_dir, tmp_path / "data", "manifest.json", edit)
+        code = main(["eval", "--model", str(trained), "--data", str(broken), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert "error: manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blob, value", [("U.bin", np.nan), ("F.bin", np.inf)])
+    def test_dataset_blob_not_finite_exits_1(self, trained, dataset_dir, tmp_path, capsys, blob, value):
+        broken = _broken_copy(dataset_dir, tmp_path / "data", blob, blob_value=value)
+        code = main(["eval", "--model", str(trained), "--data", str(broken), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert f"error: {blob} contains NaN or Inf" in capsys.readouterr().err
 
     def test_truncate_flag(self, trained, dataset_dir, tmp_path):
         out = tmp_path / "eval_t"

@@ -234,6 +234,15 @@ class TestDatasetIo:
         with pytest.raises(CorruptDatasetError, match="partition"):
             load_dataset(tmp_path / "d")
 
+    def test_split_index_beyond_int64(self, tmp_path):
+        data = split_dataset(gen_example1(np.linspace(1, 50, 12), 9), 0.75, seed=2)
+        save_dataset(data, tmp_path / "d")
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        manifest["split"]["test"][0] = 10**30
+        (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptDatasetError):
+            load_dataset(tmp_path / "d")
+
     def test_duplicate_sensor_rejected(self):
         data = OperatorDataset(
             x_sensors=np.zeros((1, 1)),

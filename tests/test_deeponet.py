@@ -13,7 +13,7 @@ from operon.deeponet import (
     save_model,
 )
 from operon.errors import CorruptDatasetError
-from operon.nn import forward, init_mlp, parameters
+from operon.nn import forward, init_mlp
 
 
 def _zeroed(net):
@@ -156,20 +156,17 @@ class TestMonolithicLoss:
         loss, trunk_g, branch_g = monolithic_loss_and_grads(model, f, u, y)
         eps = 1e-6
         worst = 0.0
-        for net, grads in ((model.trunk, trunk_g), (model.branch, branch_g)):
-            for theta, dtheta in zip(
-                net.weights + net.biases, grads.dweights + grads.dbiases
-            ):
-                flat, dflat = theta.ravel(), dtheta.ravel()
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + eps
-                    up = monolithic_loss_and_grads(model, f, u, y)[0]
-                    flat[i] = orig - eps
-                    down = monolithic_loss_and_grads(model, f, u, y)[0]
-                    flat[i] = orig
-                    fd = (up - down) / (2 * eps)
-                    worst = max(worst, abs(fd - dflat[i]) / max(1.0, abs(dflat[i])))
+        for net, grad in ((model.trunk, trunk_g), (model.branch, branch_g)):
+            flat = net.params
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                up = monolithic_loss_and_grads(model, f, u, y)[0]
+                flat[i] = orig - eps
+                down = monolithic_loss_and_grads(model, f, u, y)[0]
+                flat[i] = orig
+                fd = (up - down) / (2 * eps)
+                worst = max(worst, abs(fd - grad[i]) / max(1.0, abs(grad[i])))
         assert worst <= 1e-6
 
 
@@ -181,10 +178,8 @@ class TestModelSerialization:
         )
         save_model(model, tmp_path / "m")
         loaded = load_model(tmp_path / "m")
-        for a, b in zip(parameters(model.trunk), parameters(loaded.trunk)):
-            assert np.array_equal(a, b)
-        for a, b in zip(parameters(model.branch), parameters(loaded.branch)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(model.trunk.params, loaded.trunk.params)
+        assert np.array_equal(model.branch.params, loaded.branch.params)
         assert np.array_equal(model.t_matrix, loaded.t_matrix)
         assert loaded.trunk.activation == model.trunk.activation
 

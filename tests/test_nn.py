@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from operon.deeponet import _pack_mlp
 from operon.errors import ShapeError
 from operon.nn import (
     Mlp,
@@ -93,9 +94,8 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         net = init_mlp((2, 6, 3), "tanh", "he", seed=3)
         x = np.random.default_rng(3).normal(size=(4, 2))
-        grads = backward(net, x, np.zeros((4, 3)), _forward_cached(net, x))
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.dweights)
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.dbiases)
+        grad = backward(net, x, np.zeros((4, 3)), _forward_cached(net, x))
+        assert np.array_equal(grad, np.zeros_like(net.params))
 
     def test_single_linear_layer_chain_rule(self):
         net = Mlp(
@@ -106,9 +106,10 @@ class TestBackward:
         )
         x = np.array([[3.0]])
         g = np.array([[2.0]])
-        grads = backward(net, x, g, _forward_cached(net, x))
-        assert grads.dweights[0][0, 0] == pytest.approx(2.0 * 3.0)
-        assert grads.dbiases[0][0] == pytest.approx(2.0)
+        grad = backward(net, x, g, _forward_cached(net, x))
+        # Layout (W1, b1): dW = g x, db = g.
+        assert grad[0] == pytest.approx(2.0 * 3.0)
+        assert grad[1] == pytest.approx(2.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences_tanh(self, seed):
@@ -120,11 +121,8 @@ class TestBackward:
     def test_gradient_shapes_mirror_net(self):
         net = init_mlp((2, 5, 3), "relu", "he", seed=4)
         x = np.random.default_rng(4).normal(size=(6, 2))
-        grads = backward(net, x, np.ones((6, 3)), _forward_cached(net, x))
-        for w, dw in zip(net.weights, grads.dweights):
-            assert w.shape == dw.shape
-        for b, db in zip(net.biases, grads.dbiases):
-            assert b.shape == db.shape
+        grad = backward(net, x, np.ones((6, 3)), _forward_cached(net, x))
+        assert grad.shape == net.params.shape == (2 * 5 + 5 + 5 * 3 + 3,)
 
 
 class TestGradcheck:
@@ -155,6 +153,27 @@ class TestGradcheck:
         net = init_mlp((1, 2, 1), "tanh", "he", seed=0)
         with pytest.raises(ValueError):
             gradcheck(net, np.ones((1, 1)), 0.1)
+
+
+class TestParams:
+    def test_views_alias_params_in_blob_order(self):
+        w1, b1 = np.arange(6.0).reshape(3, 2), np.array([6.0, 7.0, 8.0])
+        w2, b2 = np.array([[9.0, 10.0, 11.0]]), np.array([12.0])
+        net = Mlp((2, 3, 1), [w1, w2], [b1, b2], "tanh")
+        # W1, b1, W2, b2, each W row-major: the trunk.bin order.
+        assert np.array_equal(net.params, np.arange(13.0))
+        net.weights[1][0, 2] = -1.0
+        net.biases[0][1] = -2.0
+        assert net.params[11] == -1.0 and net.params[7] == -2.0
+        assert np.frombuffer(_pack_mlp(net), dtype="<f8")[11] == -1.0
+        # The constructor copies: the caller's arrays are not aliased.
+        assert w2[0, 2] == 11.0 and b1[1] == 7.0
+        w1[0, 0] = 100.0
+        assert net.params[0] == 0.0
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ShapeError):
+            Mlp((2, 3), [np.zeros((2, 3))], [np.zeros(3)], "tanh")
 
 
 class TestCopy:
