@@ -167,6 +167,8 @@ def _cmd_generate(args) -> int:
         raise ConfigError(f"--grid-n must be >= 3, got {args.grid_n}")
     if args.k < 2:
         raise ConfigError(f"--k must be >= 2, got {args.k}")
+    if not 0.0 < args.train_fraction < 1.0:
+        raise ConfigError(f"--train-fraction must lie in (0, 1), got {args.train_fraction}")
     if args.example == "ex1":
         betas = np.linspace(1.0, 1000.0, args.k)
         data = gen_example1(betas, args.grid_n, seed=args.seed)
@@ -236,6 +238,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.truncate is not None and not args.truncate > 0.0:
+        raise ConfigError(f"--truncate must be > 0, got {args.truncate}")
     model = load_model(args.model)
     data = load_dataset(args.data)
     for index in args.map_index:
@@ -268,6 +272,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.n_width < 1:
+        raise ConfigError(f"--N must be >= 1, got {args.n_width}")
     data = load_dataset(args.data)
     cert = verify_zero_loss_pipeline(data, args.n_width, seed=args.seed)
     payload = json.dumps(cert.to_dict(), indent=2, sort_keys=True)
@@ -280,6 +286,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    threads = os.environ.get("OPERON_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError as exc:
+        raise ConfigError(f"OPERON_THREADS must be an int, got {threads!r}") from exc
     config = _load_config(args.config, SWEEP_CONFIG_KEYS)
     try:
         values = [int(v) for v in args.values.split(",")]
@@ -287,7 +298,6 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--values must be comma-separated ints: {exc}") from exc
     renamed = {_SWEEP_FIELD_NAMES.get(key, key): value for key, value in config.items()}
     settings = _dataclass_from_config(ev.SweepSettings, renamed)
-    workers = int(os.environ.get("OPERON_THREADS", "1"))
     try:
         table = ev.generalization_sweep(
             settings, args.axis, values, args.replicates, max_workers=max(1, workers)

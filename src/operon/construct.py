@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .data import OperatorDataset, check_distinct_sensors
-from .deeponet import DeepONetModel, assemble_phi, monolithic_loss
+from .deeponet import DeepONetModel, assemble_phi
 from .errors import DuplicateSensorError
 from .nn import Mlp
 from .train import check_two_step_equivalence, fit_interpolating_branch, orthonormalize
@@ -295,8 +295,6 @@ def verify_zero_loss_pipeline(
     t_star, target = orthonormalize(trunk, a_star, data.y_sensors)
     branch, branch_loss = fit_interpolating_branch(f_train, target, seed=seed)
     model = DeepONetModel(trunk=trunk, branch=branch, t_matrix=t_star, width=n_width)
-    assembled = monolithic_loss(model, data)
-
     equivalence = check_two_step_equivalence(
         data, model, step1_loss, branch_loss, target
     )
@@ -304,7 +302,7 @@ def verify_zero_loss_pipeline(
     zero_applicable = n_width >= rank
     zero_passed = bool(
         resid_sq <= ZERO_LOSS_TOL * u_sq
-        and assembled <= ZERO_LOSS_TOL * u_sq / (m_y * k)
+        and equivalence.assembled_loss <= ZERO_LOSS_TOL * u_sq / (m_y * k)
     )
     low_applicable = n_width < rank
     low_passed = bool(abs(resid_sq - ey) <= LOW_RANK_TOL * ey + 1e-12 * u_sq)
@@ -317,7 +315,7 @@ def verify_zero_loss_pipeline(
         eckart_young_bound=ey,
         step1_loss=step1_loss,
         branch_loss=branch_loss,
-        assembled_loss=assembled,
+        assembled_loss=equivalence.assembled_loss,
         zero_loss_applicable=zero_applicable,
         zero_loss_passed=zero_passed,
         low_rank_applicable=low_applicable,

@@ -59,29 +59,25 @@ def assemble_c(branch: Mlp, f_inputs) -> np.ndarray:
     return nn.forward(branch, f_inputs).T
 
 
+def model_basis(model: DeepONetModel, y_points) -> np.ndarray:
+    """The model's frozen basis at y_points: Phi, or Phi T when the model
+    has a T matrix. Predictions are this basis times the branch output."""
+    phi = assemble_phi(model.trunk, y_points)
+    return phi if model.t_matrix is None else phi @ model.t_matrix
+
+
 def predict(model: DeepONetModel, f, y_points) -> np.ndarray:
     """Evaluate the operator network for one input at many output points."""
     f = np.ascontiguousarray(f, dtype=np.float64).ravel()
-    coeff = nn.forward(model.branch, f[None, :])[0]
-    if model.t_matrix is not None:
-        coeff = model.t_matrix @ coeff
-    phi = assemble_phi(model.trunk, y_points)
-    return phi @ coeff
-
-
-def _loss_from_matrices(phi: np.ndarray, c: np.ndarray, u: np.ndarray) -> float:
-    resid = phi @ c - u
-    return float(np.sum(resid * resid)) / (u.shape[0] * u.shape[1])
+    return model_basis(model, y_points) @ nn.forward(model.branch, f[None, :])[0]
 
 
 def monolithic_loss(model: DeepONetModel, data: OperatorDataset) -> float:
     """Mean squared residual over the training split:
     ||Phi [T] C - U||_F^2 / (K m_y)."""
-    phi = assemble_phi(model.trunk, data.y_sensors)
-    if model.t_matrix is not None:
-        phi = phi @ model.t_matrix
-    c = assemble_c(model.branch, data.train_f())
-    return _loss_from_matrices(phi, c, data.train_u())
+    basis = model_basis(model, data.y_sensors)
+    resid = basis @ assemble_c(model.branch, data.train_f()) - data.train_u()
+    return float(np.sum(resid * resid)) / resid.size
 
 
 def monolithic_loss_and_grads(

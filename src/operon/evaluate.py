@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .data import (
     gen_example3,
     subsample_output_sensors,
 )
-from .deeponet import DeepONetModel, assemble_phi, predict
+from .deeponet import DeepONetModel, assemble_c, model_basis, predict
 from .train import TrainConfig, train_two_step
 
 
@@ -34,27 +34,33 @@ def relative_l2_error(prediction, target) -> float:
     t = np.ascontiguousarray(target, dtype=np.float64).ravel()
     if p.size != t.size:
         raise ValueError(f"length mismatch: {p.size} vs {t.size}")
-    t_norm = float(np.sqrt(np.sum(t * t)))
-    if t_norm == 0.0:
+    return float(_column_errors(p, t))
+
+
+def _column_errors(prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """relative_l2_error per column of two m x n matrices (0-d for vectors)."""
+    t_norms = np.sqrt(np.sum(target * target, axis=0))
+    if np.any(t_norms == 0.0):
         raise ValueError("target has zero norm")
-    return float(np.sqrt(np.sum((p - t) ** 2))) / t_norm
+    return np.sqrt(np.sum((prediction - target) ** 2, axis=0)) / t_norms
 
 
 def conditional_optimal(
     model: DeepONetModel, y_test, u_test
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Least-squares coefficients for the frozen (orthonormalized) trunk
-    against the true test output, and the resulting relative error.
+    against the true test output, and the resulting relative error: one
+    float for a vector u_test, one per column of an m_y x n u_test.
 
-    This reference is unattainable in deployment (it needs the target), but
-    it always lower-bounds the trained model's error.
+    All columns share one QR of the basis. This reference is unattainable
+    in deployment (it needs the target), but it always lower-bounds the
+    trained model's error.
     """
-    u = np.ascontiguousarray(u_test, dtype=np.float64).ravel()
-    basis = assemble_phi(model.trunk, y_test)
-    if model.t_matrix is not None:
-        basis = basis @ model.t_matrix
+    u = np.ascontiguousarray(u_test, dtype=np.float64)
+    basis = model_basis(model, y_test)
     a_star = linalg.least_squares(basis, u)
-    return a_star, relative_l2_error(basis @ a_star, u)
+    errors = _column_errors(basis @ a_star, u)
+    return a_star, float(errors) if u.ndim == 1 else errors
 
 
 def truncate_prediction(prediction, bound_m: float) -> np.ndarray:
@@ -79,9 +85,7 @@ def check_sensor_condition(
     grid, for the orthonormalized trunk basis phi_hat = T^T phi."""
     if m_y < 3:
         raise ValueError(f"m_y must be >= 3, got {m_y}")
-    basis = assemble_phi(model.trunk, probe_grid)
-    if model.t_matrix is not None:
-        basis = basis @ model.t_matrix
+    basis = model_basis(model, probe_grid)
     lhs = float(np.max(np.sum(basis * basis, axis=1)))
     rhs = sampling_kappa(r_t) * m_y / math.log(m_y)
     return {"lhs": lhs, "rhs": rhs, "satisfied": lhs <= rhs}
@@ -98,45 +102,35 @@ class EvalReport:
     std_optimal_error: float
 
     def to_dict(self) -> dict:
-        return {
-            "sample_indices": self.sample_indices,
-            "rel_errors": self.rel_errors,
-            "optimal_errors": self.optimal_errors,
-            "mean_rel_error": self.mean_rel_error,
-            "std_rel_error": self.std_rel_error,
-            "mean_optimal_error": self.mean_optimal_error,
-            "std_optimal_error": self.std_optimal_error,
-        }
+        return asdict(self)
 
 
 def evaluate_model(
     model: DeepONetModel, data: OperatorDataset, truncate_m: float | None = None
 ) -> EvalReport:
     """Relative and conditional-optimal errors over the test split
-    (or over everything when the dataset carries no split)."""
+    (or over everything when the dataset carries no split), in matrix
+    form: one batched branch pass and one QR serve every sample."""
     if data.test_idx is not None and data.test_idx.size > 0:
         indices = data.test_idx
     else:
         indices = np.arange(data.n_samples)
-    rel, opt = [], []
-    for k in indices:
-        target = data.u_matrix[:, k]
-        pred = predict(model, data.f_matrix[k], data.y_sensors)
-        if truncate_m is not None:
-            pred = truncate_prediction(pred, truncate_m)
-        rel.append(relative_l2_error(pred, target))
-        _, optimal = conditional_optimal(model, data.y_sensors, target)
-        opt.append(optimal)
-    rel_arr = np.asarray(rel)
-    opt_arr = np.asarray(opt)
+    targets = data.u_matrix[:, indices]
+    preds = model_basis(model, data.y_sensors) @ assemble_c(
+        model.branch, data.f_matrix[indices]
+    )
+    if truncate_m is not None:
+        preds = truncate_prediction(preds, truncate_m)
+    rel = _column_errors(preds, targets)
+    _, opt = conditional_optimal(model, data.y_sensors, targets)
     return EvalReport(
         sample_indices=[int(i) for i in indices],
-        rel_errors=rel,
-        optimal_errors=opt,
-        mean_rel_error=float(rel_arr.mean()),
-        std_rel_error=float(rel_arr.std()),
-        mean_optimal_error=float(opt_arr.mean()),
-        std_optimal_error=float(opt_arr.std()),
+        rel_errors=rel.tolist(),
+        optimal_errors=opt.tolist(),
+        mean_rel_error=float(rel.mean()),
+        std_rel_error=float(rel.std()),
+        mean_optimal_error=float(opt.mean()),
+        std_optimal_error=float(opt.std()),
     )
 
 

@@ -41,6 +41,8 @@ class Mlp:
     passed in are copied, never aliased."""
 
     def __init__(self, arch, weights, biases, activation: str):
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
         self.arch = tuple(int(w) for w in arch)
         self.activation = activation
         self.params = np.empty(_param_size(self.arch))
@@ -64,8 +66,6 @@ def init_mlp(arch, activation: str, scheme: str = "he", seed: int = 0) -> Mlp:
     arch = tuple(int(w) for w in arch)
     if len(arch) < 2 or any(w < 1 for w in arch):
         raise ValueError(f"architecture must list >= 2 positive widths, got {arch}")
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
     if scheme not in INIT_SCHEMES:
         raise ValueError(f"unknown init scheme {scheme!r}")
     rng = np.random.default_rng(seed)

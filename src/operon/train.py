@@ -327,9 +327,7 @@ def fit_interpolating_branch(
     raw = rng.normal(0.0, 1.2, (width, m_x))
     w1 = raw / halfspan
     b1 = rng.normal(0.0, 0.8, width) - w1 @ center
-    hidden = np.tanh(f_inputs @ w1.T + b1) if activation == "tanh" else np.maximum(
-        f_inputs @ w1.T + b1, 0.0
-    )
+    hidden = nn._act(f_inputs @ w1.T + b1, activation)
     design = np.hstack([hidden, np.ones((k, 1))])
     coeffs = _min_norm_solve(design, target.T)  # (width+1) x n1
     w2 = coeffs[:-1].T

@@ -66,6 +66,18 @@ class TestGenerate:
             main(["generate", "--example", "nope", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.2", "nan"])
+    def test_train_fraction_out_of_range_exits_2(self, tmp_path, capsys, fraction):
+        out = tmp_path / "x"
+        code = main(
+            ["generate", "--example", "ex1", "--grid-n", "5", "--k", "5", "--out", str(out),
+             "--train-fraction", fraction]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --train-fraction") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_ex3_generation(self, tmp_path):
         code = main(
             ["generate", "--example", "ex3", "--grid-n", "5", "--k", "10", "--out", str(tmp_path / "d3")]
@@ -232,6 +244,17 @@ class TestEval:
         assert code == 1
         assert f"error: {blob} contains NaN or Inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", ["0", "-1.5", "nan"])
+    def test_truncate_out_of_range_exits_2(self, trained, dataset_dir, tmp_path, capsys, bound):
+        out = tmp_path / "e"
+        code = main(
+            ["eval", "--model", str(trained), "--data", str(dataset_dir), "--out", str(out), "--truncate", bound]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --truncate") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_truncate_flag(self, trained, dataset_dir, tmp_path):
         out = tmp_path / "eval_t"
         code = main(
@@ -260,6 +283,14 @@ class TestCertify:
         rank = jacobi_svd(load_dataset(dataset_dir).train_u()).rank
         code = main(["certify", "--data", str(dataset_dir), "--N", str(rank - 1)])
         assert code == 0
+
+    @pytest.mark.parametrize("width", ["0", "-3"])
+    def test_width_below_one_exits_2(self, tmp_path, capsys, width):
+        # The dataset is never read: a missing one would exit 1.
+        code = main(["certify", "--data", str(tmp_path / "missing"), "--N", width])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --N") and err.count("\n") == 1
 
     def test_corrupt_dataset_exits_1(self, dataset_dir, tmp_path):
         import shutil
@@ -312,6 +343,19 @@ class TestSweep:
              "--config", str(config), "--out", str(tmp_path / "x")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("threads", ["four", "2.5", ""])
+    def test_thread_env_not_int_exits_2(self, tmp_path, monkeypatch, capsys, threads):
+        monkeypatch.setenv("OPERON_THREADS", threads)
+        out = tmp_path / "x"
+        code = main(
+            ["sweep", "--axis", "K", "--values", "4,6,8", "--replicates", "3",
+             "--config", str(self._sweep_config(tmp_path)), "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: OPERON_THREADS") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_thread_env_respected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPERON_THREADS", "4")

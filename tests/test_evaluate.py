@@ -19,7 +19,7 @@ from operon.evaluate import (
     truncate_prediction,
 )
 from operon.nn import init_mlp
-from operon.train import TrainConfig, train_two_step
+from operon.train import TrainConfig, train_monolithic, train_two_step
 
 
 def _trained_model(seed=0, width=4, iters=300):
@@ -64,6 +64,18 @@ class TestConditionalOptimal:
         u = basis @ coeff
         _, err = conditional_optimal(model, data.y_sensors, u)
         assert err <= 1e-10
+
+    def test_matrix_target_equals_column_calls(self):
+        model, data = _trained_model(seed=3)
+        targets = data.u_matrix[:, data.test_idx]
+        a_mat, errors = conditional_optimal(model, data.y_sensors, targets)
+        assert a_mat.shape == (model.width + 1, targets.shape[1])
+        assert errors.shape == (targets.shape[1],)
+        for j in range(targets.shape[1]):
+            a_j, err_j = conditional_optimal(model, data.y_sensors, targets[:, j])
+            assert isinstance(err_j, float)
+            assert np.allclose(a_mat[:, j], a_j, rtol=1e-12, atol=1e-12 * np.abs(a_j).max())
+            assert errors[j] == pytest.approx(err_j, rel=1e-12)
 
     def test_never_exceeds_model_error(self):
         model, data = _trained_model(seed=2)
@@ -129,7 +141,45 @@ class TestSensorCondition:
         assert all(a < b for a, b in zip(rhs, rhs[1:]))
 
 
+def _per_sample_reference(model, data, truncate_m):
+    """The errors of evaluate_model, one test sample at a time."""
+    rel, opt = [], []
+    for k in data.test_idx:
+        target = data.u_matrix[:, k]
+        pred = predict(model, data.f_matrix[k], data.y_sensors)
+        if truncate_m is not None:
+            pred = truncate_prediction(pred, truncate_m)
+        rel.append(relative_l2_error(pred, target))
+        opt.append(conditional_optimal(model, data.y_sensors, target)[1])
+    return np.array(rel), np.array(opt)
+
+
 class TestEvaluateModel:
+    @pytest.mark.parametrize("kind", ["two_step", "van", "truncated"])
+    def test_matches_per_sample_reference(self, kind):
+        model, data = _trained_model(seed=10)
+        truncate_m = None
+        if kind == "van":
+            model = DeepONetModel(
+                trunk=init_mlp((2, 16, 4), "tanh", "he", seed=11),
+                branch=init_mlp((1, 16, 5), "tanh", "he", seed=12),
+                t_matrix=None,
+                width=4,
+            )
+            model, _ = train_monolithic(data, model, TrainConfig(method="van", iters_mono=200))
+        elif kind == "truncated":
+            # Clamp well inside the data range so that truncation is active.
+            truncate_m = 0.5 * float(np.max(np.abs(data.u_matrix[:, data.test_idx])))
+        report = evaluate_model(model, data, truncate_m=truncate_m)
+        rel, opt = _per_sample_reference(model, data, truncate_m)
+        assert report.sample_indices == [int(k) for k in data.test_idx]
+        assert np.allclose(report.rel_errors, rel, rtol=1e-12, atol=0.0)
+        assert np.allclose(report.optimal_errors, opt, rtol=1e-12, atol=0.0)
+        assert report.mean_rel_error == pytest.approx(rel.mean(), rel=1e-12)
+        if kind == "truncated":
+            untruncated = evaluate_model(model, data)
+            assert report.rel_errors != untruncated.rel_errors
+
     def test_report_fields_and_optimal_bound(self):
         model, data = _trained_model(seed=7)
         report = evaluate_model(model, data)

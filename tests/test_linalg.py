@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operon.errors import (
     RankDeficientError,
@@ -117,6 +119,29 @@ class TestLeastSquares:
         a = rng.normal(size=(40, 7))
         b = rng.normal(size=(40, 3))
         x = least_squares(a, b)
+        bound = 1e-9 * np.linalg.norm(a) * np.linalg.norm(b)
+        assert np.linalg.norm(a.T @ (a @ x - b)) <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 30),
+        n=st.integers(1, 8),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.integers(-6, 6),
+    )
+    def test_several_rhs_property(self, m, n, k, seed, log_scale):
+        # Each column of a multi-rhs solve is the single-column solve, and
+        # every residual column is orthogonal to the columns of a.
+        m = max(m, n)
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(m, n))
+        b = 10.0**log_scale * rng.normal(size=(m, k))
+        x = least_squares(a, b)
+        assert x.shape == (n, k)
+        for j in range(k):
+            x_j = least_squares(a, b[:, j])
+            assert np.allclose(x[:, j], x_j, rtol=1e-10, atol=1e-10 * np.abs(x_j).max())
         bound = 1e-9 * np.linalg.norm(a) * np.linalg.norm(b)
         assert np.linalg.norm(a.T @ (a @ x - b)) <= bound
 

@@ -175,6 +175,10 @@ class TestParams:
         with pytest.raises(ShapeError):
             Mlp((2, 3), [np.zeros((2, 3))], [np.zeros(3)], "tanh")
 
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="unknown activation 'bogus'"):
+            Mlp((2, 3), [np.zeros((3, 2))], [np.zeros(3)], "bogus")
+
 
 class TestCopy:
     def test_copy_is_deep(self):

@@ -285,6 +285,14 @@ class TestInterpolatingBranch:
         branch, _ = fit_interpolating_branch(f, target, width=10, seed=21)
         assert branch.arch == (5, 10, 2)
 
+    def test_unknown_activation_rejected(self):
+        # An unknown name used to fit on ReLU features and evaluate as tanh.
+        rng = np.random.default_rng(23)
+        f = rng.normal(size=(10, 2))
+        target = rng.normal(size=(3, 10))
+        with pytest.raises(ValueError, match="unknown activation 'sigmoid'"):
+            fit_interpolating_branch(f, target, seed=23, activation="sigmoid")
+
 
 class TestReportIo:
     def test_save_report_two_step(self, tmp_path):
