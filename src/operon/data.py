@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -426,6 +430,46 @@ def subsample_output_sensors(data: OperatorDataset, m_y: int, seed: int = 0) -> 
     )
 
 
+@contextmanager
+def _replacing(directory, manifest: str):
+    """Yield a fresh sibling directory to write an artifact into, then
+    rename it into the place of `directory`.
+
+    A failure while writing leaves the previous artifact whole and no
+    temporary directory behind. An existing `directory` is replaced only
+    when it is empty or holds an artifact of the same kind (its `manifest`
+    file), so a mistyped path cannot wipe unrelated files."""
+    directory = Path(os.path.abspath(directory))
+    if (
+        directory.exists()
+        and any(directory.iterdir())
+        and not (directory / manifest).is_file()
+    ):
+        raise FileExistsError(
+            f"{directory} is not empty and holds no {manifest}; not replacing it"
+        )
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    tmp = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
+    tmp.mkdir()
+    try:
+        yield tmp
+        if directory.exists():
+            # POSIX cannot swap two directories in one rename, so the old
+            # one steps aside first and comes back if the swap fails.
+            old = tmp.with_name(tmp.name + ".old")
+            os.rename(directory, old)
+            try:
+                os.rename(tmp, directory)
+            except OSError:
+                os.rename(old, directory)
+                raise
+            shutil.rmtree(old)
+        else:
+            os.rename(tmp, directory)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def _write_blob(path: Path, arr: np.ndarray) -> None:
     path.write_bytes(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
@@ -480,10 +524,9 @@ def _check_manifest(manifest) -> None:
 
 
 def save_dataset(data: OperatorDataset, directory) -> None:
-    """Write manifest.json plus little-endian float64 blobs."""
+    """Write manifest.json plus little-endian float64 blobs into a
+    directory that is replaced as a whole (see _replacing)."""
     data.validate()
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     manifest = {
         "name": data.meta.get("generator", "dataset"),
         "generator": data.meta.get("generator"),
@@ -503,13 +546,14 @@ def save_dataset(data: OperatorDataset, directory) -> None:
             "test": data.test_idx.tolist(),
         },
     }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
-    _write_blob(directory / "x_sensors.bin", data.x_sensors)
-    _write_blob(directory / "y_sensors.bin", data.y_sensors)
-    _write_blob(directory / "F.bin", data.f_matrix)
-    _write_blob(directory / "U.bin", data.u_matrix)
+    with _replacing(directory, "manifest.json") as tmp:
+        (tmp / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        )
+        _write_blob(tmp / "x_sensors.bin", data.x_sensors)
+        _write_blob(tmp / "y_sensors.bin", data.y_sensors)
+        _write_blob(tmp / "F.bin", data.f_matrix)
+        _write_blob(tmp / "U.bin", data.u_matrix)
 
 
 def load_dataset(directory) -> OperatorDataset:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import OperatorDataset, _is_int, _is_positive_int, _read_blob
+from .data import OperatorDataset, _is_int, _is_positive_int, _read_blob, _replacing
 from .errors import CorruptDatasetError, ShapeError
 from .nn import Mlp
 
@@ -151,9 +151,9 @@ def _check_model_manifest(manifest) -> None:
 
 
 def save_model(model: DeepONetModel, directory) -> None:
+    """Write model.json plus little-endian float64 blobs into a directory
+    that is replaced as a whole (see data._replacing)."""
     model.validate()
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     manifest = {
         "trunk_arch": list(model.trunk.arch),
         "branch_arch": list(model.branch.arch),
@@ -163,15 +163,16 @@ def save_model(model: DeepONetModel, directory) -> None:
         "has_t_matrix": model.t_matrix is not None,
         "dtype": "f64le",
     }
-    (directory / MODEL_MANIFEST).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
-    (directory / "trunk.bin").write_bytes(_pack_mlp(model.trunk))
-    (directory / "branch.bin").write_bytes(_pack_mlp(model.branch))
-    if model.t_matrix is not None:
-        (directory / "t_matrix.bin").write_bytes(
-            np.ascontiguousarray(model.t_matrix, dtype="<f8").tobytes()
+    with _replacing(directory, MODEL_MANIFEST) as tmp:
+        (tmp / MODEL_MANIFEST).write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         )
+        (tmp / "trunk.bin").write_bytes(_pack_mlp(model.trunk))
+        (tmp / "branch.bin").write_bytes(_pack_mlp(model.branch))
+        if model.t_matrix is not None:
+            (tmp / "t_matrix.bin").write_bytes(
+                np.ascontiguousarray(model.t_matrix, dtype="<f8").tobytes()
+            )
 
 
 def load_model(directory) -> DeepONetModel:

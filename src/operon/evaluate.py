@@ -56,8 +56,12 @@ def conditional_optimal(
     in deployment (it needs the target), but it always lower-bounds the
     trained model's error.
     """
+    return _fit_basis(model_basis(model, y_test), u_test)
+
+
+def _fit_basis(basis: np.ndarray, u_test) -> tuple[np.ndarray, float | np.ndarray]:
+    """conditional_optimal on a basis the caller has already formed."""
     u = np.ascontiguousarray(u_test, dtype=np.float64)
-    basis = model_basis(model, y_test)
     a_star = linalg.least_squares(basis, u)
     errors = _column_errors(basis @ a_star, u)
     return a_star, float(errors) if u.ndim == 1 else errors
@@ -110,19 +114,19 @@ def evaluate_model(
 ) -> EvalReport:
     """Relative and conditional-optimal errors over the test split
     (or over everything when the dataset carries no split), in matrix
-    form: one batched branch pass and one QR serve every sample."""
+    form: one basis, one batched branch pass and one QR serve every
+    sample."""
     if data.test_idx is not None and data.test_idx.size > 0:
         indices = data.test_idx
     else:
         indices = np.arange(data.n_samples)
     targets = data.u_matrix[:, indices]
-    preds = model_basis(model, data.y_sensors) @ assemble_c(
-        model.branch, data.f_matrix[indices]
-    )
+    basis = model_basis(model, data.y_sensors)
+    preds = basis @ assemble_c(model.branch, data.f_matrix[indices])
     if truncate_m is not None:
         preds = truncate_prediction(preds, truncate_m)
     rel = _column_errors(preds, targets)
-    _, opt = conditional_optimal(model, data.y_sensors, targets)
+    _, opt = _fit_basis(basis, targets)
     return EvalReport(
         sample_indices=[int(i) for i in indices],
         rel_errors=rel.tolist(),

@@ -1,5 +1,6 @@
-"""Dense linear algebra kernels: Householder QR, one-sided Jacobi SVD,
-triangular and least-squares solves.
+"""Dense linear algebra kernels: Householder QR, one-sided Jacobi SVD
+(round-robin sweeps of disjoint column-pair rotations), triangular and
+least-squares solves.
 
 Matrices are plain 2-D float64 numpy arrays (row-major). All routines here
 are written out explicitly rather than delegating to LAPACK so that the
@@ -170,9 +171,32 @@ def least_squares(a, b) -> np.ndarray:
     return x[:, 0] if vector_input else x
 
 
-def jacobi_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
-    """Thin SVD by the one-sided Jacobi method.
+def _round_robin(n: int) -> list[np.ndarray]:
+    """Brent-Luk (1985) round-robin ordering of the column pairs p < q.
 
+    One sweep is n - 1 steps (n for odd n, where each step leaves one
+    column out). Each step is a (k, 2) array of pairs [p, q] with no
+    column in two pairs, so their rotations commute and can be applied at
+    once; every pair occurs exactly once per sweep.
+    """
+    # Circle method: column 0 keeps its seat while the others move one
+    # seat per step; -1 is the empty seat that makes the count even.
+    seats = np.arange(n) if n % 2 == 0 else np.append(np.arange(n), -1)
+    half = seats.size // 2
+    steps = []
+    for _ in range(seats.size - 1):
+        pairs = np.sort(np.stack([seats[:half], seats[: half - 1 : -1]], axis=1))
+        steps.append(pairs[pairs[:, 0] >= 0])
+        seats = np.concatenate([seats[:1], seats[-1:], seats[1:-1]])
+    return steps
+
+
+def jacobi_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
+    """Thin SVD by the one-sided Jacobi method with round-robin sweeps.
+
+    Each sweep visits every column pair once in the Brent-Luk round-robin
+    order (see _round_robin): a step gathers the columns of its n/2
+    disjoint pairs and rotates them all with one batched 2 x 2 product.
     Singular values not exceeding rank_tol * sigma_max are dropped; the
     retained count is reported as the numerical rank. Left singular
     vectors are sign-normalized so their largest-magnitude entry is
@@ -184,59 +208,65 @@ def jacobi_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
     if not np.any(a):
         raise ZeroMatrixError("cannot factor an all-zero matrix")
 
+    # Row j of bt is column j of the working matrix (a, or a.T when a is
+    # wide), row j of vt column j of v: a step gathers and scatters whole
+    # contiguous rows.
     transposed = a.shape[0] < a.shape[1]
-    b = a.T.copy() if transposed else a.copy()
-    m, n = b.shape
-    v = np.eye(n)
+    bt = (a if transposed else a.T).copy()
+    n, m = bt.shape
+    vt = np.eye(n)
 
     # Sweep over column pairs, rotating until every pair is orthogonal
     # relative to machine precision. Columns whose norm has collapsed to
     # rounding noise are left alone: they lie far below any singular value
     # the rank tolerance could retain.
     eps = 1e-15
-    negligible_sq = (1e-15 * frobenius(b)) ** 2
+    negligible_sq = (1e-15 * frobenius(a)) ** 2
+    steps = _round_robin(n)
     for _ in range(100):
         off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = float(b[:, p] @ b[:, p])
-                aqq = float(b[:, q] @ b[:, q])
-                apq = float(b[:, p] @ b[:, q])
-                if apq == 0.0 or app <= negligible_sq or aqq <= negligible_sq:
-                    continue
-                # sqrt separately: the product can underflow for tiny columns
-                norms = np.sqrt(app) * np.sqrt(aqq)
-                if abs(apq) <= eps * norms:
-                    continue
-                off = max(off, abs(apq) / norms)
-                zeta = (aqq - app) / (2.0 * apq)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                bp = b[:, p].copy()
-                b[:, p] = c * bp - s * b[:, q]
-                b[:, q] = s * bp + c * b[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
+        for pairs in steps:
+            x = bt[pairs]  # (k, 2, m): columns p and q of each pair
+            app = np.einsum("ij,ij->i", x[:, 0], x[:, 0])
+            aqq = np.einsum("ij,ij->i", x[:, 1], x[:, 1])
+            apq = np.einsum("ij,ij->i", x[:, 0], x[:, 1])
+            # sqrt separately: the product can underflow for tiny columns
+            norms = np.sqrt(app) * np.sqrt(aqq)
+            # |apq| > eps * norms also skips every pair with apq == 0.
+            act = (
+                (app > negligible_sq)
+                & (aqq > negligible_sq)
+                & (np.abs(apq) > eps * norms)
+            )
+            if not np.any(act):
+                continue
+            if not np.all(act):
+                pairs, x = pairs[act], x[act]
+                app, aqq, apq, norms = app[act], aqq[act], apq[act], norms[act]
+            off = max(off, float(np.max(np.abs(apq) / norms)))
+            zeta = (aqq - app) / (2.0 * apq)
+            t = np.sign(zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+            t[zeta == 0.0] = 1.0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            # Column p becomes c p - s q and column q becomes s p + c q.
+            rot = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
+            bt[pairs] = rot @ x
+            vt[pairs] = rot @ vt[pairs]
         if off == 0.0:
             break
     else:
         raise RuntimeError("one-sided Jacobi SVD failed to converge")
 
-    sigma = np.sqrt(np.sum(b * b, axis=0))
+    sigma = np.sqrt(np.einsum("ij,ij->i", bt, bt))
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
-    b = b[:, order]
-    v = v[:, order]
 
     keep = sigma > rank_tol * sigma[0]
     rank = int(np.count_nonzero(keep))
     sigma = sigma[:rank]
-    u = b[:, :rank] / sigma
-    v = v[:, :rank]
+    u = np.ascontiguousarray(bt[order[:rank]].T) / sigma
+    v = np.ascontiguousarray(vt[order[:rank]].T)
 
     # Canonical signs: largest-magnitude entry of each left vector positive.
     for j in range(rank):

@@ -309,6 +309,8 @@ def fit_interpolating_branch(
     The hidden layer is drawn at random and frozen; the output layer is the
     minimum-norm exact solution of the resulting linear system, so for
     width >= K the fit interpolates up to rounding. Returns (branch, loss)."""
+    if activation not in nn.ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
     f_inputs = np.ascontiguousarray(f_inputs, dtype=np.float64)
     k, m_x = f_inputs.shape
     n1 = target.shape[0]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +208,36 @@ class TestDatasetIo:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_write_keeps_previous_directory(self, tmp_path, monkeypatch, existing):
+        target = tmp_path / "d"
+        if existing:
+            save_dataset(gen_example1(np.linspace(1, 50, 5), 9), target)
+        before = {p.name: p.read_bytes() for p in target.glob("*")}
+        write_bytes = Path.write_bytes
+
+        def fail_on_f(path, data):
+            if path.name == "F.bin":
+                raise OSError("disk full")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", fail_on_f)
+        newer = split_dataset(gen_example1(np.linspace(1, 50, 12), 9), 0.75, seed=2)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(newer, target)
+        assert {p.name: p.read_bytes() for p in target.glob("*")} == before
+        assert [p.name for p in tmp_path.iterdir()] == (["d"] if existing else [])
+        monkeypatch.undo()
+        save_dataset(newer, target)
+        assert load_dataset(target).n_samples == 12
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+    def test_foreign_directory_not_replaced(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("keep me")
+        with pytest.raises(FileExistsError, match="manifest.json"):
+            save_dataset(gen_example1(np.linspace(1, 50, 5), 9), tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
 
     def test_truncated_blob(self, tmp_path):
         data = gen_example1(np.linspace(1, 50, 5), 9)

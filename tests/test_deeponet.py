@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,27 @@ class TestModelSerialization:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_failed_write_keeps_previous_directory(self, tmp_path, monkeypatch):
+        save_model(_small_model(seed=16), tmp_path / "m")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "m").iterdir()}
+        write_bytes = Path.write_bytes
+
+        def fail_on_branch(path, data):
+            if path.name == "branch.bin":
+                raise OSError("disk full")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", fail_on_branch)
+        newer = _small_model(seed=17)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(newer, tmp_path / "m")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "m").iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m"]
+        monkeypatch.undo()
+        save_model(newer, tmp_path / "m")
+        assert np.array_equal(load_model(tmp_path / "m").trunk.params, newer.trunk.params)
+        assert [p.name for p in tmp_path.iterdir()] == ["m"]
 
     def test_truncated_blob_detected(self, tmp_path):
         model = _small_model(seed=14)

@@ -1,6 +1,9 @@
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from operon.errors import (
@@ -10,6 +13,7 @@ from operon.errors import (
     ZeroMatrixError,
 )
 from operon.linalg import (
+    _round_robin,
     best_rank_k_error,
     householder_qr,
     jacobi_svd,
@@ -197,6 +201,69 @@ class TestJacobiSvd:
         s2 = jacobi_svd(a.copy())
         assert np.array_equal(s1.u, s2.u)
         assert np.array_equal(s1.v, s2.v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["tall", "wide", "square", "column", "product"]),
+        m=st.integers(1, 40),
+        n=st.integers(1, 40),
+        r=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_factorization_property(self, kind, m, n, r, seed):
+        # LAPACK is the independent reference for sigma and the rank; the
+        # factors themselves are checked through their defining identities.
+        m, n = {
+            "tall": (max(m, n), min(m, n)),
+            "wide": (min(m, n), max(m, n)),
+            "square": (m, m),
+            "column": (m, 1),
+            "product": (m, n),
+        }[kind]
+        rng = np.random.default_rng(seed)
+        if kind == "product":
+            a = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+        else:
+            a = rng.normal(size=(m, n))
+        ref = np.linalg.svd(a, compute_uv=False)
+        # Keep clear of the rank threshold, where rounding may decide.
+        assume(not np.any((ref > 1e-12 * ref[0]) & (ref < 1e-8 * ref[0])))
+        svd = jacobi_svd(a)
+        assert svd.rank == np.count_nonzero(ref > 1e-10 * ref[0])
+        assert np.all(np.abs(svd.sigma - ref[: svd.rank]) <= 1e-12 * ref[0])
+        assert np.all(svd.sigma > 0) and np.all(np.diff(svd.sigma) <= 0)
+        recon = svd.u @ np.diag(svd.sigma) @ svd.v.T
+        assert np.linalg.norm(recon - a) <= 1e-12 * np.linalg.norm(a)
+        assert np.linalg.norm(svd.u.T @ svd.u - np.eye(svd.rank)) <= 1e-12
+        assert np.linalg.norm(svd.v.T @ svd.v - np.eye(svd.rank)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_graded_columns_high_relative_accuracy(self, seed, wide):
+        # A = B diag(10^-k), k spread over 0..13 in shuffled order: one-sided
+        # Jacobi resolves every sigma to high relative accuracy (Demmel and
+        # Veselic 1992), where bidiagonalization can lose several digits.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(12, 8)) * 10.0 ** -rng.permutation(np.linspace(0, 13, 8))
+        if wide:
+            a = a.T
+        with mpmath.workdps(60):
+            ref = mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)
+            ref = np.sort([float(x) for x in ref])[::-1]
+        sigma = jacobi_svd(a, rank_tol=0.0).sigma
+        assert sigma.size == 8
+        assert np.max(np.abs(sigma - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 180])
+    def test_round_robin_schedule(self, n):
+        steps = _round_robin(n)
+        assert len(steps) == (n if n % 2 else n - 1)
+        visited = []
+        for pairs in steps:
+            assert np.all(pairs[:, 0] < pairs[:, 1])
+            assert np.unique(pairs).size == pairs.size  # disjoint pairs
+            visited += map(tuple, pairs.tolist())
+        assert sorted(visited) == list(itertools.combinations(range(n), 2))
 
 
 class TestBestRankKError:

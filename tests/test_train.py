@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from operon import linalg
 from operon.data import OperatorDataset
 from operon.deeponet import (
     DeepONetModel,
@@ -285,11 +286,17 @@ class TestInterpolatingBranch:
         branch, _ = fit_interpolating_branch(f, target, width=10, seed=21)
         assert branch.arch == (5, 10, 2)
 
-    def test_unknown_activation_rejected(self):
-        # An unknown name used to fit on ReLU features and evaluate as tanh.
+    def test_unknown_activation_rejected(self, monkeypatch):
+        # An unknown name used to fit on ReLU features and evaluate as tanh,
+        # and was then rejected only after the SVD of the design had run.
         rng = np.random.default_rng(23)
         f = rng.normal(size=(10, 2))
         target = rng.normal(size=(3, 10))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("jacobi_svd ran before the activation was checked")
+
+        monkeypatch.setattr(linalg, "jacobi_svd", no_svd)
         with pytest.raises(ValueError, match="unknown activation 'sigmoid'"):
             fit_interpolating_branch(f, target, seed=23, activation="sigmoid")
 
