@@ -3,12 +3,10 @@ orthonormalization, synthetic Darcy-flow data, and constructive zero-loss
 certificates."""
 
 from .construct import (
-    HatParams,
     SeparatingDirection,
     ZeroLossCertificate,
     build_interpolating_trunk,
     find_separating_direction,
-    hat_network,
     verify_zero_loss_pipeline,
 )
 from .data import (
@@ -24,6 +22,7 @@ from .data import (
 )
 from .deeponet import (
     DeepONetModel,
+    ModelSpec,
     assemble_c,
     assemble_phi,
     load_model,
@@ -34,7 +33,6 @@ from .deeponet import (
 from .evaluate import (
     EvalReport,
     SweepSettings,
-    check_sensor_condition,
     conditional_optimal,
     evaluate_model,
     generalization_sweep,

@@ -12,17 +12,21 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluate as ev
-from . import nn
 from .construct import verify_zero_loss_pipeline
 from .data import (
+    BETA_RANGE_EX1,
+    BETA_RANGE_EX2,
     OperatorDataset,
+    _is_int,
     gen_example1,
     gen_example2,
     gen_example3,
@@ -31,49 +35,12 @@ from .data import (
     split_dataset,
     triplet_grid_sample,
 )
-from .deeponet import DeepONetModel, load_model, save_model
+from .deeponet import DeepONetModel, ModelSpec, load_model, save_model
 from .errors import OperonError
 from .train import TrainConfig, save_report, train_monolithic, train_two_step
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
-
-TRAIN_CONFIG_KEYS = {
-    "seed": int,
-    "trunk_arch": list,
-    "branch_arch": list,
-    "activation": str,
-    "init": str,
-    "iters_trunk": int,
-    "iters_branch": int,
-    "iters_mono": int,
-    "lr": float,
-    "schedule_factor": float,
-    "schedule_every": int,
-    "a_init_scale": float,
-    "ls_refit_every": int,
-}
-
-SWEEP_CONFIG_KEYS = {
-    "seed": int,
-    "example": str,
-    "k_train": int,
-    "k_test": int,
-    "grid_n": int,
-    "beta_lo": float,
-    "beta_hi": float,
-    "n_width": int,
-    "trunk_hidden": list,
-    "branch_hidden": list,
-    "activation": str,
-    "init": str,
-    "iters_trunk": int,
-    "iters_branch": int,
-    "lr": float,
-    "ls_refit_every": int,
-    "a_init_scale": float,
-}
-
 
 # Sweep config keys that name a SweepSettings field differently.
 _SWEEP_FIELD_NAMES = {"init": "init_scheme", "seed": "base_seed"}
@@ -83,19 +50,53 @@ class ConfigError(Exception):
     """Invalid run configuration (exit code 2)."""
 
 
-def _dataclass_from_config(cls, config: dict, **extra):
-    """Build cls from the config keys that name its fields, lists as
-    tuples; the dataclass supplies the defaults for absent keys."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    present = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in config.items()
-        if key in names
+def _config_schema(*classes, skip=(), renamed=None) -> dict:
+    """Config key -> (field name, type) over the fields of the dataclasses,
+    leaving out the fields in skip (those set by flags)."""
+    key_of = {name: key for key, name in (renamed or {}).items()}
+    hints = {cls: typing.get_type_hints(cls) for cls in classes}
+    return {
+        key_of.get(f.name, f.name): (f.name, hints[cls][f.name])
+        for cls in classes
+        for f in dataclasses.fields(cls)
+        if f.name not in skip
     }
-    return cls(**present, **extra)
 
 
-def _load_config(path: str, allowed: dict) -> dict:
+# --method sets the training method and only --axis m_y sets m_y.
+_TRAIN_SCHEMA = _config_schema(TrainConfig, ModelSpec, skip=("method",))
+_SWEEP_SCHEMA = _config_schema(ev.SweepSettings, skip=("m_y",), renamed=_SWEEP_FIELD_NAMES)
+
+
+def _parse_value(key: str, kind, value):
+    """A JSON value checked against a field type: ints, finite floats (ints
+    widen), strings, Literal choices and tuple[int, ...] from a list of
+    positive ints. An optional field is set by a value of its type; leaving
+    the key out keeps the default."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        (kind,) = (arg for arg in args if arg is not type(None))
+        args = typing.get_args(kind)
+    origin = typing.get_origin(kind)
+    if origin is typing.Literal:
+        if value in args:
+            return value
+        raise ConfigError(f"config key {key} must be one of {', '.join(args)}, got {value!r}")
+    if origin is tuple:
+        if isinstance(value, list) and all(_is_int(v) and v >= 1 for v in value):
+            return tuple(value)
+        raise ConfigError(f"config key {key} must be a list of positive ints, got {value!r}")
+    if kind is float and _is_int(value):
+        value = float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"config key {key} must be {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"config key {key} must be finite, got {value}")
+    return value
+
+
+def _load_config(path: str, schema: dict) -> dict:
+    """The config file's entries checked against schema, keyed by field name."""
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
@@ -104,18 +105,26 @@ def _load_config(path: str, allowed: dict) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(raw) - set(allowed))
+    unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    for key, value in raw.items():
-        expected = allowed[key]
-        if isinstance(value, bool):
-            raise ConfigError(f"config key {key} must be {expected.__name__}")
-        if expected is float and isinstance(value, int):
-            raw[key] = float(value)
-        elif not isinstance(raw[key], expected):
-            raise ConfigError(f"config key {key} must be {expected.__name__}")
-    return raw
+    return {schema[key][0]: _parse_value(key, schema[key][1], value) for key, value in raw.items()}
+
+
+def _from_config(cls, config: dict, **extra):
+    """cls from the config entries that name its fields; the dataclass
+    supplies the defaults for absent ones."""
+    fields = dataclasses.fields(cls)
+    missing = [
+        f.name
+        for f in fields
+        if f.name not in config
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ConfigError(f"config must set {' and '.join(missing)}")
+    return cls(**{f.name: config[f.name] for f in fields if f.name in config}, **extra)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -170,15 +179,18 @@ def _cmd_generate(args) -> int:
     if not 0.0 < args.train_fraction < 1.0:
         raise ConfigError(f"--train-fraction must lie in (0, 1), got {args.train_fraction}")
     if args.example == "ex1":
-        betas = np.linspace(1.0, 1000.0, args.k)
+        betas = np.linspace(*BETA_RANGE_EX1, args.k)
         data = gen_example1(betas, args.grid_n, seed=args.seed)
     elif args.example == "ex2":
-        betas = np.linspace(0.01, 10.0, args.k)
+        betas = np.linspace(*BETA_RANGE_EX2, args.k)
         data = gen_example2(betas, args.grid_n, seed=args.seed)
     else:
         trips = triplet_grid_sample(args.k, seed=args.seed)
         data = gen_example3(trips, args.grid_n, seed=args.seed)
-    data = split_dataset(data, args.train_fraction, seed=args.seed)
+    try:
+        data = split_dataset(data, args.train_fraction, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(f"--train-fraction {args.train_fraction} with --k {args.k}: {exc}") from exc
     save_dataset(data, args.out)
     print(
         f"{args.example}: K={data.n_samples} m_x={data.m_x} m_y={data.m_y} "
@@ -187,11 +199,10 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _make_model(config: dict, data: OperatorDataset) -> DeepONetModel:
-    trunk_arch = config.get("trunk_arch")
-    branch_arch = config.get("branch_arch")
-    if not trunk_arch or not branch_arch:
-        raise ConfigError("config must set trunk_arch and branch_arch")
+def _make_model(spec: ModelSpec, seed: int, data: OperatorDataset) -> DeepONetModel:
+    trunk_arch, branch_arch = spec.trunk_arch, spec.branch_arch
+    if len(trunk_arch) < 2 or len(branch_arch) < 2:
+        raise ConfigError("trunk_arch and branch_arch must each list at least 2 widths")
     if branch_arch[-1] != trunk_arch[-1] + 1:
         raise ConfigError(
             f"branch output {branch_arch[-1]} must equal trunk output + 1 "
@@ -203,26 +214,20 @@ def _make_model(config: dict, data: OperatorDataset) -> DeepONetModel:
         )
     if branch_arch[0] != data.m_x:
         raise ConfigError(f"branch input {branch_arch[0]} != m_x {data.m_x}")
-    seed = config.get("seed", 0)
-    activation = config.get("activation", "relu")
-    scheme = config.get("init", "he")
-    trunk = nn.init_mlp(trunk_arch, activation, scheme, seed=seed + 1)
-    branch = nn.init_mlp(branch_arch, activation, scheme, seed=seed + 2)
-    return DeepONetModel(
-        trunk=trunk, branch=branch, t_matrix=None, width=trunk_arch[-1]
-    )
+    return spec.build(seed)
 
 
 def _cmd_train(args) -> int:
-    config = _load_config(args.config, TRAIN_CONFIG_KEYS)
-    data = load_dataset(args.data)
-    model = _make_model(config, data)
+    config = _load_config(args.config, _TRAIN_SCHEMA)
     method = {"van": "van", "2st": "two_step", "2st-noqr": "two_step_no_qr"}[args.method]
-    cfg = _dataclass_from_config(TrainConfig, config, method=method)
+    cfg = _from_config(TrainConfig, config, method=method)
     try:
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    spec = _from_config(ModelSpec, config)
+    data = load_dataset(args.data)
+    model = _make_model(spec, cfg.seed, data)
     if method == "van":
         model, report = train_monolithic(data, model, cfg)
     else:
@@ -291,13 +296,12 @@ def _cmd_sweep(args) -> int:
         workers = int(threads)
     except ValueError as exc:
         raise ConfigError(f"OPERON_THREADS must be an int, got {threads!r}") from exc
-    config = _load_config(args.config, SWEEP_CONFIG_KEYS)
+    config = _load_config(args.config, _SWEEP_SCHEMA)
     try:
         values = [int(v) for v in args.values.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--values must be comma-separated ints: {exc}") from exc
-    renamed = {_SWEEP_FIELD_NAMES.get(key, key): value for key, value in config.items()}
-    settings = _dataclass_from_config(ev.SweepSettings, renamed)
+    settings = _from_config(ev.SweepSettings, config)
     try:
         table = ev.generalization_sweep(
             settings, args.axis, values, args.replicates, max_workers=max(1, workers)

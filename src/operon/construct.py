@@ -13,7 +13,7 @@ left singular factor padded with zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,32 +36,12 @@ _P = np.array([1.0, -1.0])
 
 
 @dataclass
-class HatParams:
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
-
-
-@dataclass
 class SeparatingDirection:
     """Unit direction v and scale factor such that the projected sensors
     scale * v.T y are pairwise at least 2 apart."""
 
     v: np.ndarray
     scale: float
-
-
-def hat_network(h: HatParams) -> Mlp:
-    """The 3-layer width-2 ReLU bump network for the interval [a, b]."""
-    return Mlp(
-        arch=(1, 2, 2, 1),
-        weights=[_A1.copy(), _A2.copy(), _A3.copy()],
-        biases=[np.array([2.0 * h.a, -2.0 * h.b]), _B2.copy(), np.array([_B3])],
-        activation="relu",
-    )
 
 
 def find_separating_direction(y_sensors, seed: int = 0) -> SeparatingDirection:
@@ -100,7 +80,7 @@ def _entry_block(v_scaled: np.ndarray, a: float, b: float):
     w2 = np.zeros((4, 4))
     w2[:2, :2] = _A2
     w2[2:, 2:] = np.eye(2)
-    b2 = np.array([1.0, 1.0, 0.0, 0.0])
+    b2 = np.concatenate([_B2, np.zeros(2)])
     return (w1, b1), (w2, b2)
 
 
@@ -118,8 +98,7 @@ def _middle_block(r: int, a: float, b: float):
     w_mid = np.eye(width)
     w_mid[:2, :2] = _A2
     b_mid = np.zeros(width)
-    b_mid[0] = 1.0
-    b_mid[1] = 1.0
+    b_mid[:2] = _B2
     return (w_in, b_in), (w_mid, b_mid)
 
 
@@ -131,8 +110,7 @@ def _output_map(r: int, width: int, coeff: np.ndarray):
     w = np.zeros((r + 1, width))
     w[0, 2] = 1.0
     w[0, 3] = -1.0
-    w[1:, 0] = coeff
-    w[1:, 1] = coeff
+    w[1:, :2] = np.outer(coeff, _A3)
     if width > 4:
         for k in range(r):
             w[1 + k, 4 + 2 * k] = 1.0
@@ -244,23 +222,7 @@ class ZeroLossCertificate:
         return bool(checks) and all(checks)
 
     def to_dict(self) -> dict:
-        return {
-            "n_width": self.n_width,
-            "rank": self.rank,
-            "trunk_residual_sq": self.trunk_residual_sq,
-            "u_norm_sq": self.u_norm_sq,
-            "eckart_young_bound": self.eckart_young_bound,
-            "step1_loss": self.step1_loss,
-            "branch_loss": self.branch_loss,
-            "assembled_loss": self.assembled_loss,
-            "zero_loss_applicable": self.zero_loss_applicable,
-            "zero_loss_passed": self.zero_loss_passed,
-            "low_rank_applicable": self.low_rank_applicable,
-            "low_rank_passed": self.low_rank_passed,
-            "equivalence_applicable": self.equivalence_applicable,
-            "equivalence_passed": self.equivalence_passed,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 ZERO_LOSS_TOL = 1e-8  # trunk residual and assembled loss, relative to ||U||^2

@@ -37,8 +37,8 @@ class OperatorDataset:
 
     f_matrix is K x m_x (one input representation per row) and u_matrix is
     m_y x K (one output column per sample). The train/test split is a pair
-    of disjoint index arrays covering 0..K-1; when absent, everything is
-    treated as training data.
+    of disjoint, non-empty index arrays covering 0..K-1; when absent,
+    everything is treated as training data.
     """
 
     x_sensors: np.ndarray
@@ -82,6 +82,9 @@ class OperatorDataset:
             combined = np.concatenate([self.train_idx, self.test_idx])
             if combined.size != k or set(combined.tolist()) != set(range(k)):
                 raise ValueError("split must partition 0..K-1")
+            for side, idx in (("train", self.train_idx), ("test", self.test_idx)):
+                if idx.size == 0:
+                    raise ValueError(f"split leaves the {side} side empty")
 
     def _train_indices(self) -> np.ndarray:
         if self.train_idx is None:
@@ -93,14 +96,6 @@ class OperatorDataset:
 
     def train_u(self) -> np.ndarray:
         return self.u_matrix[:, self._train_indices()]
-
-    def test_f(self) -> np.ndarray:
-        idx = self.test_idx if self.test_idx is not None else np.arange(0)
-        return self.f_matrix[idx]
-
-    def test_u(self) -> np.ndarray:
-        idx = self.test_idx if self.test_idx is not None else np.arange(0)
-        return self.u_matrix[:, idx]
 
 
 def check_distinct_sensors(points: np.ndarray) -> None:

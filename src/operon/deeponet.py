@@ -45,6 +45,26 @@ class DeepONetModel:
                 raise ValueError("t_matrix contains NaN or Inf")
 
 
+@dataclass(frozen=True)
+class ModelSpec:
+    """Architecture and initialization of a fresh, untrained model."""
+
+    trunk_arch: tuple[int, ...]
+    branch_arch: tuple[int, ...]
+    activation: nn.Activation = "relu"
+    init: nn.InitScheme = "he"
+
+    def build(self, seed: int) -> DeepONetModel:
+        """Seeded networks: the trunk drawn from seed + 1, the branch from
+        seed + 2, and no T."""
+        return DeepONetModel(
+            trunk=nn.init_mlp(self.trunk_arch, self.activation, self.init, seed=seed + 1),
+            branch=nn.init_mlp(self.branch_arch, self.activation, self.init, seed=seed + 2),
+            t_matrix=None,
+            width=self.trunk_arch[-1],
+        )
+
+
 def _phi_from_values(values: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((values.shape[0], 1)), values])
 

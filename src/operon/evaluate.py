@@ -2,15 +2,13 @@
 
 Includes the relative l2 error, the conditional-optimal reference (the
 least-squares fit achievable with the frozen trunk if the true test output
-were known), prediction truncation, the sensor-count condition for the
-orthonormalized trunk, and sweeps of the test error against dataset and
-model sizes.
+were known), prediction truncation, and sweeps of the test error against
+dataset and model sizes.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -19,12 +17,13 @@ import numpy as np
 
 from . import linalg, nn
 from .data import (
+    TRIPLET_RANGE_EX3,
     OperatorDataset,
     gen_example1,
     gen_example3,
     subsample_output_sensors,
 )
-from .deeponet import DeepONetModel, assemble_c, model_basis, predict
+from .deeponet import DeepONetModel, ModelSpec, assemble_c, model_basis, predict
 from .train import TrainConfig, train_two_step
 
 
@@ -75,26 +74,6 @@ def truncate_prediction(prediction, bound_m: float) -> np.ndarray:
     return np.sign(z) * np.minimum(bound_m, np.abs(z))
 
 
-def sampling_kappa(r_t: float) -> float:
-    """Constant (3 log(3/2) - 1) / (2 + 2 r_t) in the sensor-count condition."""
-    if r_t <= 0.0:
-        raise ValueError(f"r_t must be > 0, got {r_t}")
-    return (3.0 * math.log(1.5) - 1.0) / (2.0 + 2.0 * r_t)
-
-
-def check_sensor_condition(
-    model: DeepONetModel, probe_grid, m_y: int, r_t: float
-) -> dict:
-    """Check sup_y ||phi_hat(y)||^2 <= kappa * m_y / log(m_y) over a probe
-    grid, for the orthonormalized trunk basis phi_hat = T^T phi."""
-    if m_y < 3:
-        raise ValueError(f"m_y must be >= 3, got {m_y}")
-    basis = model_basis(model, probe_grid)
-    lhs = float(np.max(np.sum(basis * basis, axis=1)))
-    rhs = sampling_kappa(r_t) * m_y / math.log(m_y)
-    return {"lhs": lhs, "rhs": rhs, "satisfied": lhs <= rhs}
-
-
 @dataclass
 class EvalReport:
     sample_indices: list[int]
@@ -116,10 +95,7 @@ def evaluate_model(
     (or over everything when the dataset carries no split), in matrix
     form: one basis, one batched branch pass and one QR serve every
     sample."""
-    if data.test_idx is not None and data.test_idx.size > 0:
-        indices = data.test_idx
-    else:
-        indices = np.arange(data.n_samples)
+    indices = data.test_idx if data.test_idx is not None else np.arange(data.n_samples)
     targets = data.u_matrix[:, indices]
     basis = model_basis(model, data.y_sensors)
     preds = basis @ assemble_c(model.branch, data.f_matrix[indices])
@@ -156,7 +132,9 @@ def error_map(model: DeepONetModel, data: OperatorDataset, sample: int) -> np.nd
 # Generalization sweep
 # ---------------------------------------------------------------------------
 
-SWEEP_AXES = ("K", "N", "m_x", "m_y")
+# Each sweep axis and the SweepSettings field it varies.
+_AXIS_FIELDS = {"K": "k_train", "N": "n_width", "m_y": "m_y"}
+SWEEP_AXES = tuple(_AXIS_FIELDS)
 
 
 @dataclass
@@ -170,10 +148,10 @@ class SweepSettings:
     beta_lo: float = 1.0
     beta_hi: float = 100.0
     n_width: int = 20
-    trunk_hidden: tuple = (40, 40, 40)
-    branch_hidden: tuple = (48,)
-    activation: str = "relu"
-    init_scheme: str = "he"
+    trunk_hidden: tuple[int, ...] = (40, 40, 40)
+    branch_hidden: tuple[int, ...] = (48,)
+    activation: nn.Activation = "relu"
+    init_scheme: nn.InitScheme = "he"
     iters_trunk: int = 2000
     iters_branch: int = 2000
     lr: float = 1e-3
@@ -224,7 +202,7 @@ def _family_dataset(settings: SweepSettings, seed: int) -> OperatorDataset:
         )
     elif settings.example == "ex3":
         rng = np.random.default_rng(settings.base_seed)
-        trips = rng.uniform(0.1, 10.0, size=(settings.k_train + settings.k_test, 3))
+        trips = rng.uniform(*TRIPLET_RANGE_EX3, size=(settings.k_train + settings.k_test, 3))
         data = gen_example3(np.round(trips, 6), settings.grid_n, seed=seed)
     else:
         raise ValueError(f"no sweep family wired for example {settings.example!r}")
@@ -245,21 +223,12 @@ def run_two_step_once(settings: SweepSettings, seed: int) -> float:
         train_view = subsample_output_sensors(data, settings.m_y, seed=seed)
     else:
         train_view = data
-    d_y = data.y_sensors.shape[1]
-    m_x = data.m_x
-    trunk = nn.init_mlp(
-        (d_y, *settings.trunk_hidden, settings.n_width),
-        settings.activation,
-        settings.init_scheme,
-        seed=seed + 1,
-    )
-    branch = nn.init_mlp(
-        (m_x, *settings.branch_hidden, settings.n_width + 1),
-        settings.activation,
-        settings.init_scheme,
-        seed=seed + 2,
-    )
-    model = DeepONetModel(trunk=trunk, branch=branch, t_matrix=None, width=settings.n_width)
+    model = ModelSpec(
+        trunk_arch=(data.d_y, *settings.trunk_hidden, settings.n_width),
+        branch_arch=(data.m_x, *settings.branch_hidden, settings.n_width + 1),
+        activation=settings.activation,
+        init=settings.init_scheme,
+    ).build(seed)
     cfg = TrainConfig(
         method="two_step",
         iters_trunk=settings.iters_trunk,
@@ -271,18 +240,6 @@ def run_two_step_once(settings: SweepSettings, seed: int) -> float:
     )
     model, _ = train_two_step(train_view, model, cfg)
     return evaluate_model(model, data).mean_rel_error
-
-
-def _apply_axis(settings: SweepSettings, axis: str, value: int) -> SweepSettings:
-    if axis == "K":
-        return replace(settings, k_train=int(value))
-    if axis == "N":
-        return replace(settings, n_width=int(value))
-    if axis == "m_y":
-        return replace(settings, m_y=int(value))
-    # None of the shipped generators vary m_x independently (it is 1 for
-    # ex1, the full grid for ex2 and 3 for ex3).
-    raise ValueError(f"axis {axis!r} is not sweepable for this family")
 
 
 def generalization_sweep(
@@ -304,7 +261,7 @@ def generalization_sweep(
 
     jobs = []
     for i, value in enumerate(values):
-        run_settings = _apply_axis(settings, axis, value)
+        run_settings = replace(settings, **{_AXIS_FIELDS[axis]: value})
         for rep in range(replicates):
             seed = settings.base_seed + 1000 * i + 10 * rep
             jobs.append((i, rep, run_settings, seed))

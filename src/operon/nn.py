@@ -8,12 +8,16 @@ to be 0.
 
 from __future__ import annotations
 
+from typing import Literal, get_args
+
 import numpy as np
 
 from .errors import ShapeError
 
-ACTIVATIONS = ("relu", "tanh")
-INIT_SCHEMES = ("he", "xavier")
+Activation = Literal["relu", "tanh"]
+InitScheme = Literal["he", "xavier"]
+ACTIVATIONS = get_args(Activation)
+INIT_SCHEMES = get_args(InitScheme)
 
 
 def _layer_views(flat: np.ndarray, arch: tuple[int, ...]):

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,13 +56,18 @@ class TrainConfig:
         for name in ("iters_trunk", "iters_branch", "iters_mono"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.lr <= 0.0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if (self.schedule_factor is None) != (self.schedule_every is None):
             raise ValueError("schedule_factor and schedule_every must be set together")
         if self.schedule_factor is not None:
-            if self.schedule_factor <= 1.0 or self.schedule_every < 1:
-                raise ValueError("schedule needs factor > 1 and every >= 1")
+            factor_ok = math.isfinite(self.schedule_factor) and self.schedule_factor > 1.0
+            if not factor_ok or self.schedule_every < 1:
+                raise ValueError("schedule needs a finite factor > 1 and every >= 1")
+        if not (math.isfinite(self.a_init_scale) and self.a_init_scale >= 0.0):
+            raise ValueError(f"a_init_scale must be finite and >= 0, got {self.a_init_scale}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.ls_refit_every < 0:
             raise ValueError("ls_refit_every must be >= 0")
 
@@ -81,17 +87,6 @@ class TrainReport:
     final_monolithic_loss: float
     wall_seconds: float
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "loss_trace": self.loss_trace,
-            "branch_trace": self.branch_trace,
-            "final_trunk_loss": self.final_trunk_loss,
-            "final_branch_loss": self.final_branch_loss,
-            "final_monolithic_loss": self.final_monolithic_loss,
-            "wall_seconds": self.wall_seconds,
-        }
-
 
 def _write_trace_csv(path: Path, trace: list[float]) -> None:
     with path.open("w", newline="") as handle:
@@ -106,7 +101,7 @@ def save_report(report: TrainReport, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
     )
     if report.method == "van":
         _write_trace_csv(directory / "trace_mono.csv", report.loss_trace)

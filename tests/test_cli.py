@@ -4,8 +4,11 @@ import shutil
 import numpy as np
 import pytest
 
-from operon.cli import main
+from operon.cli import _SWEEP_SCHEMA, _TRAIN_SCHEMA, _from_config, _load_config, main
 from operon.data import load_dataset
+from operon.deeponet import ModelSpec
+from operon.evaluate import SweepSettings
+from operon.train import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -367,3 +370,90 @@ class TestSweep:
         )
         assert code == 0
         assert (out / "sweep.csv").exists()
+
+
+def _arch(entry):
+    return {"trunk_arch": [2, entry, 4]}
+
+
+class TestConfigBoundary:
+    """Each bad entry exits 2 with a single error line, before anything is
+    trained or written."""
+
+    @staticmethod
+    def _assert_usage_error(code, capsys, out):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            _arch("x"),
+            _arch(6.5),
+            _arch([6]),
+            _arch(True),
+            _arch(0),
+            {"activation": "sigmoid"},
+            {"init": "foo"},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"seed": -5},
+            {"a_init_scale": -1},
+        ],
+        ids=[
+            "arch-string", "arch-float", "arch-nested", "arch-bool", "arch-zero",
+            "activation-sigmoid", "init-foo", "lr-nan", "lr-inf", "seed-negative",
+            "a-init-scale-negative",
+        ],
+    )
+    def test_train_config_exits_2(self, dataset_dir, tmp_path, capsys, overrides):
+        config = _train_config(tmp_path, **overrides)
+        out = tmp_path / "run"
+        code = main(
+            ["train", "--method", "2st", "--config", str(config), "--data", str(dataset_dir), "--out", str(out)]
+        )
+        self._assert_usage_error(code, capsys, out)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"trunk_hidden": [[8]]}, {"trunk_hidden": [8.7]}, {"branch_hidden": [True]}, {"k_test": 0}],
+        ids=["hidden-nested", "hidden-float", "hidden-bool", "k-test-zero"],
+    )
+    def test_sweep_config_exits_2(self, tmp_path, capsys, overrides):
+        config = {
+            "example": "ex1", "k_test": 4, "grid_n": 7, "n_width": 3, "trunk_hidden": [10],
+            "branch_hidden": [10], "activation": "tanh", "iters_trunk": 5, "iters_branch": 5,
+        }
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({**config, **overrides}))
+        out = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--axis", "K", "--values", "4,6,8", "--replicates", "3",
+             "--config", str(path), "--out", str(out)]
+        )
+        self._assert_usage_error(code, capsys, out)
+
+    @pytest.mark.parametrize("fraction", ["0.95", "0.04"], ids=["test-empty", "train-empty"])
+    def test_generate_empty_split_side_exits_2(self, tmp_path, capsys, fraction):
+        out = tmp_path / "d"
+        code = main(
+            ["generate", "--example", "ex1", "--grid-n", "5", "--k", "10", "--out", str(out),
+             "--train-fraction", fraction]
+        )
+        self._assert_usage_error(code, capsys, out)
+
+    def test_config_values_parse_to_dataclasses(self, tmp_path):
+        path = _train_config(tmp_path, lr=1, schedule_factor=2, schedule_every=5)
+        config = _load_config(str(path), _TRAIN_SCHEMA)
+        assert _from_config(TrainConfig, config, method="van") == TrainConfig(
+            method="van", iters_trunk=40, iters_branch=40, iters_mono=40, lr=1.0,
+            schedule_factor=2.0, schedule_every=5, seed=1,
+        )
+        assert _from_config(ModelSpec, config) == ModelSpec((2, 12, 4), (1, 12, 5), "tanh", "he")
+        path.write_text(json.dumps({"seed": 3, "init": "xavier", "branch_hidden": [], "beta_hi": 50}))
+        config = _load_config(str(path), _SWEEP_SCHEMA)
+        assert _from_config(SweepSettings, config) == SweepSettings(
+            base_seed=3, init_scheme="xavier", branch_hidden=(), beta_hi=50.0
+        )

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from operon.construct import (
-    HatParams,
     build_interpolating_trunk,
     find_separating_direction,
-    hat_network,
     verify_zero_loss_pipeline,
 )
 from operon.data import OperatorDataset
@@ -24,42 +22,6 @@ def _power_iteration_rank1(u, iters=500):
         z /= np.linalg.norm(z)
     sigma = np.linalg.norm(u.T @ z)
     return z, sigma
-
-
-class TestHatNetwork:
-    def test_plateau_and_ramp_values(self):
-        net = hat_network(HatParams(0.0, 2.0))
-        eval_at = lambda t: forward(net, np.array([[t]]))[0, 0]
-        assert eval_at(1.0) == pytest.approx(1.0)
-        assert eval_at(-0.5) == pytest.approx(0.0)
-        assert eval_at(-0.25) == pytest.approx(0.5)
-
-    def test_piecewise_structure_on_fine_grid(self):
-        a, b = -0.75, 1.5
-        net = hat_network(HatParams(a, b))
-        t = np.linspace(a - 2.0, b + 2.0, 2001)
-        vals = forward(net, t[:, None])[:, 0]
-        # Piecewise-linear bump: 1 on [a,b], 0 beyond half a unit outside,
-        # linear ramps 2(t - (a - 1/2)) and 1 - 2(t - b) in between.
-        expected = np.where(
-            (t >= a) & (t <= b),
-            1.0,
-            np.where(
-                t <= a - 0.5,
-                0.0,
-                np.where(
-                    t < a,
-                    2 * (t - (a - 0.5)),
-                    np.where(t < b + 0.5, 1 - 2 * (t - b), 0.0),
-                ),
-            ),
-        )
-        assert np.max(np.abs(vals - expected)) <= 1e-12
-        assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            HatParams(1.0, 1.0)
 
 
 class TestSeparatingDirection:

@@ -182,6 +182,12 @@ class TestSplit:
         combined = np.sort(np.concatenate([out.train_idx, out.test_idx]))
         assert np.array_equal(combined, np.arange(10))
 
+    @pytest.mark.parametrize("fraction, side", [(0.95, "test"), (0.04, "train")])
+    def test_empty_side_rejected(self, fraction, side):
+        data = gen_example1(np.linspace(1, 10, 10), 5)
+        with pytest.raises(ValueError, match=f"leaves the {side} side empty"):
+            split_dataset(data, fraction)
+
 
 class TestSensorSubsampling:
     def test_subset_rows(self):
@@ -263,6 +269,18 @@ class TestDatasetIo:
         manifest["split"]["test"][0] = 42
         (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(CorruptDatasetError, match="partition"):
+            load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_split_side_empty(self, tmp_path, side):
+        data = split_dataset(gen_example1(np.linspace(1, 50, 12), 9), 0.75, seed=2)
+        save_dataset(data, tmp_path / "d")
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        split = manifest["split"]
+        other = "test" if side == "train" else "train"
+        split[other], split[side] = sorted(split["train"] + split["test"]), []
+        (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptDatasetError, match=f"{side} side empty"):
             load_dataset(tmp_path / "d")
 
     def test_split_index_beyond_int64(self, tmp_path):

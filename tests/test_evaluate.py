@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from operon.data import gen_example1
 from operon.deeponet import DeepONetModel, assemble_phi, predict
 from operon.evaluate import (
     SweepSettings,
-    check_sensor_condition,
     conditional_optimal,
     error_map,
     evaluate_model,
@@ -15,7 +12,6 @@ from operon.evaluate import (
     log10_histogram,
     relative_l2_error,
     run_two_step_once,
-    sampling_kappa,
     truncate_prediction,
 )
 from operon.nn import init_mlp
@@ -106,39 +102,6 @@ class TestTruncate:
         pred = rng.normal(size=50) * 5
         clamped = truncate_prediction(pred, 2.0)
         assert np.linalg.norm(clamped - target) <= np.linalg.norm(pred - target)
-
-
-class TestSensorCondition:
-    def test_kappa_closed_form(self):
-        assert sampling_kappa(1.0) == pytest.approx(
-            (3 * math.log(1.5) - 1) / 4, rel=1e-12
-        )
-        assert sampling_kappa(1.0) == pytest.approx(0.0540988311, abs=1e-9)
-
-    def test_constant_basis(self):
-        width = 3
-        trunk = init_mlp((2, 4, width), "relu", "he", seed=5)
-        for w in trunk.weights:
-            w[...] = 0.0
-        branch = init_mlp((1, 4, width + 1), "relu", "he", seed=5)
-        model = DeepONetModel(trunk=trunk, branch=branch, t_matrix=None, width=width)
-        probe = np.random.default_rng(5).uniform(-1, 1, (50, 2))
-        out = check_sensor_condition(model, probe, m_y=100, r_t=1.0)
-        assert out["lhs"] == pytest.approx(1.0)
-        expected = sampling_kappa(1.0) * 100 / math.log(100)
-        assert out["rhs"] == pytest.approx(expected)
-        assert out["satisfied"] == (1.0 <= expected)
-
-    def test_rhs_monotone_in_m_y(self):
-        trunk = init_mlp((2, 4, 2), "tanh", "he", seed=6)
-        branch = init_mlp((1, 4, 3), "tanh", "he", seed=6)
-        model = DeepONetModel(trunk=trunk, branch=branch, t_matrix=None, width=2)
-        probe = np.random.default_rng(6).uniform(-1, 1, (20, 2))
-        rhs = [
-            check_sensor_condition(model, probe, m_y=m, r_t=1.0)["rhs"]
-            for m in (8, 16, 32, 64)
-        ]
-        assert all(a < b for a, b in zip(rhs, rhs[1:]))
 
 
 def _per_sample_reference(model, data, truncate_m):

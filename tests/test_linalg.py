@@ -74,6 +74,43 @@ class TestHouseholderQr:
         with pytest.raises(ShapeError):
             householder_qr(np.ones((2, 3)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        tall=st.booleans(),
+        extra=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.integers(-6, 6),
+    )
+    def test_factorization_property(self, n, tall, extra, seed, log_scale):
+        # Tall or square input: Q has orthonormal columns, R is upper
+        # triangular with a positive diagonal, and QR reproduces a.
+        m = n + extra if tall else n
+        rng = np.random.default_rng(seed)
+        a = 10.0**log_scale * rng.normal(size=(m, n))
+        qr = householder_qr(a)
+        assert qr.q.shape == (m, n) and qr.r.shape == (n, n)
+        assert np.linalg.norm(qr.q.T @ qr.q - np.eye(n)) <= 1e-12
+        assert np.array_equal(np.tril(qr.r, -1), np.zeros((n, n)))
+        assert np.all(np.diag(qr.r) > 0)
+        assert np.linalg.norm(qr.q @ qr.r - a) <= 1e-12 * np.linalg.norm(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 10),
+        extra=st.integers(0, 20),
+        j=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dependent_column_raises(self, n, extra, j, seed):
+        # Column j is a combination of the columns before it.
+        j = min(j, n - 1)
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n + extra, n))
+        a[:, j] = a[:, :j] @ rng.normal(size=j)
+        with pytest.raises(RankDeficientError, match=f"column {j} is"):
+            householder_qr(a)
+
 
 class TestSolveUpperTriangular:
     def test_identity(self):

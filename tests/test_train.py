@@ -51,6 +51,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(schedule_factor=2.0).validate()
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"schedule_factor": float("nan"), "schedule_every": 10},
+            {"schedule_factor": float("inf"), "schedule_every": 10},
+            {"a_init_scale": -1.0},
+            {"a_init_scale": float("nan")},
+            {"seed": -5},
+        ],
+    )
+    def test_value_ranges(self, field):
+        with pytest.raises(ValueError):
+            TrainConfig(**field).validate()
+
     def test_lr_schedule(self):
         cfg = TrainConfig(lr=1e-3, schedule_factor=2.0, schedule_every=100)
         assert cfg.lr_at(0) == 1e-3
