@@ -101,7 +101,7 @@ def _load_config(path: str, schema: dict) -> dict:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

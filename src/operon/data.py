@@ -184,7 +184,10 @@ def _conjugate_gradient(apply_op, rhs: np.ndarray, rtol: float = 1e-12) -> np.nd
         if np.sqrt(rr) <= target:
             return u
         ap = apply_op(p)
-        alpha = rr / float(np.sum(p * ap))
+        curvature = float(np.sum(p * ap))
+        if not curvature > 0.0:
+            raise SolverError(f"operator is not positive definite (p.Ap = {curvature:.3e})")
+        alpha = rr / curvature
         u += alpha * p
         r -= alpha * ap
         rr_new = float(np.sum(r * r))
@@ -293,21 +296,15 @@ def _solve_mixed_darcy(n: int, axis: np.ndarray, beta: float) -> np.ndarray:
     # Interior unknowns p[iy, ix], iy/ix in 1..n-2.
     xx, yy = np.meshgrid(xs[1:-1], xs[1:-1], indexing="xy")
     k_e = face_kappa(xx, yy, xx + h, yy)
-    k_w = face_kappa(xx, yy, xx - h, yy)
     k_n = face_kappa(xx, yy, xx, yy + h)
-    k_s = face_kappa(xx, yy, xx, yy - h)
-
-    # Decouple faces that touch an eliminated Neumann boundary node:
-    # no-flux sides drop out entirely; the bottom face contributes the
-    # prescribed flux to the rhs.
-    k_w_eff = k_w.copy()
-    k_w_eff[:, 0] = 0.0
-    k_e_eff = k_e.copy()
-    k_e_eff[:, -1] = 0.0
-    k_s_eff = k_s.copy()
-    k_s_eff[0, :] = 0.0
-
-    diag = k_e_eff + k_w_eff + k_n + k_s_eff
+    # Each face is evaluated once and shared by the two nodes it joins, so
+    # the operator is symmetric even where a face midpoint rounds onto the
+    # disk edge. Faces to an eliminated Neumann boundary node carry nothing:
+    # the no-flux sides drop out and the bottom flux goes into the rhs.
+    k_e[:, -1] = 0.0
+    k_w = np.pad(k_e[:, :-1], ((0, 0), (1, 0)))
+    k_s = np.pad(k_n[:-1], ((1, 0), (0, 0)))
+    diag = k_e + k_w + k_n + k_s
 
     rhs = np.zeros_like(xx)
     rhs[0, :] += 1.0 / h  # inward unit flux across the bottom boundary
@@ -315,9 +312,9 @@ def _solve_mixed_darcy(n: int, axis: np.ndarray, beta: float) -> np.ndarray:
 
     def apply_op(p: np.ndarray) -> np.ndarray:
         out = diag * p
-        out[:, 1:] -= k_w_eff[:, 1:] * p[:, :-1]
-        out[:, :-1] -= k_e_eff[:, :-1] * p[:, 1:]
-        out[1:, :] -= k_s_eff[1:, :] * p[:-1, :]
+        out[:, 1:] -= k_e[:, :-1] * p[:, :-1]
+        out[:, :-1] -= k_e[:, :-1] * p[:, 1:]
+        out[1:, :] -= k_n[:-1, :] * p[:-1, :]
         out[:-1, :] -= k_n[:-1, :] * p[1:, :]
         return out
 
@@ -551,15 +548,22 @@ def save_dataset(data: OperatorDataset, directory) -> None:
         _write_blob(tmp / "U.bin", data.u_matrix)
 
 
+def _read_manifest(directory: Path, name: str):
+    """The parsed JSON file `name` in an artifact directory. A missing file,
+    bytes that are not UTF-8 and JSON that is malformed or nested too deeply
+    to parse all raise CorruptDatasetError."""
+    path = directory / name
+    if not path.exists():
+        raise CorruptDatasetError(f"missing {name} in {directory}")
+    try:
+        return json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise CorruptDatasetError(f"unreadable {name}: {exc}") from exc
+
+
 def load_dataset(directory) -> OperatorDataset:
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise CorruptDatasetError(f"missing manifest.json in {directory}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CorruptDatasetError(f"unreadable manifest: {exc}") from exc
+    manifest = _read_manifest(directory, "manifest.json")
     _check_manifest(manifest)
     m_x, m_y, k = manifest["m_x"], manifest["m_y"], manifest["K"]
     d_x, d_y = manifest["d_x"], manifest["d_y"]

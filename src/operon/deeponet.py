@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import OperatorDataset, _is_int, _is_positive_int, _read_blob, _replacing
+from .data import OperatorDataset, _is_int, _is_positive_int, _read_blob, _read_manifest, _replacing
 from .errors import CorruptDatasetError, ShapeError
 from .nn import Mlp
 
@@ -197,13 +197,7 @@ def save_model(model: DeepONetModel, directory) -> None:
 
 def load_model(directory) -> DeepONetModel:
     directory = Path(directory)
-    manifest_path = directory / MODEL_MANIFEST
-    if not manifest_path.exists():
-        raise CorruptDatasetError(f"missing {MODEL_MANIFEST} in {directory}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CorruptDatasetError(f"unreadable {MODEL_MANIFEST}: {exc}") from exc
+    manifest = _read_manifest(directory, MODEL_MANIFEST)
     _check_model_manifest(manifest)
     trunk = _unpack_mlp(
         directory / "trunk.bin",

@@ -34,11 +34,11 @@ from operon.nn import gradcheck, init_mlp, mlp_copy, _forward_cached
 from operon.train import (
     TrainConfig,
     check_two_step_equivalence,
+    finish_two_step,
     fit_interpolating_branch,
     orthonormalize,
     train_monolithic,
     train_trunk_step1,
-    train_two_step,
 )
 
 # ---------------------------------------------------------------------------
@@ -58,17 +58,21 @@ def replica():
     trunk = init_mlp((2, 50, 50, 50, 50), "tanh", "he", seed=11)
     branch = init_mlp((1, 64, 51), "tanh", "he", seed=12)
 
-    two_step = DeepONetModel(mlp_copy(trunk), mlp_copy(branch), None, 50)
+    # 2st and 2st-noqr differ only after step 1, so one step 1 is finished
+    # both ways; the two models share its trunk.
     cfg2 = TrainConfig(
         method="two_step", iters_trunk=20000, iters_branch=20000, **REPLICA_CFG
     )
-    two_step, report_2st = train_two_step(data, two_step, cfg2)
-
-    no_qr = DeepONetModel(mlp_copy(trunk), mlp_copy(branch), None, 50)
-    cfg_nq = TrainConfig(
-        method="two_step_no_qr", iters_trunk=20000, iters_branch=20000, **REPLICA_CFG
+    step1 = train_trunk_step1(data, mlp_copy(trunk), cfg2)
+    two_step, report_2st = finish_two_step(
+        data, DeepONetModel(step1[0], mlp_copy(branch), None, 50), step1, cfg2
     )
-    no_qr, report_noqr = train_two_step(data, no_qr, cfg_nq)
+    no_qr, report_noqr = finish_two_step(
+        data,
+        DeepONetModel(step1[0], mlp_copy(branch), None, 50),
+        step1,
+        replace(cfg2, method="two_step_no_qr"),
+    )
 
     van = DeepONetModel(mlp_copy(trunk), mlp_copy(branch), None, 50)
     cfg_v = TrainConfig(method="van", iters_mono=40000, **REPLICA_CFG)

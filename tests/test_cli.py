@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operon.cli import _SWEEP_SCHEMA, _TRAIN_SCHEMA, _from_config, _load_config, main
-from operon.data import load_dataset
-from operon.deeponet import ModelSpec
+from operon.data import _is_int, load_dataset
+from operon.deeponet import MODEL_KEYS, ModelSpec
 from operon.evaluate import SweepSettings
 from operon.train import TrainConfig
 
@@ -87,6 +91,14 @@ class TestGenerate:
         )
         assert code == 0
         assert load_dataset(tmp_path / "d3").m_x == 3
+
+    def test_ex2_on_grid_7(self, tmp_path):
+        # Grid 7 has face midpoints on the disk edge.
+        code = main(
+            ["generate", "--example", "ex2", "--grid-n", "7", "--k", "12", "--out", str(tmp_path / "d2")]
+        )
+        assert code == 0
+        assert load_dataset(tmp_path / "d2").m_x == 49
 
 
 class TestTrain:
@@ -239,6 +251,20 @@ class TestEval:
         code = main(["eval", "--model", str(trained), "--data", str(broken), "--out", str(tmp_path / "e")])
         assert code == 1
         assert "error: manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("artifact, name", [("model", "model.json"), ("data", "manifest.json")])
+    @pytest.mark.parametrize(
+        "content", [b"[" * 100_000, b"\xff\xfe{}"], ids=["nested-too-deep", "not-utf8"]
+    )
+    def test_unparsable_manifest_exits_1(self, trained, dataset_dir, tmp_path, capsys, artifact, name, content):
+        # JSON nested past the parser's recursion limit raises RecursionError.
+        dirs = {"model": trained, "data": dataset_dir}
+        dirs[artifact] = shutil.copytree(dirs[artifact], tmp_path / artifact)
+        (dirs[artifact] / name).write_bytes(content)
+        code = main(["eval", "--model", str(dirs["model"]), "--data", str(dirs["data"]), "--out", str(tmp_path / "e")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unreadable {name}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("blob, value", [("U.bin", np.nan), ("F.bin", np.inf)])
     def test_dataset_blob_not_finite_exits_1(self, trained, dataset_dir, tmp_path, capsys, blob, value):
@@ -435,6 +461,15 @@ class TestConfigBoundary:
         )
         self._assert_usage_error(code, capsys, out)
 
+    def test_config_nested_too_deep_exits_2(self, dataset_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000)
+        out = tmp_path / "run"
+        code = main(
+            ["train", "--method", "2st", "--config", str(config), "--data", str(dataset_dir), "--out", str(out)]
+        )
+        self._assert_usage_error(code, capsys, out)
+
     @pytest.mark.parametrize("fraction", ["0.95", "0.04"], ids=["test-empty", "train-empty"])
     def test_generate_empty_split_side_exits_2(self, tmp_path, capsys, fraction):
         out = tmp_path / "d"
@@ -457,3 +492,149 @@ class TestConfigBoundary:
         assert _from_config(SweepSettings, config) == SweepSettings(
             base_seed=3, init_scheme="xavier", branch_hidden=(), beta_hi=50.0
         )
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _near(value):
+    """Values close to a valid one: off-by-one and extreme ints, an int
+    list with one entry changed or dropped, and the other JSON types."""
+    if _is_int(value):
+        return st.sampled_from([value - 1, value + 1, 0, -value, 2**63]) | _JSON
+    if isinstance(value, list) and value and all(map(_is_int, value)):
+        edits = st.tuples(st.integers(0, len(value) - 1), st.integers(-3, 2**64))
+        return edits.map(lambda e: value[: e[0]] + [e[1]] + value[e[0] + 1:]) | st.just(value[:-1]) | _JSON
+    return _JSON
+
+
+def _mutations(manifest, keys):
+    """('drop', key) or ('set', key, value) over the given keys."""
+    drops = st.sampled_from(keys).map(lambda key: ("drop", key))
+    sets = st.sampled_from(keys).flatmap(
+        lambda key: _near(manifest.get(key)).map(lambda value: ("set", key, value))
+    )
+    return drops | sets
+
+
+def _apply(manifest, mutation):
+    edited = {k: v for k, v in manifest.items() if k != mutation[1]}
+    if mutation[0] == "set":
+        edited[mutation[1]] = mutation[2]
+    return edited
+
+
+def _other_type(value):
+    """A JSON value whose JSON type differs from value's (bool and int count
+    as different; null is left out because a null split is valid)."""
+    kind = lambda v: "int" if _is_int(v) else type(v).__name__
+    return _JSON.filter(lambda v: v is not None and kind(v) != kind(value))
+
+
+class TestLoaderFuzz:
+    """Mutated model.json and dataset manifest.json files and blobs go
+    through `operon eval` in process: every run exits 0, 1 or 2, and a
+    failure is one `error:` line, never a traceback. Mutations that break a
+    checked manifest key's type, or drop it, must fail."""
+
+    FUZZ = settings(max_examples=40, deadline=None, derandomize=True)
+
+    @pytest.fixture(scope="class")
+    def workspace(self, trained, dataset_dir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        shutil.copytree(trained, root / "model")
+        shutil.copytree(dataset_dir, root / "data")
+        return root
+
+    @staticmethod
+    def _eval(workspace, name, content):
+        """Run eval with one file's bytes replaced; return (code, stderr)."""
+        if not isinstance(content, bytes):
+            content = json.dumps(content).encode()
+        target = workspace / name
+        original = target.read_bytes()
+        target.write_bytes(content)
+        out = workspace / "eval"
+        shutil.rmtree(out, ignore_errors=True)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(
+                    ["eval", "--model", str(workspace / "model"), "--data",
+                     str(workspace / "data"), "--out", str(out)]
+                )
+        finally:
+            target.write_bytes(original)
+        err = err.getvalue()
+        if code == 0:
+            assert (out / "eval.json").exists()
+        else:
+            assert code in (1, 2)
+            assert err.startswith("error: ") and err.count("\n") == 1
+        return code, err
+
+    @staticmethod
+    def _manifest(workspace, name):
+        return json.loads((workspace / name).read_text())
+
+    @given(data=st.data())
+    @FUZZ
+    def test_model_manifest_values(self, workspace, data):
+        manifest = self._manifest(workspace, "model/model.json")
+        mutation = data.draw(_mutations(manifest, sorted(manifest) + ["extra"]))
+        self._eval(workspace, "model/model.json", _apply(manifest, mutation))
+
+    @given(data=st.data())
+    @FUZZ
+    def test_model_manifest_types(self, workspace, data):
+        manifest = self._manifest(workspace, "model/model.json")
+        key = data.draw(st.sampled_from(MODEL_KEYS))
+        value = data.draw(st.none() | _other_type(manifest[key]))
+        edited = _apply(manifest, ("drop", key) if value is None else ("set", key, value))
+        code, _ = self._eval(workspace, "model/model.json", edited)
+        assert code == 1
+
+    @given(data=st.data())
+    @FUZZ
+    def test_dataset_manifest_values(self, workspace, data):
+        manifest = self._manifest(workspace, "data/manifest.json")
+        split = manifest["split"]
+        keys = sorted(manifest) + ["extra"]
+        mutation = data.draw(
+            _mutations(manifest, keys)
+            | _mutations(split, ["train", "test"]).map(lambda m: ("set", "split", _apply(split, m)))
+        )
+        self._eval(workspace, "data/manifest.json", _apply(manifest, mutation))
+
+    @given(data=st.data())
+    @FUZZ
+    def test_dataset_manifest_types(self, workspace, data):
+        manifest = self._manifest(workspace, "data/manifest.json")
+        key = data.draw(st.sampled_from(["m_x", "m_y", "K", "d_x", "d_y", "params", "split"]))
+        value = data.draw(_other_type(manifest[key]))
+        if key in ("m_x", "m_y", "K", "d_x", "d_y"):
+            value = data.draw(st.sampled_from([value, None]))
+        edited = _apply(manifest, ("drop", key) if value is None else ("set", key, value))
+        code, _ = self._eval(workspace, "data/manifest.json", edited)
+        assert code == 1
+
+    @given(data=st.data())
+    @FUZZ
+    def test_blob_bytes(self, workspace, data):
+        name = data.draw(st.sampled_from(
+            ["model/trunk.bin", "model/branch.bin", "model/t_matrix.bin", "data/x_sensors.bin",
+             "data/y_sensors.bin", "data/F.bin", "data/U.bin"]
+        ))
+        raw = (workspace / name).read_bytes()
+        if data.draw(st.booleans()):
+            edited = (raw + bytes(16))[: data.draw(st.integers(0, len(raw) + 16))]
+        else:
+            special = st.sampled_from([np.nan, -np.inf, 1e308, -0.0, 5e-324])
+            word = data.draw(special.map(lambda v: np.array([v], "<f8").tobytes()) | st.binary(min_size=8, max_size=8))
+            at = 8 * data.draw(st.integers(0, len(raw) // 8 - 1))
+            edited = raw[:at] + word + raw[at + 8:]
+        self._eval(workspace, name, edited)

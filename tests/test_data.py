@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from operon import data as data_module
 from operon.data import (
     OperatorDataset,
     gen_example1,
@@ -17,7 +18,7 @@ from operon.data import (
     subsample_output_sensors,
     triplet_grid_sample,
 )
-from operon.errors import CorruptDatasetError, DuplicateSensorError
+from operon.errors import CorruptDatasetError, DuplicateSensorError, SolverError
 
 
 class TestPoissonSolver:
@@ -119,6 +120,40 @@ class TestExample2:
         data = gen_example2([0.1], grid_n)
         p = data.f_matrix[0].reshape(grid_n, grid_n)
         assert np.all(p[-1, :] == 0.0)
+
+    @pytest.mark.parametrize("grid_n", [7, 39])
+    def test_face_midpoints_on_disk_edge(self, grid_n):
+        # On these grids some face midpoints lie on the disk edge, where a
+        # face evaluated from its two sides can round to different kappas.
+        data = gen_example2([0.01, 0.5, 2.0, 3.0, 10.0], grid_n)
+        assert np.all(np.isfinite(data.f_matrix))
+
+    @pytest.mark.parametrize("grid_n", [7, 11, 39])
+    def test_operator_symmetric(self, monkeypatch, grid_n):
+        operators = []
+
+        def capture(apply_op, rhs, rtol=1e-12):
+            operators.append((apply_op, rhs.shape))
+            return cg(apply_op, rhs, rtol)
+
+        cg = data_module._conjugate_gradient
+        monkeypatch.setattr(data_module, "_conjugate_gradient", capture)
+        gen_example2([3.0], grid_n)
+        apply_op, shape = operators[0]
+        unit = np.zeros(shape)
+        columns = []
+        for j in range(unit.size):
+            unit.flat[j] = 1.0
+            columns.append(apply_op(unit).ravel())
+            unit.flat[j] = 0.0
+        dense = np.column_stack(columns)
+        assert np.array_equal(dense, dense.T)
+
+
+class TestConjugateGradient:
+    def test_indefinite_operator_raises_solver_error(self):
+        with pytest.raises(SolverError, match="not positive definite"):
+            data_module._conjugate_gradient(np.zeros_like, np.ones((3, 3)))
 
 
 class TestExample3:

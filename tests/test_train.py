@@ -1,19 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from operon import linalg
-from operon.data import OperatorDataset
+from operon.data import OperatorDataset, split_dataset
 from operon.deeponet import (
     DeepONetModel,
     assemble_c,
     assemble_phi,
     monolithic_loss,
+    save_model,
 )
 from operon.errors import NonFiniteGradientError
 from operon.nn import init_mlp
 from operon.train import (
     TrainConfig,
     check_two_step_equivalence,
+    finish_two_step,
     fit_interpolating_branch,
     orthonormalize,
     save_report,
@@ -245,6 +249,58 @@ class TestTwoStep:
         assert check.applicable
         assert check.passed
         assert abs(check.assembled_loss - s1) <= 1e-10 * s1 + 1e-20
+
+
+def _artifact_bytes(model, directory):
+    save_model(model, directory)
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestFinishTwoStep:
+    @pytest.mark.parametrize("method", ["two_step", "two_step_no_qr"])
+    def test_step1_plus_finish_is_train_two_step(self, tmp_path, method):
+        data = split_dataset(_tiny_dataset(seed=16, k=8), 0.75, seed=16)
+        cfg = TrainConfig(method=method, iters_trunk=30, iters_branch=20, seed=16)
+        whole, whole_report = train_two_step(data, _tiny_model(seed=16), cfg)
+        model = _tiny_model(seed=16)
+        step1 = train_trunk_step1(data, model.trunk, cfg)
+        split, split_report = finish_two_step(data, model, step1, cfg)
+        assert _artifact_bytes(whole, tmp_path / "whole") == _artifact_bytes(split, tmp_path / "split")
+        for report in (whole_report, split_report):
+            report.wall_seconds = 0.0
+        assert whole_report == split_report
+
+    def test_finishes_leave_step1_unchanged(self):
+        data = split_dataset(_tiny_dataset(seed=17, k=8), 0.75, seed=17)
+        cfg = TrainConfig(iters_trunk=20, iters_branch=10, seed=17)
+        step1 = train_trunk_step1(data, _tiny_model(seed=17).trunk, cfg)
+        trunk, a_star, loss, trace = step1
+        saved = (trunk.params.copy(), a_star.copy(), loss, list(trace))
+        models = []
+        for method in ("two_step", "two_step_no_qr", "two_step"):
+            model, report = finish_two_step(
+                data, _tiny_model(seed=17), step1, replace(cfg, method=method)
+            )
+            models.append(model)
+            assert report.loss_trace == saved[3]
+            assert report.final_trunk_loss == loss
+        assert np.array_equal(trunk.params, saved[0])
+        assert np.array_equal(a_star, saved[1])
+        assert trace == saved[3]
+        assert all(model.trunk is trunk for model in models)
+        # Finishing the same step 1 the same way twice gives the same model.
+        assert np.array_equal(models[0].t_matrix, models[2].t_matrix)
+        assert np.array_equal(models[0].branch.params, models[2].branch.params)
+        assert np.array_equal(models[1].t_matrix, np.eye(4))
+
+    def test_rejects_model_with_t(self):
+        data = _tiny_dataset(seed=18)
+        cfg = TrainConfig(iters_trunk=3, iters_branch=3, seed=18)
+        step1 = train_trunk_step1(data, _tiny_model(seed=18).trunk, cfg)
+        model = _tiny_model(seed=18)
+        model.t_matrix = np.eye(4)
+        with pytest.raises(ValueError, match="without T"):
+            finish_two_step(data, model, step1, cfg)
 
 
 class TestMonolithic:
