@@ -250,20 +250,22 @@ def _cmd_eval(args) -> int:
     for index in args.map_index:
         if not 0 <= index < data.n_samples:
             raise ConfigError(f"--map-index {index} is outside 0..{data.n_samples - 1}")
+    # Every output is computed before any is written, so a failure leaves
+    # no partial result behind.
     report = ev.evaluate_model(model, data, truncate_m=args.truncate)
+    edges, counts = ev.log10_histogram(report.rel_errors)
+    maps = {index: ev.error_map(model, data, index) for index in args.map_index}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "eval.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     )
-    edges, counts = ev.log10_histogram(report.rel_errors)
     with (out / "histogram.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["log10_lo", "log10_hi", "count"])
         for lo, hi, count in zip(edges[:-1], edges[1:], counts):
             writer.writerow([repr(float(lo)), repr(float(hi)), int(count)])
-    for index in args.map_index:
-        grid = ev.error_map(model, data, index)
+    for index, grid in maps.items():
         with (out / f"error_map_{index}.csv").open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow([f"y{d}" for d in range(grid.shape[1] - 1)] + ["abs_error"])

@@ -1,14 +1,14 @@
 """Explicit deep ReLU trunks that interpolate an SVD factor at the output
 sensors, and the end-to-end zero-loss certificate built on them.
 
-The construction projects the sensors onto a separating direction, rescales
-so the closest projected pair is exactly 2 apart, and stacks one hat-bump
-block per sensor. Each block is a 3-layer ReLU unit carrying the running
-output vector through paired relu(t) - relu(-t) channels, so composing
-m_y blocks (the first one also performs the projection) yields a network
-of exactly 2 m_y + 1 layers with hidden widths (4, 4, n~, ..., n~),
-n~ = 2 min(N, rank) + 4, whose outputs at sensor i are the i-th row of the
-left singular factor padded with zeros.
+The trunk is nn.interpolating_relu at the sensors: one hat-bump block per
+sensor, 2 m_y + 1 layers with hidden widths (4, 4, n~, ..., n~),
+n~ = 2 N + 4. Its outputs at sensor i are the i-th row of the left
+singular factor Z_r of U (r = min(N, rank U)) followed, for N > rank U, by
+columns that complete [1, Z_r] to an orthonormal set at the sensors, so
+the trunk basis keeps full column rank at every width N < m_y. The
+certificate's branch is the same kind of network at the training inputs
+(train.fit_interpolating_branch).
 """
 
 from __future__ import annotations
@@ -18,126 +18,26 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg
-from .data import OperatorDataset, check_distinct_sensors
+from .data import OperatorDataset
 from .deeponet import DeepONetModel, assemble_phi
-from .errors import DuplicateSensorError
-from .nn import Mlp
+# SeparatingDirection and find_separating_direction stay importable from here.
+from .nn import Mlp, SeparatingDirection, find_separating_direction, interpolating_relu
 from .train import check_two_step_equivalence, fit_interpolating_branch, orthonormalize
-
-# Hat-bump building blocks: N(t) = A3 relu(A2 relu(A1 t + b1(a,b)) + b2) + b3
-# equals 1 on [a, b], 0 outside [a - 1/2, b + 1/2], linear in between.
-_A1 = np.array([[-2.0], [2.0]])
-_A2 = -np.eye(2)
-_B2 = np.ones(2)
-_A3 = np.array([[1.0, 1.0]])
-_B3 = -1.0
-# Paired +/- channels pass a signed value through ReLU: relu(t) - relu(-t) = t.
-_P = np.array([1.0, -1.0])
-
-
-@dataclass
-class SeparatingDirection:
-    """Unit direction v and scale factor such that the projected sensors
-    scale * v.T y are pairwise at least 2 apart."""
-
-    v: np.ndarray
-    scale: float
-
-
-def find_separating_direction(y_sensors, seed: int = 0) -> SeparatingDirection:
-    """Search random unit directions for the one with the largest minimum
-    projected gap, then rescale that gap to exactly 2."""
-    y = np.ascontiguousarray(y_sensors, dtype=np.float64)
-    if y.ndim != 2:
-        raise ValueError(f"sensors must be m_y x d_y, got shape {y.shape}")
-    check_distinct_sensors(y)
-    m_y, d_y = y.shape
-    if m_y == 1:
-        v = np.zeros(d_y)
-        v[0] = 1.0
-        return SeparatingDirection(v=v, scale=1.0)
-
-    rng = np.random.default_rng(seed)
-    n_trials = 1024
-    dirs = rng.normal(size=(n_trials, d_y))
-    dirs /= np.sqrt(np.sum(dirs * dirs, axis=1))[:, None]
-    projections = y @ dirs.T  # m_y x n_trials
-    projections.sort(axis=0)
-    gaps = np.min(np.diff(projections, axis=0), axis=0)
-    best = int(np.argmax(gaps))
-    if gaps[best] <= 0.0:
-        raise DuplicateSensorError(
-            "no sampled direction separates the sensors; two of them may "
-            "coincide to machine precision"
-        )
-    return SeparatingDirection(v=dirs[best], scale=2.0 / float(gaps[best]))
-
-
-def _entry_block(v_scaled: np.ndarray, a: float, b: float):
-    """First block: project, start the hat stack, pass the projection on."""
-    w1 = np.vstack([_A1 @ v_scaled[None, :], np.outer(_P, v_scaled)])
-    b1 = np.array([2.0 * a, -2.0 * b, 0.0, 0.0])
-    w2 = np.zeros((4, 4))
-    w2[:2, :2] = _A2
-    w2[2:, 2:] = np.eye(2)
-    b2 = np.concatenate([_B2, np.zeros(2)])
-    return (w1, b1), (w2, b2)
-
-
-def _middle_block(r: int, a: float, b: float):
-    """Inner block input map (takes (y, z) in R^{1+r}) and its mixing layer."""
-    width = 2 * r + 4
-    w_in = np.zeros((width, r + 1))
-    w_in[:2, 0] = _A1[:, 0]
-    w_in[2:4, 0] = _P
-    for k in range(r):
-        w_in[4 + 2 * k : 6 + 2 * k, 1 + k] = _P
-    b_in = np.zeros(width)
-    b_in[0] = 2.0 * a
-    b_in[1] = -2.0 * b
-    w_mid = np.eye(width)
-    w_mid[:2, :2] = _A2
-    b_mid = np.zeros(width)
-    b_mid[:2] = _B2
-    return (w_in, b_in), (w_mid, b_mid)
-
-
-def _output_map(r: int, width: int, coeff: np.ndarray):
-    """Map a block's second hidden layer to (y, z + coeff * hat).
-
-    The entry block (width 4) carries no z channels yet, so its output is
-    (y, coeff * hat) and the passthrough columns are absent."""
-    w = np.zeros((r + 1, width))
-    w[0, 2] = 1.0
-    w[0, 3] = -1.0
-    w[1:, :2] = np.outer(coeff, _A3)
-    if width > 4:
-        for k in range(r):
-            w[1 + k, 4 + 2 * k] = 1.0
-            w[1 + k, 5 + 2 * k] = -1.0
-    b = np.concatenate([[0.0], _B3 * coeff])
-    return w, b
 
 
 def build_interpolating_trunk(
     y_sensors, u, n_width: int, seed: int = 0
-) -> tuple[Mlp, np.ndarray]:
-    """Build the deep ReLU trunk whose sensor values reproduce the left
-    singular factor of u, along with the matching coefficient matrix.
-
-    Returns (trunk, a_star): the trunk outputs at sensor i equal
-    (Z_i1, ..., Z_ir~, 0, ..., 0) with r~ = min(n_width, rank(u)), and
-    a_star stacks a zero row over diag(sigma) V^T (zero padded), so
-    Phi a_star is the best rank-r~ reconstruction of u.
-    """
-    trunk, a_star, _ = _build_trunk(y_sensors, u, n_width, seed)
-    return trunk, a_star
-
-
-def _build_trunk(
-    y_sensors, u, n_width: int, seed: int
 ) -> tuple[Mlp, np.ndarray, linalg.SvdFactors]:
-    """build_interpolating_trunk, also returning the SVD of u it used."""
+    """Build the deep ReLU trunk whose sensor values reproduce the left
+    singular factor of u, along with the matching coefficient matrix and
+    the SVD of u it used.
+
+    Returns (trunk, a_star, svd): the trunk outputs at sensor i equal
+    (Z_i1, ..., Z_ir, P_i1, ..., P_i(N-r)) with r = min(N, rank(u)) and P
+    completing [1, Z_r] to orthonormal columns (drawn from seed), and
+    a_star stacks a zero row over diag(sigma) V^T, zero padded, so
+    Phi a_star is the best rank-r reconstruction of u.
+    """
     if n_width < 1:
         raise ValueError(f"n_width must be >= 1, got {n_width}")
     y = np.ascontiguousarray(y_sensors, dtype=np.float64)
@@ -145,46 +45,22 @@ def _build_trunk(
     m_y = y.shape[0]
     if u.shape[0] != m_y:
         raise ValueError(f"u rows {u.shape[0]} != sensor count {m_y}")
+    if n_width + 1 > m_y:
+        raise ValueError(
+            f"width+1 ({n_width + 1}) must not exceed the number of output "
+            f"sensors ({m_y})"
+        )
 
     svd = linalg.jacobi_svd(u)
     r = min(n_width, svd.rank)
-
-    direction = find_separating_direction(y, seed=seed)
-    v_scaled = direction.scale * direction.v
-    projected = y @ v_scaled
-    order = np.argsort(projected, kind="stable")
-    # Center each hat's plateau on its sensor so evaluation is insensitive
-    # to last-ulp differences in the projection.
-    centers = projected[order]
-    coeffs = svd.u[order, :r]
-
-    weights: list[np.ndarray] = []
-    biases: list[np.ndarray] = []
-    (w1, b1), (w2, b2) = _entry_block(v_scaled, centers[0] - 0.25, centers[0] + 0.25)
-    weights += [w1, w2]
-    biases += [b1, b2]
-    out_w, out_b = _output_map(r, 4, coeffs[0])
-
-    width = 2 * r + 4
-    for j in range(1, m_y):
-        (w_in, b_in), (w_mid, b_mid) = _middle_block(
-            r, centers[j] - 0.25, centers[j] + 0.25
-        )
-        # The previous block's affine output fuses with this block's affine
-        # input: no activation sits between them.
-        weights.append(w_in @ out_w)
-        biases.append(w_in @ out_b + b_in)
-        weights.append(w_mid)
-        biases.append(b_mid)
-        out_w, out_b = _output_map(r, width, coeffs[j])
-
-    proj = np.zeros((n_width, r + 1))
-    proj[:r, 1:] = np.eye(r)
-    weights.append(proj @ out_w)
-    biases.append(proj @ out_b)
-
-    arch = tuple(w.shape[1] for w in weights) + (n_width,)
-    trunk = Mlp(arch=arch, weights=weights, biases=biases, activation="relu")
+    values = svd.u[:, :r]
+    if n_width > r:
+        # Zero padding would make Phi's columns dependent; the Q factor of
+        # [1, Z_r, G] extends [1, Z_r] by orthonormal columns instead.
+        rng = np.random.default_rng(seed)
+        stacked = np.hstack([np.ones((m_y, 1)), values, rng.normal(size=(m_y, n_width - r))])
+        values = np.hstack([values, linalg.householder_qr(stacked).q[:, r + 1 :]])
+    trunk = interpolating_relu(y, values, seed=seed)
 
     a_star = np.zeros((n_width + 1, u.shape[1]))
     a_star[1 : r + 1] = svd.sigma[:r, None] * svd.v[:, :r].T
@@ -233,7 +109,7 @@ def verify_zero_loss_pipeline(
     data: OperatorDataset, n_width: int, seed: int = 0
 ) -> ZeroLossCertificate:
     """Run the constructive pipeline end to end: interpolating trunk,
-    QR orthonormalization, least-squares interpolating branch, assembly.
+    QR orthonormalization, interpolating branch, assembly.
 
     With n_width >= rank(U) the assembled loss must vanish (up to
     ZERO_LOSS_TOL relative); below the rank it must match the best
@@ -243,7 +119,7 @@ def verify_zero_loss_pipeline(
     f_train = data.train_f()
     # One factorization of U serves the trunk, the rank and the
     # Eckart-Young bound.
-    trunk, a_star, svd = _build_trunk(data.y_sensors, u_train, n_width, seed)
+    trunk, a_star, svd = build_interpolating_trunk(data.y_sensors, u_train, n_width, seed)
     rank = svd.rank
     m_y, k = u_train.shape
 

@@ -490,9 +490,10 @@ def _is_positive_int(value) -> bool:
 
 
 def _check_manifest(manifest) -> None:
-    """Schema of manifest.json: positive int sizes, an optional params
-    object, and a split that is null or lists int train and test indices
-    (whether they partition 0..K-1 is OperatorDataset.validate's check)."""
+    """Schema of manifest.json: positive int sizes, the blob dtype tag
+    f64le, an optional params object, and a split that is null or lists
+    int train and test indices (whether they partition 0..K-1 is
+    OperatorDataset.validate's check)."""
     if not isinstance(manifest, dict):
         raise CorruptDatasetError("manifest.json must hold a JSON object")
     for key in ("m_x", "m_y", "K", "d_x", "d_y"):
@@ -502,6 +503,8 @@ def _check_manifest(manifest) -> None:
             raise CorruptDatasetError(
                 f"manifest {key} must be a positive int, got {manifest[key]!r}"
             )
+    if manifest.get("dtype") != "f64le":
+        raise CorruptDatasetError(f"manifest dtype must be 'f64le', got {manifest.get('dtype')!r}")
     if not isinstance(manifest.get("params", {}), dict):
         raise CorruptDatasetError("manifest params must be a JSON object")
     split = manifest.get("split")

@@ -125,7 +125,7 @@ def monolithic_loss_and_grads(
 
 MODEL_MANIFEST = "model.json"
 MODEL_KEYS = ("trunk_arch", "branch_arch", "trunk_activation", "branch_activation",
-              "width", "has_t_matrix")
+              "width", "has_t_matrix", "dtype")
 
 
 def _pack_mlp(net: Mlp) -> bytes:
@@ -140,7 +140,7 @@ def _unpack_mlp(path: Path, arch: tuple[int, ...], activation: str) -> Mlp:
 def _check_model_manifest(manifest) -> None:
     """Schema of model.json: archs of >= 2 positive ints, known
     activations, an int width equal to the trunk output and a bool
-    has_t_matrix."""
+    has_t_matrix, and the blob dtype tag f64le."""
     if not isinstance(manifest, dict):
         raise CorruptDatasetError(f"{MODEL_MANIFEST} must hold a JSON object")
     missing = [key for key in MODEL_KEYS if key not in manifest]
@@ -168,6 +168,8 @@ def _check_model_manifest(manifest) -> None:
         )
     if not isinstance(manifest["has_t_matrix"], bool):
         raise CorruptDatasetError(f"{MODEL_MANIFEST} has_t_matrix must be a bool")
+    if manifest["dtype"] != "f64le":
+        raise CorruptDatasetError(f"{MODEL_MANIFEST} dtype must be 'f64le', got {manifest['dtype']!r}")
 
 
 def save_model(model: DeepONetModel, directory) -> None:
@@ -213,6 +215,10 @@ def load_model(directory) -> DeepONetModel:
     if manifest["has_t_matrix"]:
         n1 = manifest["width"] + 1
         t_matrix = _read_blob(directory / "t_matrix.bin", (n1, n1))
+    elif (directory / "t_matrix.bin").exists():
+        raise CorruptDatasetError(
+            f"{MODEL_MANIFEST} has_t_matrix is false but t_matrix.bin exists"
+        )
     model = DeepONetModel(
         trunk=trunk, branch=branch, t_matrix=t_matrix, width=manifest["width"]
     )

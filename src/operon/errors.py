@@ -26,7 +26,7 @@ class NonFiniteGradientError(OperonError):
 
 
 class DuplicateSensorError(OperonError):
-    """Two output sensors coincide exactly."""
+    """Two output sensors, or two training inputs, coincide exactly."""
 
 
 class NegativeSubstitutionError(OperonError):

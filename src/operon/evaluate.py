@@ -38,31 +38,43 @@ def relative_l2_error(prediction, target) -> float:
 
 def _column_errors(prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
     """relative_l2_error per column of two m x n matrices (0-d for vectors)."""
+    scale = _column_scale(prediction, target)
+    prediction, target = prediction * scale, target * scale
     t_norms = np.sqrt(np.sum(target * target, axis=0))
     if np.any(t_norms == 0.0):
         raise ValueError("target has zero norm")
     return np.sqrt(np.sum((prediction - target) ** 2, axis=0)) / t_norms
 
 
-def conditional_optimal(
-    model: DeepONetModel, y_test, u_test
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """Least-squares coefficients for the frozen (orthonormalized) trunk
-    against the true test output, and the resulting relative error: one
-    float for a vector u_test, one per column of an m_y x n u_test.
+def _column_scale(*matrices: np.ndarray) -> np.ndarray:
+    """Per column, the power of two that brings the largest entry of the
+    matrices into [0.5, 1). Scaling by it is exact, so scale-free results
+    keep their bits, and squares of finite entries near the float64 limit
+    no longer overflow."""
+    peak = np.max([np.max(np.abs(m), axis=0) for m in matrices], axis=0)
+    return np.ldexp(1.0, -np.frexp(peak)[1])
+
+
+def conditional_optimal(basis, u_test) -> tuple[np.ndarray, float | np.ndarray]:
+    """Least-squares coefficients for a frozen basis (model_basis of the
+    trained model at the test sensors) against the true test output, and
+    the resulting relative error: one float for a vector u_test, one per
+    column of an m_y x n u_test.
 
     All columns share one QR of the basis. This reference is unattainable
     in deployment (it needs the target), but it always lower-bounds the
     trained model's error.
     """
-    return _fit_basis(model_basis(model, y_test), u_test)
-
-
-def _fit_basis(basis: np.ndarray, u_test) -> tuple[np.ndarray, float | np.ndarray]:
-    """conditional_optimal on a basis the caller has already formed."""
     u = np.ascontiguousarray(u_test, dtype=np.float64)
+    # The fit is linear in u, so it runs on exactly rescaled columns.
+    scale = _column_scale(u)
+    u = u * scale
     a_star = linalg.least_squares(basis, u)
     errors = _column_errors(basis @ a_star, u)
+    # Coefficients of a target near the float64 limit may themselves lie
+    # beyond it: they become inf while the errors stay finite.
+    with np.errstate(over="ignore"):
+        a_star = a_star / scale
     return a_star, float(errors) if u.ndim == 1 else errors
 
 
@@ -102,7 +114,7 @@ def evaluate_model(
     if truncate_m is not None:
         preds = truncate_prediction(preds, truncate_m)
     rel = _column_errors(preds, targets)
-    _, opt = _fit_basis(basis, targets)
+    _, opt = conditional_optimal(basis, targets)
     return EvalReport(
         sample_indices=[int(i) for i in indices],
         rel_errors=rel.tolist(),

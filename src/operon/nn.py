@@ -1,18 +1,29 @@
-"""Feed-forward MLPs with explicit forward/backward passes.
+"""Feed-forward MLPs with explicit forward/backward passes, and the
+explicit deep ReLU networks that interpolate given values at given points.
 
 A network with architecture (n0, ..., nL) applies
     z1 = W1 x + b1,   zl = Wl sigma(z_{l-1}) + bl   (2 <= l <= L),
 so the last layer is affine. The ReLU subgradient at exactly 0 is taken
 to be 0.
+
+interpolating_relu projects the points onto a separating direction,
+rescales so the closest projected pair is exactly 2 apart, and stacks one
+hat-bump block per point. Each block is a 3-layer ReLU unit carrying the
+running output vector through paired relu(t) - relu(-t) channels, so
+composing n blocks (the first one also performs the projection) yields a
+network of exactly 2 n + 1 layers with hidden widths (4, 4, 2 r + 4, ...,
+2 r + 4) for r output values, whose output at point i is values[i].
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Literal, get_args
 
 import numpy as np
 
-from .errors import ShapeError
+from .data import check_distinct_sensors
+from .errors import DuplicateSensorError, ShapeError
 
 Activation = Literal["relu", "tanh"]
 InitScheme = Literal["he", "xavier"]
@@ -107,8 +118,13 @@ def _forward_cached(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
 
 
 def forward(net: Mlp, x) -> np.ndarray:
-    """Batched evaluation: rows of x are samples."""
-    return _forward_cached(net, x)[-1]
+    """Batched evaluation: rows of x are samples. Unlike _forward_cached it
+    keeps no activations, so memory does not grow with depth (the
+    interpolating networks have 2 n + 1 layers for n points)."""
+    h = _check_input(net, x)
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = _act(h @ w.T + b, net.activation)
+    return h @ net.weights[-1].T + net.biases[-1]
 
 
 def backward(net: Mlp, x, upstream, cache: list[np.ndarray]) -> np.ndarray:
@@ -169,3 +185,141 @@ def gradcheck(net: Mlp, x, epsilon: float = 1e-6) -> float:
 
 def mlp_copy(net: Mlp) -> Mlp:
     return Mlp(net.arch, net.weights, net.biases, net.activation)
+
+
+# Hat-bump building blocks: N(t) = A3 relu(A2 relu(A1 t + b1(a,b)) + b2) + b3
+# equals 1 on [a, b], 0 outside [a - 1/2, b + 1/2], linear in between.
+_A1 = np.array([[-2.0], [2.0]])
+_A2 = -np.eye(2)
+_B2 = np.ones(2)
+_A3 = np.array([[1.0, 1.0]])
+_B3 = -1.0
+# Paired +/- channels pass a signed value through ReLU: relu(t) - relu(-t) = t.
+_P = np.array([1.0, -1.0])
+
+
+@dataclass
+class SeparatingDirection:
+    """Unit direction v and scale factor such that the projected points
+    scale * v.T y are pairwise at least 2 apart."""
+
+    v: np.ndarray
+    scale: float
+
+
+def find_separating_direction(points, seed: int = 0) -> SeparatingDirection:
+    """Search random unit directions for the one with the largest minimum
+    projected gap, then rescale that gap to exactly 2."""
+    y = np.ascontiguousarray(points, dtype=np.float64)
+    if y.ndim != 2:
+        raise ValueError(f"points must be n x d, got shape {y.shape}")
+    check_distinct_sensors(y)
+    n, d = y.shape
+    if n == 1:
+        v = np.zeros(d)
+        v[0] = 1.0
+        return SeparatingDirection(v=v, scale=1.0)
+
+    rng = np.random.default_rng(seed)
+    n_trials = 1024
+    dirs = rng.normal(size=(n_trials, d))
+    dirs /= np.sqrt(np.sum(dirs * dirs, axis=1))[:, None]
+    projections = y @ dirs.T  # n x n_trials
+    projections.sort(axis=0)
+    gaps = np.min(np.diff(projections, axis=0), axis=0)
+    best = int(np.argmax(gaps))
+    if gaps[best] <= 0.0:
+        raise DuplicateSensorError(
+            "no sampled direction separates the points; two of them may "
+            "coincide to machine precision"
+        )
+    return SeparatingDirection(v=dirs[best], scale=2.0 / float(gaps[best]))
+
+
+def _entry_block(v_scaled: np.ndarray, a: float, b: float):
+    """First block: project, start the hat stack, pass the projection on."""
+    w1 = np.vstack([_A1 @ v_scaled[None, :], np.outer(_P, v_scaled)])
+    b1 = np.array([2.0 * a, -2.0 * b, 0.0, 0.0])
+    w2 = np.zeros((4, 4))
+    w2[:2, :2] = _A2
+    w2[2:, 2:] = np.eye(2)
+    b2 = np.concatenate([_B2, np.zeros(2)])
+    return (w1, b1), (w2, b2)
+
+
+def _middle_block(r: int, a: float, b: float):
+    """Inner block input map (takes (t, z) in R^{1+r}) and its mixing layer."""
+    width = 2 * r + 4
+    w_in = np.zeros((width, r + 1))
+    w_in[:2, 0] = _A1[:, 0]
+    w_in[2:4, 0] = _P
+    for k in range(r):
+        w_in[4 + 2 * k : 6 + 2 * k, 1 + k] = _P
+    b_in = np.zeros(width)
+    b_in[0] = 2.0 * a
+    b_in[1] = -2.0 * b
+    w_mid = np.eye(width)
+    w_mid[:2, :2] = _A2
+    b_mid = np.zeros(width)
+    b_mid[:2] = _B2
+    return (w_in, b_in), (w_mid, b_mid)
+
+
+def _output_map(r: int, width: int, coeff: np.ndarray):
+    """Map a block's second hidden layer to (t, z + coeff * hat).
+
+    The entry block (width 4) carries no z channels yet, so its output is
+    (t, coeff * hat) and the passthrough columns are absent."""
+    w = np.zeros((r + 1, width))
+    w[0, 2] = 1.0
+    w[0, 3] = -1.0
+    w[1:, :2] = np.outer(coeff, _A3)
+    if width > 4:
+        for k in range(r):
+            w[1 + k, 4 + 2 * k] = 1.0
+            w[1 + k, 5 + 2 * k] = -1.0
+    b = np.concatenate([[0.0], _B3 * coeff])
+    return w, b
+
+
+def interpolating_relu(points, values, seed: int = 0) -> Mlp:
+    """The deep ReLU network of hat-bump blocks whose output at points[i]
+    is values[i], exact up to rounding (see the module docstring).
+
+    points is n x d with distinct rows (DuplicateSensorError otherwise),
+    values is n x r; seed drives the search for the separating direction."""
+    y = np.ascontiguousarray(points, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != y.shape[0]:
+        raise ShapeError(f"values shape {values.shape} != ({y.shape[0]}, r)")
+    direction = find_separating_direction(y, seed=seed)
+    v_scaled = direction.scale * direction.v
+    projected = y @ v_scaled
+    order = np.argsort(projected, kind="stable")
+    # Center each hat's plateau on its point so evaluation is insensitive
+    # to last-ulp differences in the projection.
+    centers = projected[order]
+    coeffs = values[order]
+    r = values.shape[1]
+
+    (w1, b1), (w2, b2) = _entry_block(v_scaled, centers[0] - 0.25, centers[0] + 0.25)
+    weights = [w1, w2]
+    biases = [b1, b2]
+    out_w, out_b = _output_map(r, 4, coeffs[0])
+
+    width = 2 * r + 4
+    for j in range(1, y.shape[0]):
+        (w_in, b_in), (w_mid, b_mid) = _middle_block(
+            r, centers[j] - 0.25, centers[j] + 0.25
+        )
+        # The previous block's affine output fuses with this block's affine
+        # input: no activation sits between them.
+        weights += [w_in @ out_w, w_mid]
+        biases += [w_in @ out_b + b_in, b_mid]
+        out_w, out_b = _output_map(r, width, coeffs[j])
+
+    # The last block's output drops the carried projection t.
+    weights.append(out_w[1:])
+    biases.append(out_b[1:])
+    arch = tuple(w.shape[1] for w in weights) + (r,)
+    return Mlp(arch=arch, weights=weights, biases=biases, activation="relu")

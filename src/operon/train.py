@@ -29,7 +29,7 @@ from .deeponet import (
     monolithic_loss,
     monolithic_loss_and_grads,
 )
-from .errors import NonFiniteGradientError, RankDeficientError
+from .errors import DuplicateSensorError, NonFiniteGradientError, RankDeficientError
 from .nn import Mlp
 from .optimize import AdamState, adam_step, step_decay
 
@@ -298,63 +298,26 @@ def finish_two_step(
     return model, report
 
 
-def _min_norm_solve(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm x with design @ x ~= rhs for a wide design matrix.
-
-    Solved through the thin SVD. Smooth feature matrices sit right at the
-    numerical-rank boundary, so retention goes down to the rounding floor
-    (one-sided Jacobi resolves small singular values to high relative
-    accuracy); only genuine noise directions are dropped, keeping the
-    interpolation residual at the discarded-singular-value level."""
-    svd = linalg.jacobi_svd(design, rank_tol=1e-14)
-    return svd.v @ ((svd.u.T @ rhs) / svd.sigma[:, None])
-
-
 def fit_interpolating_branch(
-    f_inputs: np.ndarray,
-    target: np.ndarray,
-    width: int | None = None,
-    seed: int = 0,
-    activation: str = "tanh",
+    f_inputs: np.ndarray, target: np.ndarray, seed: int = 0
 ) -> tuple[Mlp, float]:
-    """Construct a two-layer branch that interpolates the step-2 target.
+    """Construct the deep ReLU branch whose output at training input k is
+    column k of the step-2 target (nn.interpolating_relu), so the fit
+    interpolates up to rounding. Returns (branch, loss).
 
-    The hidden layer is drawn at random and frozen; the output layer is the
-    minimum-norm exact solution of the resulting linear system, so for
-    width >= K the fit interpolates up to rounding. Returns (branch, loss)."""
-    if activation not in nn.ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
+    Duplicate inputs raise DuplicateSensorError: no function takes two
+    different targets at one input."""
     f_inputs = np.ascontiguousarray(f_inputs, dtype=np.float64)
-    k, m_x = f_inputs.shape
-    n1 = target.shape[0]
+    k = f_inputs.shape[0]
     if target.shape[1] != k:
         raise ValueError(f"target columns {target.shape[1]} != K {k}")
-    if width is None:
-        width = max(2 * k, 16)
-    rng = np.random.default_rng(seed)
-    # Fold a per-coordinate rescaling of the inputs onto [-1, 1] into the
-    # first layer so the random features stay diverse whatever the raw
-    # input range is.
-    lo = f_inputs.min(axis=0)
-    hi = f_inputs.max(axis=0)
-    center = 0.5 * (hi + lo)
-    halfspan = np.where(hi > lo, 0.5 * (hi - lo), 1.0)
-    raw = rng.normal(0.0, 1.2, (width, m_x))
-    w1 = raw / halfspan
-    b1 = rng.normal(0.0, 0.8, width) - w1 @ center
-    hidden = nn._act(f_inputs @ w1.T + b1, activation)
-    design = np.hstack([hidden, np.ones((k, 1))])
-    coeffs = _min_norm_solve(design, target.T)  # (width+1) x n1
-    w2 = coeffs[:-1].T
-    b2 = coeffs[-1]
-    branch = Mlp(
-        arch=(m_x, width, n1),
-        weights=[w1, w2],
-        biases=[b1, b2],
-        activation=activation,
-    )
-    c = assemble_c(branch, f_inputs)
-    diff = c - target
+    try:
+        branch = nn.interpolating_relu(f_inputs, target.T, seed=seed)
+    except DuplicateSensorError as exc:
+        raise DuplicateSensorError(
+            f"training inputs repeat, and no branch takes two targets at one input: {exc}"
+        ) from exc
+    diff = assemble_c(branch, f_inputs) - target
     return branch, float(np.sum(diff * diff)) / k
 
 

@@ -257,11 +257,11 @@ def test_criterion_03_interpolation_certificates():
         u_sq = float(np.sum(u * u))
         rank = jacobi_svd(u).rank
         for n in (rank, rank + 2):
-            trunk, a_star = build_interpolating_trunk(data.y_sensors, u, n, seed=seed)
+            trunk, a_star, _ = build_interpolating_trunk(data.y_sensors, u, n, seed=seed)
             resid = float(np.sum((assemble_phi(trunk, data.y_sensors) @ a_star - u) ** 2))
             assert resid <= 1e-8 * u_sq, f"seed {seed}, N={n}"
         for n in (max(1, rank - 1), max(1, rank - 2)):
-            trunk, a_star = build_interpolating_trunk(data.y_sensors, u, n, seed=seed)
+            trunk, a_star, _ = build_interpolating_trunk(data.y_sensors, u, n, seed=seed)
             resid = float(np.sum((assemble_phi(trunk, data.y_sensors) @ a_star - u) ** 2))
             bound = best_rank_k_error(u, n)
             assert resid <= bound * (1 + 1e-6) + 1e-10 * u_sq, f"seed {seed}, N={n}"

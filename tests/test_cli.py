@@ -313,6 +313,20 @@ class TestCertify:
         code = main(["certify", "--data", str(dataset_dir), "--N", str(rank - 1)])
         assert code == 0
 
+    def test_readme_example_at_and_above_rank(self, tmp_path):
+        from operon.linalg import jacobi_svd
+
+        data = tmp_path / "ex1"
+        assert main(
+            ["generate", "--example", "ex1", "--grid-n", "17", "--k", "200", "--out", str(data), "--seed", "1"]
+        ) == 0
+        rank = jacobi_svd(load_dataset(data).train_u()).rank
+        for width in (rank, rank + 2):
+            out = tmp_path / f"cert_{width}.json"
+            code = main(["certify", "--data", str(data), "--N", str(width), "--out", str(out)])
+            assert code == 0, f"N={width}"
+            assert json.loads(out.read_text())["equivalence_applicable"] is True
+
     @pytest.mark.parametrize("width", ["0", "-3"])
     def test_width_below_one_exits_2(self, tmp_path, capsys, width):
         # The dataset is never read: a missing one would exit 1.
@@ -575,6 +589,7 @@ class TestLoaderFuzz:
         else:
             assert code in (1, 2)
             assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
         return code, err
 
     @staticmethod
@@ -621,6 +636,35 @@ class TestLoaderFuzz:
         edited = _apply(manifest, ("drop", key) if value is None else ("set", key, value))
         code, _ = self._eval(workspace, "data/manifest.json", edited)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("model/model.json", lambda m: {**m, "dtype": "f32be"}),
+            ("model/model.json", lambda m: {k: v for k, v in m.items() if k != "dtype"}),
+            ("data/manifest.json", lambda m: {**m, "dtype": "f32be"}),
+            ("data/manifest.json", lambda m: {k: v for k, v in m.items() if k != "dtype"}),
+            ("model/model.json", lambda m: {**m, "has_t_matrix": False}),
+        ],
+        ids=["model-dtype-f32be", "model-dtype-missing", "data-dtype-f32be", "data-dtype-missing",
+             "t-matrix-unannounced"],
+    )
+    def test_manifest_disagrees_with_files(self, workspace, name, edit):
+        code, err = self._eval(workspace, name, edit(self._manifest(workspace, name)))
+        assert code == 1
+        assert "dtype" in err or "t_matrix.bin exists" in err
+
+    def test_target_near_float64_limit(self, workspace):
+        # Squares of such an entry overflow; the errors must not.
+        manifest = self._manifest(workspace, "data/manifest.json")
+        k = manifest["K"]
+        raw = bytearray((workspace / "data/U.bin").read_bytes())
+        at = 8 * (3 * k + manifest["split"]["test"][0])  # row 3, first test column
+        raw[at : at + 8] = np.array([1e308], "<f8").tobytes()
+        code, _ = self._eval(workspace, "data/U.bin", bytes(raw))
+        assert code == 0
+        report = json.loads((workspace / "eval" / "eval.json").read_text())
+        assert all(np.isfinite(report["rel_errors"] + report["optimal_errors"]))
 
     @given(data=st.data())
     @FUZZ

@@ -6,7 +6,7 @@ from operon.construct import (
     find_separating_direction,
     verify_zero_loss_pipeline,
 )
-from operon.data import OperatorDataset
+from operon.data import OperatorDataset, gen_example1, split_dataset
 from operon.deeponet import assemble_phi
 from operon.errors import DuplicateSensorError, ZeroMatrixError
 from operon.linalg import best_rank_k_error, jacobi_svd
@@ -54,7 +54,7 @@ class TestBuildInterpolatingTrunk:
         rng = np.random.default_rng(0)
         y = rng.uniform(-1, 1, (12, 2))
         u = rng.normal(size=(12, 5))
-        trunk, a_star = build_interpolating_trunk(y, u, 5)
+        trunk, a_star, _ = build_interpolating_trunk(y, u, 5)
         phi = assemble_phi(trunk, y)
         resid = np.sum((phi @ a_star - u) ** 2)
         assert resid <= 1e-16 * np.sum(u * u)
@@ -64,7 +64,7 @@ class TestBuildInterpolatingTrunk:
         y = rng.uniform(-1, 1, (10, 2))
         u = rng.normal(size=(10, 6))
         n = 3
-        trunk, a_star = build_interpolating_trunk(y, u, n)
+        trunk, a_star, _ = build_interpolating_trunk(y, u, n)
         phi = assemble_phi(trunk, y)
         resid = np.sum((phi @ a_star - u) ** 2)
         ey = best_rank_k_error(u, n)
@@ -78,7 +78,7 @@ class TestBuildInterpolatingTrunk:
         u = z @ w
         y = rng.uniform(-1, 1, (8, 1))
         z_ref, _ = _power_iteration_rank1(u)
-        trunk, a_star = build_interpolating_trunk(y, u, 1)
+        trunk, a_star, _ = build_interpolating_trunk(y, u, 1)
         vals = forward(trunk, y)[:, 0]
         # agreement up to the SVD sign convention
         sign = np.sign(vals @ z_ref)
@@ -92,9 +92,8 @@ class TestBuildInterpolatingTrunk:
         y = rng.uniform(-1, 1, (m_y, 2))
         u = rng.normal(size=(m_y, 4))
         n = 4
-        trunk, _ = build_interpolating_trunk(y, u, n)
-        r = min(n, jacobi_svd(u).rank)
-        n_tilde = 2 * r + 4
+        trunk, _, _ = build_interpolating_trunk(y, u, n)
+        n_tilde = 2 * n + 4
         expected = (2, 4, 4) + (n_tilde,) * (2 * m_y - 2) + (n,)
         assert trunk.arch == expected
         assert len(trunk.weights) == 2 * m_y + 1
@@ -104,19 +103,29 @@ class TestBuildInterpolatingTrunk:
         y = rng.uniform(-1, 1, (15, 2))
         u = rng.normal(size=(15, 6))
         svd = jacobi_svd(u)
-        trunk, _ = build_interpolating_trunk(y, u, 6)
+        trunk, _, _ = build_interpolating_trunk(y, u, 6)
         vals = forward(trunk, y)
         assert np.max(np.abs(vals[:, : svd.rank] - svd.u)) <= 1e-10
         assert np.array_equal(vals[:, svd.rank :], np.zeros((15, 0)))
 
-    def test_padding_columns_zero(self):
+    def test_padding_columns_orthonormal(self):
         rng = np.random.default_rng(5)
         y = rng.uniform(-1, 1, (8, 2))
         base = rng.normal(size=(8, 2))
         u = base @ rng.normal(size=(2, 5))  # rank 2
-        trunk, _ = build_interpolating_trunk(y, u, 4)
+        trunk, a_star, svd = build_interpolating_trunk(y, u, 4)
         vals = forward(trunk, y)
-        assert np.array_equal(vals[:, 2:], np.zeros((8, 2)))
+        pad = vals[:, 2:]
+        assert np.max(np.abs(pad.T @ pad - np.eye(2))) <= 1e-12
+        assert np.max(np.abs(pad.T @ np.ones(8))) <= 1e-12
+        assert np.max(np.abs(pad.T @ svd.u)) <= 1e-12
+        assert np.array_equal(a_star[3:], np.zeros((2, 5)))
+
+    def test_width_above_sensor_count_rejected(self):
+        rng = np.random.default_rng(11)
+        y = rng.uniform(-1, 1, (5, 2))
+        with pytest.raises(ValueError, match="width"):
+            build_interpolating_trunk(y, rng.normal(size=(5, 3)), 5)
 
     def test_zero_matrix_rejected(self):
         y = np.random.default_rng(6).uniform(-1, 1, (5, 2))
@@ -159,6 +168,13 @@ class TestZeroLossPipeline:
         with pytest.raises(ZeroMatrixError):
             verify_zero_loss_pipeline(data, 2)
 
+    def test_above_rank_certificate(self):
+        data = self._dataset(seed=11, m_y=12, k=4)
+        rank = jacobi_svd(data.u_matrix).rank
+        cert = verify_zero_loss_pipeline(data, rank + 3)
+        assert cert.zero_loss_passed and cert.equivalence_applicable
+        assert cert.passed
+
     def test_certificate_serializes(self):
         data = self._dataset(seed=10)
         rank = jacobi_svd(data.u_matrix).rank
@@ -172,3 +188,23 @@ class TestZeroLossPipeline:
             "assembled_loss",
             "zero_loss_passed",
         }
+
+
+@pytest.fixture(scope="module")
+def replica_train():
+    """The acceptance replica's data: K=200 conductivities in [1, 100] on
+    a 17x17 grid, split 0.9 with seed 1 (180 training samples, rank 6)."""
+    return split_dataset(gen_example1(np.linspace(1, 100, 200), 17), 0.9, seed=1)
+
+
+@pytest.mark.parametrize("offset", [-2, 0, 2])
+def test_replica_certificate_around_rank(replica_train, offset):
+    rank = jacobi_svd(replica_train.train_u()).rank
+    cert = verify_zero_loss_pipeline(replica_train, rank + offset)
+    k = replica_train.train_idx.size
+    assert cert.equivalence_applicable and cert.equivalence_passed
+    assert cert.passed
+    # branch_loss is ||C - target||^2 / K; the target is R A, whose norm
+    # equals ||Phi A|| = the reconstruction's.
+    target_sq = cert.u_norm_sq - cert.trunk_residual_sq
+    assert cert.branch_loss <= 1e-24 * target_sq / k

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from operon.data import gen_example1
-from operon.deeponet import DeepONetModel, assemble_phi, predict
+from operon.deeponet import DeepONetModel, assemble_phi, model_basis, predict
 from operon.evaluate import (
     SweepSettings,
     conditional_optimal,
@@ -58,27 +58,42 @@ class TestConditionalOptimal:
         basis = assemble_phi(model.trunk, data.y_sensors) @ model.t_matrix
         coeff = np.random.default_rng(1).normal(size=model.width + 1)
         u = basis @ coeff
-        _, err = conditional_optimal(model, data.y_sensors, u)
+        _, err = conditional_optimal(model_basis(model, data.y_sensors), u)
         assert err <= 1e-10
 
     def test_matrix_target_equals_column_calls(self):
         model, data = _trained_model(seed=3)
         targets = data.u_matrix[:, data.test_idx]
-        a_mat, errors = conditional_optimal(model, data.y_sensors, targets)
+        a_mat, errors = conditional_optimal(model_basis(model, data.y_sensors), targets)
         assert a_mat.shape == (model.width + 1, targets.shape[1])
         assert errors.shape == (targets.shape[1],)
         for j in range(targets.shape[1]):
-            a_j, err_j = conditional_optimal(model, data.y_sensors, targets[:, j])
+            a_j, err_j = conditional_optimal(model_basis(model, data.y_sensors), targets[:, j])
             assert isinstance(err_j, float)
             assert np.allclose(a_mat[:, j], a_j, rtol=1e-12, atol=1e-12 * np.abs(a_j).max())
             assert errors[j] == pytest.approx(err_j, rel=1e-12)
+
+    def test_errors_scale_free_up_to_float64_limit(self):
+        # Power-of-two rescaling is exact: the errors keep their bits even
+        # when the targets' squares would overflow.
+        model, data = _trained_model(seed=4)
+        basis = model_basis(model, data.y_sensors)
+        targets = data.u_matrix[:, data.test_idx]
+        huge = targets * 2.0 ** (1024 - np.frexp(np.abs(targets).max())[1])
+        assert np.abs(huge).max() > 8.9e307
+        a, errors = conditional_optimal(basis, targets)
+        large = targets * 2.0**900
+        for scaled in (huge, large):
+            assert np.array_equal(conditional_optimal(basis, scaled)[1], errors)
+        assert np.array_equal(conditional_optimal(basis, large)[0], a * 2.0**900)
+        assert relative_l2_error(np.zeros(len(huge)), huge[:, 0]) == 1.0
 
     def test_never_exceeds_model_error(self):
         model, data = _trained_model(seed=2)
         for k in data.test_idx:
             u = data.u_matrix[:, k]
             pred = predict(model, data.f_matrix[k], data.y_sensors)
-            _, opt = conditional_optimal(model, data.y_sensors, u)
+            _, opt = conditional_optimal(model_basis(model, data.y_sensors), u)
             assert opt <= relative_l2_error(pred, u) + 1e-12
 
 
@@ -113,7 +128,7 @@ def _per_sample_reference(model, data, truncate_m):
         if truncate_m is not None:
             pred = truncate_prediction(pred, truncate_m)
         rel.append(relative_l2_error(pred, target))
-        opt.append(conditional_optimal(model, data.y_sensors, target)[1])
+        opt.append(conditional_optimal(model_basis(model, data.y_sensors), target)[1])
     return np.array(rel), np.array(opt)
 
 

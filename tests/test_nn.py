@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import operon
 from operon.deeponet import _pack_mlp
 from operon.errors import ShapeError
 from operon.nn import (
@@ -186,3 +192,17 @@ class TestCopy:
         dup = mlp_copy(net)
         dup.weights[0][0, 0] += 1.0
         assert net.weights[0][0, 0] != dup.weights[0][0, 0]
+
+
+@pytest.mark.parametrize("module", ["operon.nn", "operon.train", "operon.construct"])
+def test_module_imports_first_in_fresh_interpreter(module):
+    # An import cycle between the modules shows only when one of them is
+    # the first to be imported.
+    src = str(Path(operon.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )

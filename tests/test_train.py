@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from operon import linalg
 from operon.data import OperatorDataset, split_dataset
 from operon.deeponet import (
     DeepONetModel,
@@ -12,7 +11,7 @@ from operon.deeponet import (
     monolithic_loss,
     save_model,
 )
-from operon.errors import NonFiniteGradientError
+from operon.errors import DuplicateSensorError, NonFiniteGradientError
 from operon.nn import init_mlp
 from operon.train import (
     TrainConfig,
@@ -351,26 +350,20 @@ class TestInterpolatingBranch:
         rel = loss * 6 / np.sum(target * target)
         assert rel <= 1e-20
 
-    def test_respects_architecture(self):
+    def test_reproduces_random_target(self):
         rng = np.random.default_rng(21)
-        f = rng.normal(size=(3, 5))
-        target = rng.normal(size=(2, 3))
-        branch, _ = fit_interpolating_branch(f, target, width=10, seed=21)
-        assert branch.arch == (5, 10, 2)
+        f = rng.normal(size=(60, 3))
+        target = rng.normal(size=(7, 60))
+        branch, loss = fit_interpolating_branch(f, target, seed=21)
+        assert branch.activation == "relu" and branch.arch[-1] == 7
+        assert loss * 60 <= 1e-24 * np.sum(target * target)
 
-    def test_unknown_activation_rejected(self, monkeypatch):
-        # An unknown name used to fit on ReLU features and evaluate as tanh,
-        # and was then rejected only after the SVD of the design had run.
+    def test_duplicate_inputs_rejected(self):
         rng = np.random.default_rng(23)
         f = rng.normal(size=(10, 2))
-        target = rng.normal(size=(3, 10))
-
-        def no_svd(*args, **kwargs):
-            raise AssertionError("jacobi_svd ran before the activation was checked")
-
-        monkeypatch.setattr(linalg, "jacobi_svd", no_svd)
-        with pytest.raises(ValueError, match="unknown activation 'sigmoid'"):
-            fit_interpolating_branch(f, target, seed=23, activation="sigmoid")
+        f[7] = f[2]
+        with pytest.raises(DuplicateSensorError, match="2 and 7"):
+            fit_interpolating_branch(f, rng.normal(size=(3, 10)), seed=23)
 
 
 class TestReportIo:
