@@ -20,6 +20,7 @@ import numpy as np
 from . import linalg
 from .data import OperatorDataset
 from .deeponet import DeepONetModel, assemble_phi
+from .errors import RankDeficientError
 # SeparatingDirection and find_separating_direction stay importable from here.
 from .nn import Mlp, SeparatingDirection, find_separating_direction, interpolating_relu
 from .train import check_two_step_equivalence, fit_interpolating_branch, orthonormalize
@@ -54,6 +55,15 @@ def build_interpolating_trunk(
     svd = linalg.jacobi_svd(u)
     r = min(n_width, svd.rank)
     values = svd.u[:, :r]
+    # Phi = [1, trunk] has full column rank only if the constant is off
+    # span(Z_r); the bound is householder_qr's dependency test on [1, Z_r].
+    off_span = linalg.frobenius(1.0 - values @ np.sum(values, axis=0))
+    if off_span <= linalg.RANK_TOL * np.sqrt(m_y + r):
+        raise RankDeficientError(
+            f"the constant function lies in U's leading output space (distance "
+            f"{off_span:.3e} from the span of the first {r} left singular "
+            f"vectors), so the trunk basis [1, Z] is dependent at width N={n_width}"
+        )
     if n_width > r:
         # Zero padding would make Phi's columns dependent; the Q factor of
         # [1, Z_r, G] extends [1, Z_r] by orthonormal columns instead.

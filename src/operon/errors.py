@@ -38,4 +38,11 @@ class CorruptDatasetError(OperonError):
 
 
 class SolverError(OperonError):
-    """An iterative solver failed to reach its residual target."""
+    """An iterative solver failed to reach its residual target. A solve of
+    a stack of systems names the failing one: `system` is its index in the
+    stack and `reason` the message without it."""
+
+    def __init__(self, reason: str, system: int | None = None):
+        super().__init__(reason if system is None else f"system {system}: {reason}")
+        self.reason = reason
+        self.system = system

@@ -100,6 +100,22 @@ class TestGenerate:
         assert code == 0
         assert load_dataset(tmp_path / "d2").m_x == 49
 
+    def test_ex2_solver_failure_names_beta(self, tmp_path, monkeypatch, capsys):
+        from operon import data as data_module
+        from operon.errors import SolverError
+
+        def stall(operator, rhs, rtol=1e-12):
+            raise SolverError("conjugate gradient stalled", system=1)
+
+        monkeypatch.setattr(data_module, "_conjugate_gradient", stall)
+        code = main(
+            ["generate", "--example", "ex2", "--grid-n", "7", "--k", "12", "--out", str(tmp_path / "d2")]
+        )
+        assert code == 1
+        beta = float(np.linspace(0.01, 10.0, 12)[1])
+        assert capsys.readouterr().err == f"error: beta={beta!r}: conjugate gradient stalled\n"
+        assert not (tmp_path / "d2").exists()
+
 
 class TestTrain:
     def test_two_step_writes_artifacts(self, dataset_dir, tmp_path):
@@ -326,6 +342,21 @@ class TestCertify:
             code = main(["certify", "--data", str(data), "--N", str(width), "--out", str(out)])
             assert code == 0, f"N={width}"
             assert json.loads(out.read_text())["equivalence_applicable"] is True
+
+    @pytest.mark.parametrize("width", ["2", "4"])
+    def test_constant_in_output_space_exits_1(self, tmp_path, capsys, width):
+        # ex2's kappa fields are 1 + (beta - 1) * disk: U has rank 2 and the
+        # constant function in its column space, so [1, Z] is dependent.
+        data = tmp_path / "ex2"
+        assert main(
+            ["generate", "--example", "ex2", "--grid-n", "9", "--k", "20", "--out", str(data), "--seed", "1"]
+        ) == 0
+        capsys.readouterr()
+        code = main(["certify", "--data", str(data), "--N", width])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the constant function lies in U's leading output space")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("width", ["0", "-3"])
     def test_width_below_one_exits_2(self, tmp_path, capsys, width):

@@ -132,9 +132,9 @@ class TestExample2:
     def test_operator_symmetric(self, monkeypatch, grid_n):
         operators = []
 
-        def capture(apply_op, rhs, rtol=1e-12):
-            operators.append((apply_op, rhs.shape))
-            return cg(apply_op, rhs, rtol)
+        def capture(operator, rhs, rtol=1e-12):
+            operators.append((operator(np.arange(1)), rhs.shape))
+            return cg(operator, rhs, rtol)
 
         cg = data_module._conjugate_gradient
         monkeypatch.setattr(data_module, "_conjugate_gradient", capture)
@@ -149,11 +149,108 @@ class TestExample2:
         dense = np.column_stack(columns)
         assert np.array_equal(dense, dense.T)
 
+    @pytest.mark.parametrize("grid_n", [7, 33, 39])
+    def test_stack_invariance(self, grid_n):
+        # 70 betas make two full blocks and a partial one; every column must
+        # equal its own one-beta solve byte for byte.
+        betas = np.linspace(0.01, 10.0, 70)
+        stacked = gen_example2(betas, grid_n)
+        for k, beta in enumerate(betas):
+            alone = gen_example2([beta], grid_n)
+            assert stacked.f_matrix[k].tobytes() == alone.f_matrix[0].tobytes()
+            assert stacked.u_matrix[:, k].tobytes() == alone.u_matrix[:, 0].tobytes()
+
+    def test_solver_error_names_beta(self, monkeypatch):
+        # A failure in the second block names the beta, not its index there.
+        betas = np.linspace(0.01, 10.0, data_module.DARCY_BLOCK + 5)
+
+        def fail_second_block(operator, rhs, rtol=1e-12):
+            if rhs.shape[0] == 5:
+                raise SolverError("stalled", system=3)
+            return cg(operator, rhs, rtol)
+
+        cg = data_module._conjugate_gradient
+        monkeypatch.setattr(data_module, "_conjugate_gradient", fail_second_block)
+        with pytest.raises(SolverError, match=f"^beta={float(betas[-2])!r}: stalled$"):
+            gen_example2(betas, 7)
+
+
+def _scaled_laplacian(scales: np.ndarray):
+    """Operators x -> scales[b] * L x for the 5-point Laplacian L."""
+
+    def operator(systems):
+        s = scales[systems][:, None, None]
+
+        def apply_op(x):
+            out = 4.0 * x
+            out[:, 1:] -= x[:, :-1]
+            out[:, :-1] -= x[:, 1:]
+            out[:, :, 1:] -= x[:, :, :-1]
+            out[:, :, :-1] -= x[:, :, 1:]
+            return s * out
+
+        return apply_op
+
+    return operator
+
+
+def _scalar_cg(apply_op, rhs, rtol=1e-12):
+    """Reference: CG on one system with Python-float scalars."""
+    u = np.zeros_like(rhs)
+    r = rhs - apply_op(u)
+    p = r.copy()
+    rr = float(np.sum(r * r))
+    target = rtol * max(1.0, float(np.sqrt(np.sum(rhs * rhs))))
+    while np.sqrt(rr) > target:
+        ap = apply_op(p)
+        alpha = rr / float(np.sum(p * ap))
+        u += alpha * p
+        r -= alpha * ap
+        rr_new = float(np.sum(r * r))
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return u
+
 
 class TestConjugateGradient:
     def test_indefinite_operator_raises_solver_error(self):
         with pytest.raises(SolverError, match="not positive definite"):
-            data_module._conjugate_gradient(np.zeros_like, np.ones((3, 3)))
+            data_module._conjugate_gradient(lambda systems: np.zeros_like, np.ones((1, 3, 3)))
+
+    def test_failing_system_is_named(self):
+        scales = np.array([1.0, 2.0, -1.0, 3.0])
+        rhs = np.ones((4, 5, 5))
+        with pytest.raises(SolverError, match="^system 2: operator is not positive") as info:
+            data_module._conjugate_gradient(_scaled_laplacian(scales), rhs)
+        assert info.value.system == 2
+
+    def test_stalled_system_is_named(self):
+        # I + 3S with S skew has p.Ap = |p|^2 > 0, but CG does not converge
+        # on it; the identity system beside it leaves after one step.
+        rng = np.random.default_rng(0)
+        skew = rng.normal(size=(6, 6))
+        matrices = np.stack([np.eye(6), np.eye(6) + 3.0 * (skew - skew.T)])
+
+        def operator(systems):
+            return lambda x: np.einsum("bij,bj->bi", matrices[systems], x)
+
+        with pytest.raises(SolverError, match="^system 1: conjugate gradient stalled") as info:
+            data_module._conjugate_gradient(operator, np.ones((2, 6)))
+        assert info.value.system == 1
+
+    def test_stacked_solutions_equal_single_solves(self):
+        # System 0 leaves at iteration 0; system 1 needs many iterations.
+        rng = np.random.default_rng(0)
+        scales = np.array([1.0, 0.7, 2.5])
+        rhs = np.stack([np.zeros((15, 15)), rng.normal(size=(15, 15)), np.ones((15, 15))])
+        stacked = data_module._conjugate_gradient(_scaled_laplacian(scales), rhs)
+        assert np.all(stacked[0] == 0.0)
+        for b in range(3):
+            operator = _scaled_laplacian(scales[b : b + 1])
+            alone = data_module._conjugate_gradient(operator, rhs[b : b + 1])
+            assert stacked[b].tobytes() == alone[0].tobytes()
+            reference = _scalar_cg(lambda x: operator([0])(x[None])[0], rhs[b])
+            assert stacked[b].tobytes() == reference.tobytes()
 
 
 class TestExample3:
