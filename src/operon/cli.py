@@ -296,8 +296,10 @@ def _cmd_sweep(args) -> int:
     threads = os.environ.get("OPERON_THREADS", "1")
     try:
         workers = int(threads)
-    except ValueError as exc:
-        raise ConfigError(f"OPERON_THREADS must be an int, got {threads!r}") from exc
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"OPERON_THREADS must be an int >= 1, got {threads!r}")
     config = _load_config(args.config, _SWEEP_SCHEMA)
     try:
         values = [int(v) for v in args.values.split(",")]
@@ -306,7 +308,7 @@ def _cmd_sweep(args) -> int:
     settings = _from_config(ev.SweepSettings, config)
     try:
         table = ev.generalization_sweep(
-            settings, args.axis, values, args.replicates, max_workers=max(1, workers)
+            settings, args.axis, values, args.replicates, max_workers=workers
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -9,7 +9,7 @@ dataset and model sizes.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -254,6 +254,12 @@ def run_two_step_once(settings: SweepSettings, seed: int) -> float:
     return evaluate_model(model, data).mean_rel_error
 
 
+# Pinned to one thread in the sweep's workers. A spawned worker loads numpy,
+# and with it BLAS, before any initializer runs, so the environment it
+# starts with is the only place to set them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def generalization_sweep(
     settings: SweepSettings,
     axis: str,
@@ -262,7 +268,13 @@ def generalization_sweep(
     max_workers: int = 1,
 ) -> SweepTable:
     """Train two-step models end to end for each axis value, with fresh
-    seeds per replicate, and tabulate mean/std test relative errors."""
+    seeds per replicate, and tabulate mean/std test relative errors.
+
+    The runs go to min(max_workers, runs) spawned worker processes that
+    compute with one BLAS thread each, so the table is the same at any
+    worker count and on any core count. A failing sweep raises the error
+    of its first failing run in table order. Workers are spawned, so a
+    script that calls this needs the `if __name__ == "__main__":` guard."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = [int(v) for v in values]
@@ -270,38 +282,50 @@ def generalization_sweep(
         raise ValueError(f"values must be strictly increasing, got {values}")
     if replicates < 3:
         raise ValueError(f"need at least 3 replicates, got {replicates}")
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
 
     jobs = []
     for i, value in enumerate(values):
         run_settings = replace(settings, **{_AXIS_FIELDS[axis]: value})
         for rep in range(replicates):
-            seed = settings.base_seed + 1000 * i + 10 * rep
-            jobs.append((i, rep, run_settings, seed))
+            jobs.append((run_settings, settings.base_seed + 1000 * i + 10 * rep))
 
-    results: dict[tuple[int, int], float] = {}
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                pool.submit(run_two_step_once, s, seed): (i, rep)
-                for i, rep, s, seed in jobs
-            }
-            for future, key in futures.items():
-                results[key] = future.result()
-    else:
-        for i, rep, s, seed in jobs:
-            results[(i, rep)] = run_two_step_once(s, seed)
+    # Imported here: at module level they add to every `import operon`.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        pool = ProcessPoolExecutor(
+            min(max_workers, len(jobs)), mp_context=multiprocessing.get_context("spawn")
+        )
+        try:
+            # A run costs more the larger its axis value, so the largest
+            # start first; results are read in job order.
+            futures = [pool.submit(run_two_step_once, *job) for job in reversed(jobs)][::-1]
+            errors = [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
     table = SweepTable(axis=axis)
     for i, value in enumerate(values):
-        errors = [results[(i, rep)] for rep in range(replicates)]
-        arr = np.asarray(errors)
+        row_errors = errors[i * replicates : (i + 1) * replicates]
+        arr = np.asarray(row_errors)
         table.rows.append(
             SweepRow(
                 axis=axis,
                 value=value,
                 mean_rel_error=float(arr.mean()),
                 std_rel_error=float(arr.std(ddof=1)),
-                replicate_errors=errors,
+                replicate_errors=row_errors,
             )
         )
     return table

@@ -157,9 +157,9 @@ def sweep_tables():
         base_seed=7,
     )
     start = time.perf_counter()
-    k_table = generalization_sweep(base, "K", [10, 50, 250], 3)
+    k_table = generalization_sweep(base, "K", [10, 50, 250], 3, max_workers=2)
     my_table = generalization_sweep(
-        replace(base, grid_n=33, k_train=60), "m_y", [64, 256, 1024], 3
+        replace(base, grid_n=33, k_train=60), "m_y", [64, 256, 1024], 3, max_workers=2
     )
     return {"K": k_table, "m_y": my_table, "wall_seconds": time.perf_counter() - start}
 

@@ -418,7 +418,7 @@ class TestSweep:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("threads", ["four", "2.5", ""])
+    @pytest.mark.parametrize("threads", ["four", "2.5", "", "0", "-4"])
     def test_thread_env_not_int_exits_2(self, tmp_path, monkeypatch, capsys, threads):
         monkeypatch.setenv("OPERON_THREADS", threads)
         out = tmp_path / "x"
@@ -429,6 +429,23 @@ class TestSweep:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: OPERON_THREADS") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_first_failing_value_reported(self, tmp_path, monkeypatch, capsys, threads):
+        # Runs of the largest value start first; the error is still that
+        # of the first failing value.
+        monkeypatch.setenv("OPERON_THREADS", threads)
+        out = tmp_path / "x"
+        code = main(
+            ["sweep", "--axis", "m_y", "--values", "2,3,4", "--replicates", "3",
+             "--config", str(self._sweep_config(tmp_path)), "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: width+1 (4) must not exceed the number of output sensors (2)\n"
+        )
         assert not out.exists()
 
     def test_thread_env_respected(self, tmp_path, monkeypatch):

@@ -1,6 +1,15 @@
+import concurrent.futures
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import operon
+from operon import evaluate
 from operon.data import gen_example1
 from operon.deeponet import DeepONetModel, assemble_phi, model_basis, predict
 from operon.evaluate import (
@@ -16,6 +25,17 @@ from operon.evaluate import (
 )
 from operon.nn import init_mlp
 from operon.train import TrainConfig, train_monolithic, train_two_step
+
+
+def _blas_threads_seen(settings, seed):
+    """Stands in for a sweep run: reports the worker's BLAS thread setting."""
+    return float(os.environ["OPENBLAS_NUM_THREADS"])
+
+
+def _fail_below_six(settings, seed):
+    if settings.k_train < 6:
+        raise ValueError(f"k_train {settings.k_train}")
+    return 1.0
 
 
 def _trained_model(seed=0, width=4, iters=300):
@@ -195,6 +215,8 @@ class TestSweep:
             generalization_sweep(settings, "K", [5, 6, 7], 2)
         with pytest.raises(ValueError):
             generalization_sweep(settings, "m_x", [2, 4], 3)
+        with pytest.raises(ValueError, match="max_workers"):
+            generalization_sweep(settings, "K", [4, 5, 6], 3, max_workers=0)
 
     def test_tiny_sweep_deterministic(self):
         settings = SweepSettings(
@@ -229,11 +251,74 @@ class TestSweep:
             iters_branch=40,
             base_seed=2,
         )
-        serial = generalization_sweep(settings, "m_y", [20, 30, 40], 3, max_workers=1)
-        threaded = generalization_sweep(settings, "m_y", [20, 30, 40], 3, max_workers=4)
-        assert [r.replicate_errors for r in serial.rows] == [
-            r.replicate_errors for r in threaded.rows
-        ]
+        one = generalization_sweep(settings, "m_y", [20, 30, 40], 3, max_workers=1)
+        four = generalization_sweep(settings, "m_y", [20, 30, 40], 3, max_workers=4)
+        assert [r.replicate_errors for r in one.rows] == [r.replicate_errors for r in four.rows]
+
+    def test_workers_compute_with_one_blas_thread(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "run_two_step_once", _blas_threads_seen)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        table = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
+        assert [r.replicate_errors for r in table.rows] == [[1.0] * 3] * 2
+        assert dict(os.environ) == before
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_is_first_failing_run_in_table_order(self, monkeypatch, workers):
+        # The largest values are submitted first, so at 2 workers K=5
+        # fails before K=4 has started.
+        monkeypatch.setattr(evaluate, "run_two_step_once", _fail_below_six)
+        before = dict(os.environ)
+        with pytest.raises(ValueError, match="^k_train 4$"):
+            generalization_sweep(SweepSettings(), "K", [4, 5, 6], 3, max_workers=workers)
+        assert dict(os.environ) == before
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers, size", [(8, 3), (2, 2)])
+    def test_pool_sized_by_runs(self, monkeypatch, workers, size):
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(evaluate, "run_two_step_once", _blas_threads_seen)
+        generalization_sweep(SweepSettings(), "K", [4], 3, max_workers=workers)
+        assert sizes == [size]
+
+    def test_bytes_independent_of_caller_blas_threads(self):
+        # At these shapes a sweep run in the caller's process gives
+        # different bytes with one BLAS thread than with two.
+        script = (
+            "from operon.evaluate import SweepSettings, generalization_sweep\n"
+            "if __name__ == '__main__':\n"
+            "    s = SweepSettings(k_test=5, grid_n=17, n_width=20, trunk_hidden=(20,),\n"
+            "        branch_hidden=(8,), activation='tanh', iters_trunk=3, iters_branch=3,\n"
+            "        lr=1e-2, base_seed=1)\n"
+            "    table = generalization_sweep(s, 'K', [250], 3)\n"
+            "    print([e.hex() for e in table.rows[0].replicate_errors])\n"
+        )
+        src = str(Path(operon.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in (None, "1", "2"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env={**env, "PYTHONPATH": path},
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_csv_output(self, tmp_path):
         settings = SweepSettings(
