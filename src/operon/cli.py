@@ -9,13 +9,13 @@ command with the same flags reproduces its artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
 import os
 import sys
 import typing
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -27,17 +27,20 @@ from .data import (
     BETA_RANGE_EX2,
     OperatorDataset,
     _is_int,
+    csv_text,
     gen_example1,
     gen_example2,
     gen_example3,
+    json_text,
     load_dataset,
     save_dataset,
     split_dataset,
     triplet_grid_sample,
+    write_artifact,
 )
-from .deeponet import DeepONetModel, ModelSpec, load_model, save_model
+from .deeponet import MODEL_MANIFEST, DeepONetModel, ModelSpec, load_model, model_files
 from .errors import OperonError
-from .train import TrainConfig, save_report, train_monolithic, train_two_step
+from .train import TrainConfig, report_files, train_monolithic, train_two_step
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -232,9 +235,7 @@ def _cmd_train(args) -> int:
         model, report = train_monolithic(data, model, cfg)
     else:
         model, report = train_two_step(data, model, cfg)
-    out = Path(args.out)
-    save_model(model, out)
-    save_report(report, out)
+    write_artifact(args.out, MODEL_MANIFEST, {**model_files(model), **report_files(report)})
     print(
         f"{report.method}: final monolithic loss {report.final_monolithic_loss:.6e} "
         f"({report.wall_seconds:.1f}s) -> {args.out}"
@@ -250,27 +251,25 @@ def _cmd_eval(args) -> int:
     for index in args.map_index:
         if not 0 <= index < data.n_samples:
             raise ConfigError(f"--map-index {index} is outside 0..{data.n_samples - 1}")
-    # Every output is computed before any is written, so a failure leaves
-    # no partial result behind.
     report = ev.evaluate_model(model, data, truncate_m=args.truncate)
     edges, counts = ev.log10_histogram(report.rel_errors)
-    maps = {index: ev.error_map(model, data, index) for index in args.map_index}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "eval.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    with (out / "histogram.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["log10_lo", "log10_hi", "count"])
-        for lo, hi, count in zip(edges[:-1], edges[1:], counts):
-            writer.writerow([repr(float(lo)), repr(float(hi)), int(count)])
-    for index, grid in maps.items():
-        with (out / f"error_map_{index}.csv").open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([f"y{d}" for d in range(grid.shape[1] - 1)] + ["abs_error"])
-            for row in grid:
-                writer.writerow([repr(float(v)) for v in row])
+    files = {
+        "eval.json": json_text(dataclasses.asdict(report)),
+        "histogram.csv": csv_text(
+            ["log10_lo", "log10_hi", "count"],
+            (
+                [repr(float(lo)), repr(float(hi)), int(count)]
+                for lo, hi, count in zip(edges[:-1], edges[1:], counts)
+            ),
+        ),
+    }
+    for index in args.map_index:
+        grid = ev.error_map(model, data, index)
+        files[f"error_map_{index}.csv"] = csv_text(
+            [f"y{d}" for d in range(grid.shape[1] - 1)] + ["abs_error"],
+            ([repr(float(v)) for v in row] for row in grid),
+        )
+    write_artifact(args.out, "eval.json", files)
     print(
         f"mean rel error {report.mean_rel_error:.6e}, "
         f"mean optimal {report.mean_optimal_error:.6e} -> {args.out}"
@@ -283,12 +282,18 @@ def _cmd_certify(args) -> int:
         raise ConfigError(f"--N must be >= 1, got {args.n_width}")
     data = load_dataset(args.data)
     cert = verify_zero_loss_pipeline(data, args.n_width, seed=args.seed)
-    payload = json.dumps(cert.to_dict(), indent=2, sort_keys=True)
-    print(payload)
+    payload = json_text(cert.to_dict())
+    sys.stdout.write(payload)
     if args.out:
-        out = Path(args.out)
+        # One file: a hidden sibling is written, then renamed into place.
+        out = Path(os.path.abspath(args.out))
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(payload + "\n")
+        tmp = out.with_name(f".{out.name}.{uuid.uuid4().hex}")
+        try:
+            tmp.write_text(payload)
+            os.replace(tmp, out)
+        finally:
+            tmp.unlink(missing_ok=True)
     return 0 if cert.passed else RUNTIME_ERROR
 
 
@@ -312,9 +317,7 @@ def _cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table.to_csv(out / "sweep.csv")
+    write_artifact(args.out, "sweep.csv", {"sweep.csv": table.to_csv_text()})
     for row in table.rows:
         print(
             f"{args.axis}={row.value}: mean {row.mean_rel_error:.6e} "

@@ -3,11 +3,13 @@ sensors, and the end-to-end zero-loss certificate built on them.
 
 The trunk is nn.interpolating_relu at the sensors: one hat-bump block per
 sensor, 2 m_y + 1 layers with hidden widths (4, 4, n~, ..., n~),
-n~ = 2 N + 4. Its outputs at sensor i are the i-th row of the left
-singular factor Z_r of U (r = min(N, rank U)) followed, for N > rank U, by
-columns that complete [1, Z_r] to an orthonormal set at the sensors, so
-the trunk basis keeps full column rank at every width N < m_y. The
-certificate's branch is the same kind of network at the training inputs
+n~ = 2 N + 4. Its outputs at the sensors are an orthonormal basis W of the
+leading left singular space Z_r of U (r = min(N, rank U)) with the
+constant direction removed, followed by columns that complete [1, W] to
+an orthonormal set. So the trunk basis [1, W, P] spans Z_r and keeps full
+column rank at every width N < m_y, also when the constant function lies
+in U's output space, as it does for the Darcy data. The certificate's
+branch is the same kind of network at the training inputs
 (train.fit_interpolating_branch).
 """
 
@@ -19,25 +21,24 @@ import numpy as np
 
 from . import linalg
 from .data import OperatorDataset
-from .deeponet import DeepONetModel, assemble_phi
-from .errors import RankDeficientError
-# SeparatingDirection and find_separating_direction stay importable from here.
-from .nn import Mlp, SeparatingDirection, find_separating_direction, interpolating_relu
+from .deeponet import DeepONetModel, _phi_from_values, assemble_phi
+from .nn import Mlp, interpolating_relu
 from .train import check_two_step_equivalence, fit_interpolating_branch, orthonormalize
 
 
 def build_interpolating_trunk(
     y_sensors, u, n_width: int, seed: int = 0
 ) -> tuple[Mlp, np.ndarray, linalg.SvdFactors]:
-    """Build the deep ReLU trunk whose sensor values reproduce the left
-    singular factor of u, along with the matching coefficient matrix and
+    """Build the deep ReLU trunk whose sensor values span the leading left
+    singular space of u, along with the matching coefficient matrix and
     the SVD of u it used.
 
-    Returns (trunk, a_star, svd): the trunk outputs at sensor i equal
-    (Z_i1, ..., Z_ir, P_i1, ..., P_i(N-r)) with r = min(N, rank(u)) and P
-    completing [1, Z_r] to orthonormal columns (drawn from seed), and
-    a_star stacks a zero row over diag(sigma) V^T, zero padded, so
-    Phi a_star is the best rank-r reconstruction of u.
+    Returns (trunk, a_star, svd). With r = min(N, rank(u)) and Z_r the
+    first r left singular vectors, the trunk outputs at the sensors are
+    (W, P): W an orthonormal basis of span(Z_r) minus its constant
+    direction, and P completing [1, W] to N orthonormal columns (drawn
+    from seed). a_star = Phi^+ Z_r diag(sigma_r) V_r^T, so Phi a_star is
+    the best rank-r reconstruction of u.
     """
     if n_width < 1:
         raise ValueError(f"n_width must be >= 1, got {n_width}")
@@ -54,26 +55,27 @@ def build_interpolating_trunk(
 
     svd = linalg.jacobi_svd(u)
     r = min(n_width, svd.rank)
-    values = svd.u[:, :r]
-    # Phi = [1, trunk] has full column rank only if the constant is off
-    # span(Z_r); the bound is householder_qr's dependency test on [1, Z_r].
-    off_span = linalg.frobenius(1.0 - values @ np.sum(values, axis=0))
-    if off_span <= linalg.RANK_TOL * np.sqrt(m_y + r):
-        raise RankDeficientError(
-            f"the constant function lies in U's leading output space (distance "
-            f"{off_span:.3e} from the span of the first {r} left singular "
-            f"vectors), so the trunk basis [1, Z] is dependent at width N={n_width}"
-        )
-    if n_width > r:
-        # Zero padding would make Phi's columns dependent; the Q factor of
-        # [1, Z_r, G] extends [1, Z_r] by orthonormal columns instead.
+    z = svd.u[:, :r]
+    # Z_r has orthonormal columns, so the singular values of its centered
+    # copy lie in [0, 1] and the cut is absolute. One of them vanishes
+    # when the constant function lies in span(Z_r); all do when every
+    # output column is constant.
+    centered = z - z.mean(axis=0)
+    values = np.zeros((m_y, 0))
+    if np.any(centered):
+        factors = linalg.jacobi_svd(centered)
+        values = factors.u[:, factors.sigma > linalg.RANK_TOL]
+    kept = values.shape[1]
+    if n_width > kept:
+        # The Q factor of [1, W, G] extends [1, W] by orthonormal columns.
         rng = np.random.default_rng(seed)
-        stacked = np.hstack([np.ones((m_y, 1)), values, rng.normal(size=(m_y, n_width - r))])
-        values = np.hstack([values, linalg.householder_qr(stacked).q[:, r + 1 :]])
+        stacked = np.hstack([np.ones((m_y, 1)), values, rng.normal(size=(m_y, n_width - kept))])
+        values = np.hstack([values, linalg.householder_qr(stacked).q[:, kept + 1 :]])
     trunk = interpolating_relu(y, values, seed=seed)
 
-    a_star = np.zeros((n_width + 1, u.shape[1]))
-    a_star[1 : r + 1] = svd.sigma[:r, None] * svd.v[:, :r].T
+    a_star = linalg.least_squares(_phi_from_values(values), z) @ (
+        svd.sigma[:r, None] * svd.v[:, :r].T
+    )
     return trunk, a_star, svd
 
 

@@ -9,12 +9,13 @@ them in lockstep; ex2 solves its betas as such stacks.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
 import shutil
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -465,15 +466,16 @@ def subsample_output_sensors(data: OperatorDataset, m_y: int, seed: int = 0) -> 
     )
 
 
-@contextmanager
-def _replacing(directory, manifest: str):
-    """Yield a fresh sibling directory to write an artifact into, then
-    rename it into the place of `directory`.
+def write_artifact(directory, manifest: str, files: dict) -> None:
+    """Write `files` (file name -> str or bytes-like content) as the whole
+    content of `directory`.
 
-    A failure while writing leaves the previous artifact whole and no
-    temporary directory behind. An existing `directory` is replaced only
-    when it is empty or holds an artifact of the same kind (its `manifest`
-    file), so a mistyped path cannot wipe unrelated files."""
+    The files go into a fresh hidden sibling directory, which is then
+    renamed into the place of `directory`: a failure part-way leaves the
+    previous artifact whole and no temporary directory behind. An existing
+    `directory` is replaced only when it is empty or holds an artifact of
+    the same kind (its `manifest` file), so a mistyped path cannot wipe
+    unrelated files."""
     directory = Path(os.path.abspath(directory))
     if (
         directory.exists()
@@ -487,7 +489,8 @@ def _replacing(directory, manifest: str):
     tmp = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
     tmp.mkdir()
     try:
-        yield tmp
+        for name, content in files.items():
+            (tmp / name).write_bytes(content.encode() if isinstance(content, str) else content)
         if directory.exists():
             # POSIX cannot swap two directories in one rename, so the old
             # one steps aside first and comes back if the swap fails.
@@ -505,8 +508,25 @@ def _replacing(directory, manifest: str):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _write_blob(path: Path, arr: np.ndarray) -> None:
-    path.write_bytes(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+def json_text(obj) -> str:
+    """The text of every JSON artifact: indented, keys sorted, one final
+    newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(header, rows) -> str:
+    """The text of every CSV artifact (csv.writer defaults, CRLF lines)."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def _blob(arr: np.ndarray) -> np.ndarray:
+    """The bytes-like content of a blob file: arr as little-endian float64,
+    row-major; a view when arr already is."""
+    return np.ascontiguousarray(arr, dtype="<f8")
 
 
 def _read_blob(path: Path, shape: tuple[int, ...]) -> np.ndarray:
@@ -563,7 +583,7 @@ def _check_manifest(manifest) -> None:
 
 def save_dataset(data: OperatorDataset, directory) -> None:
     """Write manifest.json plus little-endian float64 blobs into a
-    directory that is replaced as a whole (see _replacing)."""
+    directory that is replaced as a whole (see write_artifact)."""
     data.validate()
     manifest = {
         "name": data.meta.get("generator", "dataset"),
@@ -584,14 +604,17 @@ def save_dataset(data: OperatorDataset, directory) -> None:
             "test": data.test_idx.tolist(),
         },
     }
-    with _replacing(directory, "manifest.json") as tmp:
-        (tmp / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
-        _write_blob(tmp / "x_sensors.bin", data.x_sensors)
-        _write_blob(tmp / "y_sensors.bin", data.y_sensors)
-        _write_blob(tmp / "F.bin", data.f_matrix)
-        _write_blob(tmp / "U.bin", data.u_matrix)
+    write_artifact(
+        directory,
+        "manifest.json",
+        {
+            "manifest.json": json_text(manifest),
+            "x_sensors.bin": _blob(data.x_sensors),
+            "y_sensors.bin": _blob(data.y_sensors),
+            "F.bin": _blob(data.f_matrix),
+            "U.bin": _blob(data.u_matrix),
+        },
+    )
 
 
 def _read_manifest(directory: Path, name: str):

@@ -9,14 +9,22 @@ predictions become phi(y)^T T c(f).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .data import OperatorDataset, _is_int, _is_positive_int, _read_blob, _read_manifest, _replacing
+from .data import (
+    OperatorDataset,
+    _blob,
+    _is_int,
+    _is_positive_int,
+    _read_blob,
+    _read_manifest,
+    json_text,
+    write_artifact,
+)
 from .errors import CorruptDatasetError, ShapeError
 from .nn import Mlp
 
@@ -128,10 +136,6 @@ MODEL_KEYS = ("trunk_arch", "branch_arch", "trunk_activation", "branch_activatio
               "width", "has_t_matrix", "dtype")
 
 
-def _pack_mlp(net: Mlp) -> bytes:
-    return net.params.astype("<f8").tobytes()
-
-
 def _unpack_mlp(path: Path, arch: tuple[int, ...], activation: str) -> Mlp:
     flat = _read_blob(path, (nn._param_size(arch),))
     return Mlp(arch, *nn._layer_views(flat, arch), activation)
@@ -172,9 +176,9 @@ def _check_model_manifest(manifest) -> None:
         raise CorruptDatasetError(f"{MODEL_MANIFEST} dtype must be 'f64le', got {manifest['dtype']!r}")
 
 
-def save_model(model: DeepONetModel, directory) -> None:
-    """Write model.json plus little-endian float64 blobs into a directory
-    that is replaced as a whole (see data._replacing)."""
+def model_files(model: DeepONetModel) -> dict:
+    """The files of a model directory: model.json plus little-endian
+    float64 blobs; a network's blob holds the bytes of its params."""
     model.validate()
     manifest = {
         "trunk_arch": list(model.trunk.arch),
@@ -185,16 +189,20 @@ def save_model(model: DeepONetModel, directory) -> None:
         "has_t_matrix": model.t_matrix is not None,
         "dtype": "f64le",
     }
-    with _replacing(directory, MODEL_MANIFEST) as tmp:
-        (tmp / MODEL_MANIFEST).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
-        (tmp / "trunk.bin").write_bytes(_pack_mlp(model.trunk))
-        (tmp / "branch.bin").write_bytes(_pack_mlp(model.branch))
-        if model.t_matrix is not None:
-            (tmp / "t_matrix.bin").write_bytes(
-                np.ascontiguousarray(model.t_matrix, dtype="<f8").tobytes()
-            )
+    files = {
+        MODEL_MANIFEST: json_text(manifest),
+        "trunk.bin": _blob(model.trunk.params),
+        "branch.bin": _blob(model.branch.params),
+    }
+    if model.t_matrix is not None:
+        files["t_matrix.bin"] = _blob(model.t_matrix)
+    return files
+
+
+def save_model(model: DeepONetModel, directory) -> None:
+    """Write model_files into a directory that is replaced as a whole (see
+    data.write_artifact)."""
+    write_artifact(directory, MODEL_MANIFEST, model_files(model))
 
 
 def load_model(directory) -> DeepONetModel:

@@ -8,10 +8,8 @@ dataset and model sizes.
 
 from __future__ import annotations
 
-import csv
 import os
-from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,6 +17,7 @@ from . import linalg, nn
 from .data import (
     TRIPLET_RANGE_EX3,
     OperatorDataset,
+    csv_text,
     gen_example1,
     gen_example3,
     subsample_output_sensors,
@@ -95,9 +94,6 @@ class EvalReport:
     std_rel_error: float
     mean_optimal_error: float
     std_optimal_error: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def evaluate_model(
@@ -187,19 +183,18 @@ class SweepTable:
     axis: str
     rows: list[SweepRow] = field(default_factory=list)
 
-    def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            n_reps = len(self.rows[0].replicate_errors) if self.rows else 0
-            writer.writerow(
-                ["axis", "value", "mean_rel_error", "std_rel_error"]
-                + [f"rep{i}" for i in range(n_reps)]
-            )
-            for row in self.rows:
-                writer.writerow(
-                    [self.axis, row.value, repr(row.mean_rel_error), repr(row.std_rel_error)]
-                    + [repr(e) for e in row.replicate_errors]
-                )
+    def to_csv_text(self) -> str:
+        """sweep.csv: one row per axis value, then its replicate errors."""
+        n_reps = len(self.rows[0].replicate_errors) if self.rows else 0
+        return csv_text(
+            ["axis", "value", "mean_rel_error", "std_rel_error"]
+            + [f"rep{i}" for i in range(n_reps)],
+            (
+                [self.axis, row.value, repr(row.mean_rel_error), repr(row.std_rel_error)]
+                + [repr(e) for e in row.replicate_errors]
+                for row in self.rows
+            ),
+        )
 
 
 def _family_dataset(settings: SweepSettings, seed: int) -> OperatorDataset:

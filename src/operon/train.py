@@ -10,17 +10,14 @@ orthonormalized coefficients R A (or raw A for the ablation) under
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import linalg, nn
-from .data import OperatorDataset
+from .data import OperatorDataset, csv_text, json_text
 from .deeponet import (
     DeepONetModel,
     _phi_from_values,
@@ -87,27 +84,20 @@ class TrainReport:
     wall_seconds: float
 
 
-def _write_trace_csv(path: Path, trace: list[float]) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iter", "loss"])
-        for i, value in enumerate(trace):
-            writer.writerow([i, repr(value)])
-
-
-def save_report(report: TrainReport, directory) -> None:
-    """Write report.json plus one CSV per loss trace."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "report.json").write_text(
-        json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
-    )
-    if report.method == "van":
-        _write_trace_csv(directory / "trace_mono.csv", report.loss_trace)
-    else:
-        _write_trace_csv(directory / "trace_trunk.csv", report.loss_trace)
-        if report.branch_trace is not None:
-            _write_trace_csv(directory / "trace_branch.csv", report.branch_trace)
+def report_files(report: TrainReport) -> dict:
+    """report.json with the scalar fields, plus one iter,loss CSV per loss
+    trace: trace_mono.csv for van, trace_trunk.csv and trace_branch.csv
+    for the two-step methods."""
+    fields = asdict(report)
+    traces = {
+        "trace_mono.csv" if report.method == "van" else "trace_trunk.csv": fields.pop("loss_trace"),
+        "trace_branch.csv": fields.pop("branch_trace"),
+    }
+    files = {"report.json": json_text(fields)}
+    for name, trace in traces.items():
+        if trace is not None:
+            files[name] = csv_text(["iter", "loss"], ([i, repr(v)] for i, v in enumerate(trace)))
+    return files
 
 
 def _adam_loop(

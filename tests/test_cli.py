@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,15 @@ def dataset_dir(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def ex2_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "ex2"
+    assert main(
+        ["generate", "--example", "ex2", "--grid-n", "9", "--k", "20", "--out", str(path), "--seed", "1"]
+    ) == 0
+    return path
+
+
 def _train_config(tmp_path, **overrides):
     config = {
         "seed": 1,
@@ -53,6 +64,32 @@ def _train_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return path
+
+
+def _snapshot(directory):
+    """File name -> bytes of every file in directory."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def _fail_writing(monkeypatch, name):
+    """Make Path.write_bytes raise OSError("disk full") for files called name."""
+    write_bytes = Path.write_bytes
+
+    def failing(path, data):
+        if path.name == name:
+            raise OSError("disk full")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing)
+
+
+def _assert_write_failed(code, capsys, out, before):
+    """Exit 1 with one error line; out keeps its bytes and no hidden
+    sibling is left next to it."""
+    assert code == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert _snapshot(out) == before
+    assert not [p.name for p in out.parent.iterdir() if p.name.startswith(".")]
 
 
 class TestGenerate:
@@ -171,6 +208,15 @@ class TestTrain:
             outs.append(out)
         for name in ("trunk.bin", "branch.bin", "t_matrix.bin", "trace_trunk.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_failed_write_keeps_previous_run(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        args = ["train", "--config", str(_train_config(tmp_path)), "--data", str(dataset_dir), "--out", str(out)]
+        assert main(args + ["--method", "van"]) == 0
+        before = _snapshot(out)
+        _fail_writing(monkeypatch, "trace_branch.csv")
+        capsys.readouterr()
+        _assert_write_failed(main(args + ["--method", "2st"]), capsys, out, before)
 
 
 def _broken_copy(src, dst, name, edit=None, blob_value=None):
@@ -300,6 +346,30 @@ class TestEval:
         assert err.startswith("error: --truncate") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_rerun_replaces_whole_directory(self, trained, dataset_dir, tmp_path):
+        out = tmp_path / "eval"
+        args = ["eval", "--model", str(trained), "--data", str(dataset_dir), "--out", str(out)]
+        assert main(args + ["--map-index", "0", "--map-index", "2"]) == 0
+        assert main(args + ["--map-index", "1"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["error_map_1.csv", "eval.json", "histogram.csv"]
+
+    def test_failed_write_keeps_previous_eval(self, trained, dataset_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "eval"
+        args = ["eval", "--model", str(trained), "--data", str(dataset_dir), "--out", str(out)]
+        assert main(args + ["--map-index", "0"]) == 0
+        before = _snapshot(out)
+        _fail_writing(monkeypatch, "histogram.csv")
+        capsys.readouterr()
+        _assert_write_failed(main(args + ["--map-index", "1"]), capsys, out, before)
+
+    def test_foreign_out_directory_exits_1(self, trained, dataset_dir, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("keep me")
+        code = main(["eval", "--model", str(trained), "--data", str(dataset_dir), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "holds no eval.json" in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt"]
+
     def test_truncate_flag(self, trained, dataset_dir, tmp_path):
         out = tmp_path / "eval_t"
         code = main(
@@ -343,20 +413,32 @@ class TestCertify:
             assert code == 0, f"N={width}"
             assert json.loads(out.read_text())["equivalence_applicable"] is True
 
-    @pytest.mark.parametrize("width", ["2", "4"])
-    def test_constant_in_output_space_exits_1(self, tmp_path, capsys, width):
+    @pytest.mark.parametrize("width", ["1", "2", "3", "4"])
+    def test_constant_in_output_space_certifies(self, ex2_dir, tmp_path, capsys, width):
         # ex2's kappa fields are 1 + (beta - 1) * disk: U has rank 2 and the
-        # constant function in its column space, so [1, Z] is dependent.
-        data = tmp_path / "ex2"
-        assert main(
-            ["generate", "--example", "ex2", "--grid-n", "9", "--k", "20", "--out", str(data), "--seed", "1"]
-        ) == 0
+        # constant function in its column space.
+        out = tmp_path / "cert.json"
+        code = main(["certify", "--data", str(ex2_dir), "--N", width, "--out", str(out)])
+        assert code == 0
+        cert = json.loads(out.read_text())
+        assert cert["passed"] is True and cert["rank"] == 2
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_failed_write_keeps_previous_certificate(self, ex2_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--data", str(ex2_dir), "--N", "1", "--out", str(out)]) == 0
+        before = out.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
         capsys.readouterr()
-        code = main(["certify", "--data", str(data), "--N", width])
+        code = main(["certify", "--data", str(ex2_dir), "--N", "2", "--out", str(out)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: the constant function lies in U's leading output space")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]
 
     @pytest.mark.parametrize("width", ["0", "-3"])
     def test_width_below_one_exits_2(self, tmp_path, capsys, width):
@@ -409,6 +491,31 @@ class TestSweep:
         assert csvs[0] == csvs[1]
         lines = csvs[0].decode().splitlines()
         assert len(lines) == 4  # header + 3 rows
+
+    def test_failed_write_keeps_previous_table(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "sweep.csv").write_bytes(b"previous table\r\n")
+        before = _snapshot(out)
+        _fail_writing(monkeypatch, "sweep.csv")
+        code = main(
+            ["sweep", "--axis", "K", "--values", "4,6,8", "--replicates", "3",
+             "--config", str(self._sweep_config(tmp_path)), "--out", str(out)]
+        )
+        _assert_write_failed(code, capsys, out, before)
+
+    def test_foreign_out_directory_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me")
+        code = main(
+            ["sweep", "--axis", "K", "--values", "4,6,8", "--replicates", "3",
+             "--config", str(self._sweep_config(tmp_path)), "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "holds no sweep.csv" in err and err.count("\n") == 1
+        assert _snapshot(out) == {"notes.txt": b"keep me"}
 
     def test_nonincreasing_values_exit_2(self, tmp_path):
         config = self._sweep_config(tmp_path)

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from operon.construct import (
-    build_interpolating_trunk,
-    find_separating_direction,
-    verify_zero_loss_pipeline,
-)
+from operon.construct import build_interpolating_trunk, verify_zero_loss_pipeline
 from operon.data import OperatorDataset, gen_example1, split_dataset
 from operon.deeponet import assemble_phi
 from operon.errors import DuplicateSensorError, ZeroMatrixError
 from operon.linalg import best_rank_k_error, jacobi_svd
-from operon.nn import forward
+from operon.nn import find_separating_direction, forward
 
 
 def _power_iteration_rank1(u, iters=500):
@@ -77,14 +73,12 @@ class TestBuildInterpolatingTrunk:
         w = rng.normal(size=(1, 4))
         u = z @ w
         y = rng.uniform(-1, 1, (8, 1))
-        z_ref, _ = _power_iteration_rank1(u)
+        z_ref, sigma_ref = _power_iteration_rank1(u)
         trunk, a_star, _ = build_interpolating_trunk(y, u, 1)
-        vals = forward(trunk, y)[:, 0]
-        # agreement up to the SVD sign convention
-        sign = np.sign(vals @ z_ref)
-        assert np.max(np.abs(vals - sign * z_ref)) <= 1e-10
+        # Phi a_star reproduces z sigma v^T from the independent factor.
         phi = assemble_phi(trunk, y)
-        assert np.max(np.abs(phi @ a_star - u)) <= 1e-10
+        v_ref = u.T @ z_ref / sigma_ref
+        assert np.max(np.abs(phi @ a_star - sigma_ref * np.outer(z_ref, v_ref))) <= 1e-10
 
     def test_architecture_depth_and_widths(self):
         rng = np.random.default_rng(3)
@@ -98,28 +92,63 @@ class TestBuildInterpolatingTrunk:
         assert trunk.arch == expected
         assert len(trunk.weights) == 2 * m_y + 1
 
-    def test_sensor_values_equal_svd_factor(self):
+    def test_sensor_values_span_svd_factor(self):
         rng = np.random.default_rng(4)
         y = rng.uniform(-1, 1, (15, 2))
         u = rng.normal(size=(15, 6))
-        svd = jacobi_svd(u)
-        trunk, _, _ = build_interpolating_trunk(y, u, 6)
-        vals = forward(trunk, y)
-        assert np.max(np.abs(vals[:, : svd.rank] - svd.u)) <= 1e-10
-        assert np.array_equal(vals[:, svd.rank :], np.zeros((15, 0)))
+        for width in (3, 6, 9):
+            svd = jacobi_svd(u)
+            z = svd.u[:, : min(width, svd.rank)]
+            trunk, _, _ = build_interpolating_trunk(y, u, width)
+            phi = assemble_phi(trunk, y)
+            # span([1, P]) contains span(Z_r): projecting Z_r onto it
+            # leaves nothing.
+            q = np.linalg.qr(phi)[0]
+            assert np.max(np.abs(z - q @ (q.T @ z))) <= 1e-10
 
     def test_padding_columns_orthonormal(self):
+        # Every trunk column at the sensors: orthonormal and orthogonal to
+        # the constant, including the padding past rank(u).
         rng = np.random.default_rng(5)
         y = rng.uniform(-1, 1, (8, 2))
         base = rng.normal(size=(8, 2))
         u = base @ rng.normal(size=(2, 5))  # rank 2
-        trunk, a_star, svd = build_interpolating_trunk(y, u, 4)
+        trunk, _, _ = build_interpolating_trunk(y, u, 4)
         vals = forward(trunk, y)
-        pad = vals[:, 2:]
-        assert np.max(np.abs(pad.T @ pad - np.eye(2))) <= 1e-12
-        assert np.max(np.abs(pad.T @ np.ones(8))) <= 1e-12
-        assert np.max(np.abs(pad.T @ svd.u)) <= 1e-12
-        assert np.array_equal(a_star[3:], np.zeros((2, 5)))
+        assert np.max(np.abs(vals.T @ vals - np.eye(4))) <= 1e-10
+        assert np.max(np.abs(vals.T @ np.ones(8))) <= 1e-10
+
+    def test_constant_in_output_space(self):
+        # Ex2-like outputs 1 + (beta - 1) * indicator: rank 2 with the
+        # constant in span(U), so Z_r loses one direction when centered.
+        rng = np.random.default_rng(12)
+        y = rng.uniform(-1, 1, (12, 2))
+        disk = (np.sum(y * y, axis=1) <= 0.5).astype(float)
+        betas = rng.uniform(0.1, 10.0, 7)
+        u = 1.0 + np.outer(disk, betas - 1.0)
+        svd = jacobi_svd(u)
+        for width in (2, 3, 4):
+            trunk, a_star, _ = build_interpolating_trunk(y, u, width)
+            vals = forward(trunk, y)
+            assert np.max(np.abs(vals.T @ vals - np.eye(width))) <= 1e-10
+            assert np.max(np.abs(vals.T @ np.ones(12))) <= 1e-10
+            phi = assemble_phi(trunk, y)
+            target = svd.u * svd.sigma @ svd.v.T
+            assert np.max(np.abs(phi @ a_star - target)) <= 1e-10 * np.max(np.abs(u))
+
+    def test_constant_output_certified(self):
+        # Every output column constant: Z_1 is the constant vector itself,
+        # so the trunk is padding alone.
+        rng = np.random.default_rng(13)
+        data = OperatorDataset(
+            x_sensors=np.zeros((3, 1)),
+            y_sensors=rng.uniform(-1, 1, (10, 2)),
+            f_matrix=rng.normal(size=(5, 3)),
+            u_matrix=np.ones((10, 1)) @ rng.normal(size=(1, 5)),
+        )
+        for width in (1, 3):
+            cert = verify_zero_loss_pipeline(data, width)
+            assert cert.rank == 1 and cert.zero_loss_passed and cert.passed
 
     def test_width_above_sensor_count_rejected(self):
         rng = np.random.default_rng(11)

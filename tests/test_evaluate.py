@@ -320,7 +320,7 @@ class TestSweep:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_csv_output(self, tmp_path):
+    def test_csv_output(self):
         settings = SweepSettings(
             k_train=5,
             k_test=3,
@@ -333,10 +333,11 @@ class TestSweep:
             iters_branch=30,
         )
         table = generalization_sweep(settings, "K", [4, 5, 6], 3)
-        table.to_csv(tmp_path / "sweep.csv")
-        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        text = table.to_csv_text()
+        lines = text.split("\r\n")
         assert lines[0] == "axis,value,mean_rel_error,std_rel_error,rep0,rep1,rep2"
-        assert len(lines) == 4
+        assert lines[2].split(",")[:3] == ["K", "5", repr(table.rows[1].mean_rel_error)]
+        assert len(lines) == 5 and lines[-1] == ""
 
     def test_run_once_returns_finite_error(self):
         settings = SweepSettings(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import operon
-from operon.deeponet import _pack_mlp
+from operon.data import _blob
 from operon.errors import ShapeError
 from operon.nn import (
     Mlp,
@@ -171,7 +171,8 @@ class TestParams:
         net.weights[1][0, 2] = -1.0
         net.biases[0][1] = -2.0
         assert net.params[11] == -1.0 and net.params[7] == -2.0
-        assert np.frombuffer(_pack_mlp(net), dtype="<f8")[11] == -1.0
+        # The network blob is the bytes of params.
+        assert np.frombuffer(_blob(net.params), dtype="<f8")[11] == -1.0
         # The constructor copies: the caller's arrays are not aliased.
         assert w2[0, 2] == 11.0 and b1[1] == 7.0
         w1[0, 0] = 100.0

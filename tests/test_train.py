@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from operon.train import (
     finish_two_step,
     fit_interpolating_branch,
     orthonormalize,
-    save_report,
+    report_files,
     train_branch_step2,
     train_monolithic,
     train_trunk_step1,
@@ -367,23 +368,30 @@ class TestInterpolatingBranch:
 
 
 class TestReportIo:
-    def test_save_report_two_step(self, tmp_path):
+    def test_report_files_two_step(self):
         data = _tiny_dataset(seed=22)
         model = _tiny_model(seed=22)
         cfg = TrainConfig(method="two_step", iters_trunk=4, iters_branch=3, seed=22)
         _, report = train_two_step(data, model, cfg)
-        save_report(report, tmp_path)
-        assert (tmp_path / "report.json").exists()
-        trunk_csv = (tmp_path / "trace_trunk.csv").read_text().splitlines()
+        files = report_files(report)
+        assert sorted(files) == ["report.json", "trace_branch.csv", "trace_trunk.csv"]
+        # The traces live only in the CSVs; report.json holds the scalars.
+        fields = json.loads(files["report.json"])
+        assert sorted(fields) == [
+            "final_branch_loss", "final_monolithic_loss", "final_trunk_loss",
+            "method", "wall_seconds",
+        ]
+        assert fields["final_trunk_loss"] == report.final_trunk_loss
+        trunk_csv = files["trace_trunk.csv"].split("\r\n")
         assert trunk_csv[0] == "iter,loss"
-        assert len(trunk_csv) == 5
-        assert (tmp_path / "trace_branch.csv").exists()
+        assert trunk_csv[1:] == [f"{i},{v!r}" for i, v in enumerate(report.loss_trace)] + [""]
+        assert files["trace_branch.csv"].count("\r\n") == 1 + cfg.iters_branch
 
-    def test_save_report_van(self, tmp_path):
+    def test_report_files_van(self):
         data = _tiny_dataset(seed=23)
         model = _tiny_model(seed=23)
         cfg = TrainConfig(method="van", iters_mono=4, seed=23)
         _, report = train_monolithic(data, model, cfg)
-        save_report(report, tmp_path)
-        assert (tmp_path / "trace_mono.csv").exists()
-        assert not (tmp_path / "trace_branch.csv").exists()
+        files = report_files(report)
+        assert sorted(files) == ["report.json", "trace_mono.csv"]
+        assert "loss_trace" not in json.loads(files["report.json"])
