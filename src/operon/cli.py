@@ -27,6 +27,7 @@ from .data import (
     BETA_RANGE_EX2,
     OperatorDataset,
     _is_int,
+    check_replaceable,
     csv_text,
     gen_example1,
     gen_example2,
@@ -181,6 +182,7 @@ def _cmd_generate(args) -> int:
         raise ConfigError(f"--k must be >= 2, got {args.k}")
     if not 0.0 < args.train_fraction < 1.0:
         raise ConfigError(f"--train-fraction must lie in (0, 1), got {args.train_fraction}")
+    check_replaceable(args.out, "manifest.json")
     if args.example == "ex1":
         betas = np.linspace(*BETA_RANGE_EX1, args.k)
         data = gen_example1(betas, args.grid_n, seed=args.seed)
@@ -229,6 +231,7 @@ def _cmd_train(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     spec = _from_config(ModelSpec, config)
+    check_replaceable(args.out, MODEL_MANIFEST)
     data = load_dataset(args.data)
     model = _make_model(spec, cfg.seed, data)
     if method == "van":
@@ -246,6 +249,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     if args.truncate is not None and not args.truncate > 0.0:
         raise ConfigError(f"--truncate must be > 0, got {args.truncate}")
+    check_replaceable(args.out, "eval.json")
     model = load_model(args.model)
     data = load_dataset(args.data)
     for index in args.map_index:
@@ -311,6 +315,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--values must be comma-separated ints: {exc}") from exc
     settings = _from_config(ev.SweepSettings, config)
+    check_replaceable(args.out, "sweep.csv")
     try:
         table = ev.generalization_sweep(
             settings, args.axis, values, args.replicates, max_workers=workers

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .data import OperatorDataset
-from .deeponet import DeepONetModel, _phi_from_values, assemble_phi
+from .deeponet import DeepONetModel, assemble_phi
 from .nn import Mlp, interpolating_relu
 from .train import check_two_step_equivalence, fit_interpolating_branch, orthonormalize
 
@@ -73,7 +73,9 @@ def build_interpolating_trunk(
         values = np.hstack([values, linalg.householder_qr(stacked).q[:, kept + 1 :]])
     trunk = interpolating_relu(y, values, seed=seed)
 
-    a_star = linalg.least_squares(_phi_from_values(values), z) @ (
+    # Phi = [1, values] has orthogonal columns (norms sqrt(m_y), 1, ...),
+    # so Phi^+ Z_r = [mean(Z_r); values^T Z_r].
+    a_star = np.vstack([z.mean(axis=0), values.T @ z]) @ (
         svd.sigma[:r, None] * svd.v[:, :r].T
     )
     return trunk, a_star, svd

@@ -466,17 +466,11 @@ def subsample_output_sensors(data: OperatorDataset, m_y: int, seed: int = 0) -> 
     )
 
 
-def write_artifact(directory, manifest: str, files: dict) -> None:
-    """Write `files` (file name -> str or bytes-like content) as the whole
-    content of `directory`.
-
-    The files go into a fresh hidden sibling directory, which is then
-    renamed into the place of `directory`: a failure part-way leaves the
-    previous artifact whole and no temporary directory behind. An existing
-    `directory` is replaced only when it is empty or holds an artifact of
-    the same kind (its `manifest` file), so a mistyped path cannot wipe
-    unrelated files."""
-    directory = Path(os.path.abspath(directory))
+def check_replaceable(directory, manifest: str) -> None:
+    """Raise FileExistsError unless `directory` is absent, empty or holds
+    an artifact of the same kind (its `manifest` file), so a mistyped path
+    cannot wipe unrelated files. Commands call it before their work too."""
+    directory = Path(directory)
     if (
         directory.exists()
         and any(directory.iterdir())
@@ -485,6 +479,18 @@ def write_artifact(directory, manifest: str, files: dict) -> None:
         raise FileExistsError(
             f"{directory} is not empty and holds no {manifest}; not replacing it"
         )
+
+
+def write_artifact(directory, manifest: str, files: dict) -> None:
+    """Write `files` (file name -> str or bytes-like content) as the whole
+    content of `directory`.
+
+    The files go into a fresh hidden sibling directory, which is then
+    renamed into the place of `directory`: a failure part-way leaves the
+    previous artifact whole and no temporary directory behind. An existing
+    `directory` is replaced only when check_replaceable allows it."""
+    directory = Path(os.path.abspath(directory))
+    check_replaceable(directory, manifest)
     directory.parent.mkdir(parents=True, exist_ok=True)
     tmp = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
     tmp.mkdir()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from operon import cli
 from operon.cli import _SWEEP_SCHEMA, _TRAIN_SCHEMA, _from_config, _load_config, main
 from operon.data import _is_int, load_dataset
 from operon.deeponet import MODEL_KEYS, ModelSpec
@@ -90,6 +91,14 @@ def _assert_write_failed(code, capsys, out, before):
     assert capsys.readouterr().err == "error: disk full\n"
     assert _snapshot(out) == before
     assert not [p.name for p in out.parent.iterdir() if p.name.startswith(".")]
+
+
+def _must_not_run(monkeypatch, module, name):
+    """Replace module.name by a function that fails the test when called:
+    the command must refuse its --out before doing this work."""
+    def forbidden(*args, **kwargs):
+        pytest.fail(f"{name} ran before --out was checked")
+    monkeypatch.setattr(module, name, forbidden)
 
 
 class TestGenerate:
@@ -217,6 +226,20 @@ class TestTrain:
         _fail_writing(monkeypatch, "trace_branch.csv")
         capsys.readouterr()
         _assert_write_failed(main(args + ["--method", "2st"]), capsys, out, before)
+
+    def test_foreign_out_directory_exits_1(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "runs"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me")
+        _must_not_run(monkeypatch, cli, "train_two_step")
+        code = main(
+            ["train", "--method", "2st", "--config", str(_train_config(tmp_path)),
+             "--data", str(dataset_dir), "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "holds no model.json" in err and err.count("\n") == 1
+        assert _snapshot(out) == {"notes.txt": b"keep me"}
 
 
 def _broken_copy(src, dst, name, edit=None, blob_value=None):
@@ -362,8 +385,9 @@ class TestEval:
         capsys.readouterr()
         _assert_write_failed(main(args + ["--map-index", "1"]), capsys, out, before)
 
-    def test_foreign_out_directory_exits_1(self, trained, dataset_dir, tmp_path, capsys):
+    def test_foreign_out_directory_exits_1(self, trained, dataset_dir, tmp_path, monkeypatch, capsys):
         (tmp_path / "notes.txt").write_text("keep me")
+        _must_not_run(monkeypatch, cli.ev, "evaluate_model")
         code = main(["eval", "--model", str(trained), "--data", str(dataset_dir), "--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
@@ -504,10 +528,11 @@ class TestSweep:
         )
         _assert_write_failed(code, capsys, out, before)
 
-    def test_foreign_out_directory_exits_1(self, tmp_path, capsys):
+    def test_foreign_out_directory_exits_1(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "runs"
         out.mkdir()
         (out / "notes.txt").write_text("keep me")
+        _must_not_run(monkeypatch, cli.ev, "generalization_sweep")
         code = main(
             ["sweep", "--axis", "K", "--values", "4,6,8", "--replicates", "3",
              "--config", str(self._sweep_config(tmp_path)), "--out", str(out)]
