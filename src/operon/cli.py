@@ -274,9 +274,10 @@ def _cmd_eval(args) -> int:
             ([repr(float(v)) for v in row] for row in grid),
         )
     write_artifact(args.out, "eval.json", files)
+    ratio = "n/a" if report.optimal_ratio is None else f"{report.optimal_ratio:.4f}"
     print(
         f"mean rel error {report.mean_rel_error:.6e}, "
-        f"mean optimal {report.mean_optimal_error:.6e} -> {args.out}"
+        f"mean optimal {report.mean_optimal_error:.6e}, ratio {ratio} -> {args.out}"
     )
     return 0
 

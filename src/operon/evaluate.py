@@ -9,6 +9,7 @@ dataset and model sizes.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -94,6 +95,9 @@ class EvalReport:
     std_rel_error: float
     mean_optimal_error: float
     std_optimal_error: float
+    # mean_rel_error / mean_optimal_error: how far the model is from the
+    # best fit its trunk allows; None when the optimal error is 0.
+    optimal_ratio: float | None
 
 
 def evaluate_model(
@@ -111,14 +115,16 @@ def evaluate_model(
         preds = truncate_prediction(preds, truncate_m)
     rel = _column_errors(preds, targets)
     _, opt = conditional_optimal(basis, targets)
+    mean_rel, mean_opt = float(rel.mean()), float(opt.mean())
     return EvalReport(
         sample_indices=[int(i) for i in indices],
         rel_errors=rel.tolist(),
         optimal_errors=opt.tolist(),
-        mean_rel_error=float(rel.mean()),
+        mean_rel_error=mean_rel,
         std_rel_error=float(rel.std()),
-        mean_optimal_error=float(opt.mean()),
+        mean_optimal_error=mean_opt,
         std_optimal_error=float(opt.std()),
+        optimal_ratio=mean_rel / mean_opt if mean_opt > 0.0 else None,
     )
 
 
@@ -254,6 +260,69 @@ def run_two_step_once(settings: SweepSettings, seed: int) -> float:
 # starts with is the only place to set them.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# The sweep's workers, kept for later sweeps of the same width: (width,
+# pool, its exit finalizer). A sweep holds the lock from its first submit
+# to its last result, so a sweep in another thread cannot replace the pool
+# under it.
+_kept_pool = None
+_kept_pool_lock = threading.Lock()
+
+
+def _shutdown_kept_pool() -> None:
+    global _kept_pool
+    if _kept_pool is not None:
+        _kept_pool[2]()
+        _kept_pool = None
+
+
+def _forget_kept_pool() -> None:
+    """In a forked child: the pool's threads and workers stay with the
+    parent, so the child starts its own pool and lock."""
+    global _kept_pool, _kept_pool_lock
+    _kept_pool, _kept_pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_kept_pool)
+
+
+def _submit_pinned(jobs: list, width: int) -> list:
+    """Submit each job, in order, to the kept pool of `width` workers. A
+    pool of another width, or one broken by a dead worker, is replaced.
+    A spawn pool starts its workers inside submit(), so the BLAS pin
+    covers every submit() as well as the pool's creation."""
+    global _kept_pool
+    # Imported here: at module level they add to every `import operon`.
+    import multiprocessing.util
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        if _kept_pool is not None and _kept_pool[0] == width:
+            try:
+                return [_kept_pool[1].submit(run_two_step_once, *job) for job in jobs]
+            except BrokenProcessPool:
+                pass
+        _shutdown_kept_pool()
+        pool = ProcessPoolExecutor(width, mp_context=multiprocessing.get_context("spawn"))
+        # Exit finalizers run before a multiprocessing child joins its own
+        # children, which would wait forever on idle workers, and before
+        # the interpreter's teardown, where a pool's clean-up fails. The
+        # priority puts this one before those of the pool's queues (10).
+        stop = multiprocessing.util.Finalize(
+            pool, pool.shutdown, kwargs={"cancel_futures": True}, exitpriority=20
+        )
+        _kept_pool = (width, pool, stop)
+        return [pool.submit(run_two_step_once, *job) for job in jobs]
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
 
 def generalization_sweep(
     settings: SweepSettings,
@@ -267,9 +336,11 @@ def generalization_sweep(
 
     The runs go to min(max_workers, runs) spawned worker processes that
     compute with one BLAS thread each, so the table is the same at any
-    worker count and on any core count. A failing sweep raises the error
-    of its first failing run in table order. Workers are spawned, so a
-    script that calls this needs the `if __name__ == "__main__":` guard."""
+    worker count and on any core count. The workers start at the first
+    sweep and are reused by later sweeps with the same worker count; they
+    exit with the interpreter. A failing sweep raises the error of its
+    first failing run in table order. Workers are spawned, so a script
+    that calls this needs the `if __name__ == "__main__":` guard."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = [int(v) for v in values]
@@ -286,29 +357,21 @@ def generalization_sweep(
         for rep in range(replicates):
             jobs.append((run_settings, settings.base_seed + 1000 * i + 10 * rep))
 
-    # Imported here: at module level they add to every `import operon`.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import wait
 
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        pool = ProcessPoolExecutor(
-            min(max_workers, len(jobs)), mp_context=multiprocessing.get_context("spawn")
-        )
+    with _kept_pool_lock:
+        # A run costs more the larger its axis value, so the largest start
+        # first; results are read in job order.
+        futures = _submit_pinned(jobs[::-1], min(max_workers, len(jobs)))[::-1]
         try:
-            # A run costs more the larger its axis value, so the largest
-            # start first; results are read in job order.
-            futures = [pool.submit(run_two_step_once, *job) for job in reversed(jobs)][::-1]
             errors = [future.result() for future in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        except BaseException:
+            # Runs not yet started are cancelled and running ones waited
+            # for, so the kept pool is idle when the error is raised.
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
 
     table = SweepTable(axis=axis)
     for i, value in enumerate(values):

@@ -282,6 +282,14 @@ class TestEval:
         assert (out / "histogram.csv").exists()
         assert (out / "error_map_0.csv").exists()
 
+    def test_eval_reports_optimal_ratio(self, trained, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "eval"
+        assert main(["eval", "--model", str(trained), "--data", str(dataset_dir), "--out", str(out)]) == 0
+        report = json.loads((out / "eval.json").read_text())
+        ratio = report["mean_rel_error"] / report["mean_optimal_error"]
+        assert report["optimal_ratio"] == ratio and ratio >= 1.0
+        assert f", ratio {ratio:.4f} -> " in capsys.readouterr().out
+
     @pytest.mark.parametrize("index", ["999", "-1"])
     def test_map_index_out_of_range_exits_2(self, trained, dataset_dir, tmp_path, capsys, index):
         code = main(

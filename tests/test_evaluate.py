@@ -1,8 +1,10 @@
 import concurrent.futures
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,86 @@ def _fail_below_six(settings, seed):
     if settings.k_train < 6:
         raise ValueError(f"k_train {settings.k_train}")
     return 1.0
+
+
+def _worker_pid(settings, seed):
+    """Stands in for a sweep run: reports which worker ran it."""
+    return float(os.getpid())
+
+
+def _assert_only_pool_workers(width):
+    """The live children are at most the pool's width and are its workers."""
+    live = {child.pid for child in multiprocessing.active_children()}
+    kept_width, pool, _ = evaluate._kept_pool
+    assert kept_width == width and len(live) <= width
+    assert live <= set(pool._processes)
+
+
+def _pids(table):
+    return {int(e) for row in table.rows for e in row.replicate_errors}
+
+
+def _sweep_into(results):
+    """Runs in a forked child: a sweep of worker PIDs, put on `results`."""
+    table = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
+    results.put(_pids(table))
+
+
+@pytest.fixture
+def no_kept_pool():
+    evaluate._shutdown_kept_pool()
+    assert multiprocessing.active_children() == []
+
+
+# Runs two sweeps and prints the PIDs of its workers. It is run from a
+# file, so the spawned workers can import its `pid` job.
+_TWO_SWEEPS_SCRIPT = """
+import multiprocessing, os
+from operon import evaluate
+from operon.evaluate import SweepSettings, generalization_sweep
+
+def pid(settings, seed):
+    return float(os.getpid())
+
+if __name__ == "__main__":
+    evaluate.run_two_step_once = pid
+    ran = set()
+    for _ in range(2):
+        table = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
+        ran |= {int(e) for row in table.rows for e in row.replicate_errors}
+    live = {child.pid for child in multiprocessing.active_children()}
+    assert ran <= live and len(live) <= 2, (ran, live)
+    print(*sorted(live))
+"""
+
+
+def _run_two_sweeps_script(directory):
+    """Worker PIDs printed by _TWO_SWEEPS_SCRIPT, after it has exited 0.
+    Its output goes to a file: a leftover worker would hold a pipe open."""
+    script = directory / "two_sweeps.py"
+    script.write_text(_TWO_SWEEPS_SCRIPT)
+    src = str(Path(operon.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with open(directory / "out.txt", "w+") as out:
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=out,
+            stderr=subprocess.STDOUT,
+            timeout=300,
+        )
+        out.seek(0)
+        text = out.read()
+    assert proc.returncode == 0, text
+    return [int(pid) for pid in text.split()]
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def _trained_model(seed=0, width=4, iters=300):
@@ -186,6 +268,14 @@ class TestEvaluateModel:
         for rel, opt in zip(report.rel_errors, report.optimal_errors):
             assert opt <= rel + 1e-12
 
+    def test_optimal_ratio(self, monkeypatch):
+        model, data = _trained_model(seed=7)
+        report = evaluate_model(model, data)
+        assert report.optimal_ratio == report.mean_rel_error / report.mean_optimal_error
+        n = data.test_idx.size
+        monkeypatch.setattr(evaluate, "conditional_optimal", lambda basis, u: (None, np.zeros(n)))
+        assert evaluate_model(model, data).optimal_ratio is None
+
     def test_trace_of_orthonormalized_basis(self):
         model, data = _trained_model(seed=8)
         phi = assemble_phi(model.trunk, data.y_sensors) @ model.t_matrix
@@ -238,7 +328,7 @@ class TestSweep:
         ]
         assert [r.value for r in t1.rows] == [4, 6, 8]
 
-    def test_threaded_matches_serial(self):
+    def test_worker_count_does_not_change_table(self):
         settings = SweepSettings(
             k_train=5,
             k_test=3,
@@ -263,7 +353,7 @@ class TestSweep:
         table = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
         assert [r.replicate_errors for r in table.rows] == [[1.0] * 3] * 2
         assert dict(os.environ) == before
-        assert multiprocessing.active_children() == []
+        _assert_only_pool_workers(2)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_is_first_failing_run_in_table_order(self, monkeypatch, workers):
@@ -274,10 +364,10 @@ class TestSweep:
         with pytest.raises(ValueError, match="^k_train 4$"):
             generalization_sweep(SweepSettings(), "K", [4, 5, 6], 3, max_workers=workers)
         assert dict(os.environ) == before
-        assert multiprocessing.active_children() == []
+        _assert_only_pool_workers(workers)
 
     @pytest.mark.parametrize("workers, size", [(8, 3), (2, 2)])
-    def test_pool_sized_by_runs(self, monkeypatch, workers, size):
+    def test_pool_sized_by_runs(self, monkeypatch, no_kept_pool, workers, size):
         sizes = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -289,6 +379,79 @@ class TestSweep:
         monkeypatch.setattr(evaluate, "run_two_step_once", _blas_threads_seen)
         generalization_sweep(SweepSettings(), "K", [4], 3, max_workers=workers)
         assert sizes == [size]
+
+    def test_sweeps_reuse_the_kept_workers(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "run_two_step_once", _worker_pid)
+        first = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
+        _assert_only_pool_workers(2)
+        workers = {child.pid for child in multiprocessing.active_children()}
+        second = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
+        assert _pids(first) | _pids(second) <= workers
+        assert {child.pid for child in multiprocessing.active_children()} == workers
+
+    def test_worker_started_by_a_later_sweep_is_pinned(self, monkeypatch, no_kept_pool):
+        monkeypatch.setattr(evaluate, "run_two_step_once", _blas_threads_seen)
+        generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=1)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        # A new width replaces the pool, so this sweep starts its workers.
+        table = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
+        assert [r.replicate_errors for r in table.rows] == [[1.0] * 3] * 2
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        _assert_only_pool_workers(2)
+
+    def test_sweep_after_failure_reuses_the_pool(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "run_two_step_once", _fail_below_six)
+        with pytest.raises(ValueError, match="^k_train 4$"):
+            generalization_sweep(SweepSettings(), "K", [4, 5, 6], 3, max_workers=2)
+        pool = evaluate._kept_pool
+        monkeypatch.setattr(evaluate, "run_two_step_once", _worker_pid)
+        table = generalization_sweep(SweepSettings(), "K", [4, 5, 6], 3, max_workers=2)
+        assert evaluate._kept_pool is pool
+        assert _pids(table) <= set(pool[1]._processes)
+
+    def test_dead_worker_pool_is_replaced(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "run_two_step_once", _worker_pid)
+        first = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
+        broken = evaluate._kept_pool[1]
+        for pid in _pids(first):
+            os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while not broken._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        second = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
+        assert evaluate._kept_pool[1] is not broken
+        assert not _pids(first) & _pids(second)
+        _assert_only_pool_workers(2)
+
+    def test_sweeps_in_two_threads_both_finish(self, monkeypatch):
+        # Their widths differ, so each replaces the other's pool.
+        monkeypatch.setattr(evaluate, "run_two_step_once", _blas_threads_seen)
+        with concurrent.futures.ThreadPoolExecutor(2) as threads:
+            tables = list(threads.map(
+                lambda width: generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=width),
+                [1, 2],
+            ))
+        assert [[r.replicate_errors for r in t.rows] for t in tables] == [[[1.0] * 3] * 2] * 2
+
+    def test_forked_child_sweeps_on_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "run_two_step_once", _worker_pid)
+        first = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
+        results = multiprocessing.get_context("fork").SimpleQueue()
+        child = multiprocessing.get_context("fork").Process(target=_sweep_into, args=(results,))
+        child.start()
+        child.join(120)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+        assert not _pids(first) & results.get()
+
+    def test_workers_exit_with_the_interpreter(self, tmp_path):
+        pids = _run_two_sweeps_script(tmp_path)
+        assert 1 <= len(pids) <= 2
+        leftover = [pid for pid in pids if _alive(pid)]
+        for pid in leftover:
+            os.kill(pid, signal.SIGKILL)
+        assert leftover == []
 
     def test_bytes_independent_of_caller_blas_threads(self):
         # At these shapes a sweep run in the caller's process gives
