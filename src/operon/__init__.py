@@ -2,4 +2,13 @@
 orthonormalization, synthetic Darcy-flow data, and constructive zero-loss
 certificates."""
 
+import os
+
+# One BLAS thread, so seeded results are the same bytes on any core count.
+# OpenBLAS reads these when numpy loads, so they are set here, before any
+# submodule imports numpy; spawned workers inherit them.
+os.environ.update(
+    dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+)
+
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ from .construct import verify_zero_loss_pipeline
 from .data import (
     BETA_RANGE_EX1,
     BETA_RANGE_EX2,
+    TRIPLET_LATTICE_SIZE,
     OperatorDataset,
     _is_int,
     check_replaceable,
@@ -175,11 +176,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(seed: int, name: str = "--seed") -> None:
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
+
+
 def _cmd_generate(args) -> int:
     if args.grid_n < 3:
         raise ConfigError(f"--grid-n must be >= 3, got {args.grid_n}")
     if args.k < 2:
         raise ConfigError(f"--k must be >= 2, got {args.k}")
+    if args.example == "ex3" and args.k > TRIPLET_LATTICE_SIZE:
+        raise ConfigError(f"--k must be <= {TRIPLET_LATTICE_SIZE} for ex3, got {args.k}")
+    _check_seed(args.seed)
     if not 0.0 < args.train_fraction < 1.0:
         raise ConfigError(f"--train-fraction must lie in (0, 1), got {args.train_fraction}")
     check_replaceable(args.out, "manifest.json")
@@ -285,6 +294,7 @@ def _cmd_eval(args) -> int:
 def _cmd_certify(args) -> int:
     if args.n_width < 1:
         raise ConfigError(f"--N must be >= 1, got {args.n_width}")
+    _check_seed(args.seed)
     data = load_dataset(args.data)
     cert = verify_zero_loss_pipeline(data, args.n_width, seed=args.seed)
     payload = json_text(cert.to_dict())
@@ -316,6 +326,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--values must be comma-separated ints: {exc}") from exc
     settings = _from_config(ev.SweepSettings, config)
+    _check_seed(settings.base_seed, "config key seed")
     check_replaceable(args.out, "sweep.csv")
     try:
         table = ev.generalization_sweep(

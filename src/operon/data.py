@@ -414,14 +414,16 @@ def gen_example3(triplets, grid_n: int, seed: int = 0) -> OperatorDataset:
     )
 
 
+# Points of the ex3 lattice {(i/10, j/10, l/10) : 1 <= i,j,l <= 100}.
+TRIPLET_LATTICE_SIZE = 100**3
+
+
 def triplet_grid_sample(k: int, seed: int = 0) -> np.ndarray:
-    """Sample k triplets without replacement from the lattice
-    {(i/10, j/10, l/10) : 1 <= i,j,l <= 100}."""
-    total = 100**3
-    if not 1 <= k <= total:
-        raise ValueError(f"k must lie in [1, {total}]")
+    """Sample k triplets without replacement from the ex3 lattice."""
+    if not 1 <= k <= TRIPLET_LATTICE_SIZE:
+        raise ValueError(f"k must lie in [1, {TRIPLET_LATTICE_SIZE}]")
     rng = np.random.default_rng(seed)
-    flat = rng.choice(total, size=k, replace=False)
+    flat = rng.choice(TRIPLET_LATTICE_SIZE, size=k, replace=False)
     i = flat // 10000
     j = (flat // 100) % 100
     l = flat % 100

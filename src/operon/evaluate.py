@@ -255,11 +255,6 @@ def run_two_step_once(settings: SweepSettings, seed: int) -> float:
     return evaluate_model(model, data).mean_rel_error
 
 
-# Pinned to one thread in the sweep's workers. A spawned worker loads numpy,
-# and with it BLAS, before any initializer runs, so the environment it
-# starts with is the only place to set them.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 # The sweep's workers, kept for later sweeps of the same width: (width,
 # pool, its exit finalizer). A sweep holds the lock from its first submit
 # to its last result, so a sweep in another thread cannot replace the pool
@@ -286,42 +281,31 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_kept_pool)
 
 
-def _submit_pinned(jobs: list, width: int) -> list:
+def _submit(jobs: list, width: int) -> list:
     """Submit each job, in order, to the kept pool of `width` workers. A
-    pool of another width, or one broken by a dead worker, is replaced.
-    A spawn pool starts its workers inside submit(), so the BLAS pin
-    covers every submit() as well as the pool's creation."""
+    pool of another width, or one broken by a dead worker, is replaced."""
     global _kept_pool
     # Imported here: at module level they add to every `import operon`.
     import multiprocessing.util
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        if _kept_pool is not None and _kept_pool[0] == width:
-            try:
-                return [_kept_pool[1].submit(run_two_step_once, *job) for job in jobs]
-            except BrokenProcessPool:
-                pass
-        _shutdown_kept_pool()
-        pool = ProcessPoolExecutor(width, mp_context=multiprocessing.get_context("spawn"))
-        # Exit finalizers run before a multiprocessing child joins its own
-        # children, which would wait forever on idle workers, and before
-        # the interpreter's teardown, where a pool's clean-up fails. The
-        # priority puts this one before those of the pool's queues (10).
-        stop = multiprocessing.util.Finalize(
-            pool, pool.shutdown, kwargs={"cancel_futures": True}, exitpriority=20
-        )
-        _kept_pool = (width, pool, stop)
-        return [pool.submit(run_two_step_once, *job) for job in jobs]
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    if _kept_pool is not None and _kept_pool[0] == width:
+        try:
+            return [_kept_pool[1].submit(run_two_step_once, *job) for job in jobs]
+        except BrokenProcessPool:
+            pass
+    _shutdown_kept_pool()
+    pool = ProcessPoolExecutor(width, mp_context=multiprocessing.get_context("spawn"))
+    # Exit finalizers run before a multiprocessing child joins its own
+    # children, which would wait forever on idle workers, and before the
+    # interpreter's teardown, where a pool's clean-up fails. The priority
+    # puts this one before those of the pool's queues (10).
+    stop = multiprocessing.util.Finalize(
+        pool, pool.shutdown, kwargs={"cancel_futures": True}, exitpriority=20
+    )
+    _kept_pool = (width, pool, stop)
+    return [pool.submit(run_two_step_once, *job) for job in jobs]
 
 
 def generalization_sweep(
@@ -362,7 +346,7 @@ def generalization_sweep(
     with _kept_pool_lock:
         # A run costs more the larger its axis value, so the largest start
         # first; results are read in job order.
-        futures = _submit_pinned(jobs[::-1], min(max_workers, len(jobs)))[::-1]
+        futures = _submit(jobs[::-1], min(max_workers, len(jobs)))[::-1]
         try:
             errors = [future.result() for future in futures]
         except BaseException:

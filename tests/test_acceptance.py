@@ -6,7 +6,9 @@ record. The expensive artifacts (the desk-scale forward-problem replica
 and the scaling sweeps) are shared session fixtures.
 """
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -48,35 +50,56 @@ from operon.train import (
 REPLICA_CFG = dict(lr=1e-2, schedule_factor=2.0, schedule_every=2500, seed=5)
 
 
-@pytest.fixture(scope="session")
-def replica():
-    """Desk-scale forward-problem replica: K=200 constant conductivities in
-    [1, 100], 17x17 grid (m_y=289), trunk (2,50,50,50,50), branch (1,64,51),
-    20k trunk / 20k branch / 40k monolithic iterations."""
-    start = time.perf_counter()
+def _replica_start():
+    """The replica's data and initial trunk and branch."""
     data = split_dataset(gen_example1(np.linspace(1, 100, 200), 17), 0.9, seed=1)
     trunk = init_mlp((2, 50, 50, 50, 50), "tanh", "he", seed=11)
     branch = init_mlp((1, 64, 51), "tanh", "he", seed=12)
+    return data, trunk, branch
 
-    # 2st and 2st-noqr differ only after step 1, so one step 1 is finished
-    # both ways; the two models share its trunk.
-    cfg2 = TrainConfig(
-        method="two_step", iters_trunk=20000, iters_branch=20000, **REPLICA_CFG
-    )
-    step1 = train_trunk_step1(data, mlp_copy(trunk), cfg2)
-    two_step, report_2st = finish_two_step(
-        data, DeepONetModel(step1[0], mlp_copy(branch), None, 50), step1, cfg2
-    )
-    no_qr, report_noqr = finish_two_step(
-        data,
-        DeepONetModel(step1[0], mlp_copy(branch), None, 50),
-        step1,
-        replace(cfg2, method="two_step_no_qr"),
-    )
 
-    van = DeepONetModel(mlp_copy(trunk), mlp_copy(branch), None, 50)
-    cfg_v = TrainConfig(method="van", iters_mono=40000, **REPLICA_CFG)
-    van, report_van = train_monolithic(data, van, cfg_v)
+def _train_replica_van(directory):
+    """Runs in a spawned worker: trains the replica's monolithic model,
+    saves it to directory and returns its report. The model travels as
+    files because an unpickled Mlp's weights would be copies, not views
+    of its params."""
+    data, trunk, branch = _replica_start()
+    cfg = TrainConfig(method="van", iters_mono=40000, **REPLICA_CFG)
+    van, report = train_monolithic(data, DeepONetModel(trunk, branch, None, 50), cfg)
+    save_model(van, directory)
+    return report
+
+
+@pytest.fixture(scope="session")
+def replica(tmp_path_factory):
+    """Desk-scale forward-problem replica: K=200 constant conductivities in
+    [1, 100], 17x17 grid (m_y=289), trunk (2,50,50,50,50), branch (1,64,51),
+    20k trunk / 20k branch / 40k monolithic iterations. The monolithic
+    model trains in a spawned worker while the two-step models train
+    here; both processes compute with one BLAS thread."""
+    start = time.perf_counter()
+    van_dir = tmp_path_factory.mktemp("replica") / "van"
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        van_job = pool.submit(_train_replica_van, van_dir)
+        data, trunk, branch = _replica_start()
+
+        # 2st and 2st-noqr differ only after step 1, so one step 1 is
+        # finished both ways; the two models share its trunk.
+        cfg2 = TrainConfig(
+            method="two_step", iters_trunk=20000, iters_branch=20000, **REPLICA_CFG
+        )
+        step1 = train_trunk_step1(data, trunk, cfg2)
+        two_step, report_2st = finish_two_step(
+            data, DeepONetModel(step1[0], mlp_copy(branch), None, 50), step1, cfg2
+        )
+        no_qr, report_noqr = finish_two_step(
+            data,
+            DeepONetModel(step1[0], branch, None, 50),
+            step1,
+            replace(cfg2, method="two_step_no_qr"),
+        )
+        report_van = van_job.result()
+    van = load_model(van_dir)
 
     return {
         "data": data,

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +219,36 @@ class TestTrain:
             outs.append(out)
         for name in ("trunk.bin", "branch.bin", "t_matrix.bin", "trace_trunk.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_model_bytes_independent_of_caller_blas_threads(self, tmp_path):
+        # At these shapes a model trained with two BLAS threads differs
+        # from one trained with one.
+        data = tmp_path / "ex1"
+        assert main(["generate", "--example", "ex1", "--grid-n", "17", "--k", "250", "--out", str(data)]) == 0
+        config = _train_config(
+            tmp_path, trunk_arch=[2, 40, 40, 20], branch_arch=[1, 48, 21], iters_trunk=20, iters_branch=20
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        models = []
+        for threads in (None, "1", "2"):
+            # Without the "1"s that this process's `import operon` set.
+            env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"run_{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "operon.cli", "train", "--method", "2st", "--config", str(config),
+                 "--data", str(data), "--out", str(out)],
+                env={**env, "PYTHONPATH": path},
+                capture_output=True,
+                timeout=300,
+                check=True,
+            )
+            files = _snapshot(out)
+            models.append({name: files[name] for name in files if name.endswith(".bin") or name == "model.json"})
+        assert sorted(models[0]) == ["branch.bin", "model.json", "t_matrix.bin", "trunk.bin"]
+        assert models[0] == models[1] == models[2]
 
     def test_failed_write_keeps_previous_run(self, dataset_dir, tmp_path, monkeypatch, capsys):
         out = tmp_path / "run"
@@ -614,6 +646,7 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+        return err
 
     @pytest.mark.parametrize(
         "overrides",
@@ -646,8 +679,14 @@ class TestConfigBoundary:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"trunk_hidden": [[8]]}, {"trunk_hidden": [8.7]}, {"branch_hidden": [True]}, {"k_test": 0}],
-        ids=["hidden-nested", "hidden-float", "hidden-bool", "k-test-zero"],
+        [
+            {"trunk_hidden": [[8]]},
+            {"trunk_hidden": [8.7]},
+            {"branch_hidden": [True]},
+            {"k_test": 0},
+            {"seed": -5},
+        ],
+        ids=["hidden-nested", "hidden-float", "hidden-bool", "k-test-zero", "seed-negative"],
     )
     def test_sweep_config_exits_2(self, tmp_path, capsys, overrides):
         config = {
@@ -671,6 +710,26 @@ class TestConfigBoundary:
             ["train", "--method", "2st", "--config", str(config), "--data", str(dataset_dir), "--out", str(out)]
         )
         self._assert_usage_error(code, capsys, out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--example", "ex1", "--seed", "-1"],
+            ["generate", "--example", "ex3", "--seed", "-1"],
+            ["generate", "--example", "ex3", "--k", "2000000"],
+            ["certify", "--N", "2", "--seed", "-1"],
+        ],
+        ids=["seed-negative", "ex3-seed-negative", "ex3-k-above-lattice", "certify-seed-negative"],
+    )
+    def test_flag_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        # Nothing is generated and the dataset is not read: a missing one
+        # would exit 1.
+        for name in ("gen_example1", "gen_example3", "triplet_grid_sample"):
+            _must_not_run(monkeypatch, cli, name)
+        out = tmp_path / "missing"
+        code = main([*argv, "--out" if argv[0] == "generate" else "--data", str(out)])
+        err = self._assert_usage_error(code, capsys, out)
+        assert err.startswith(f"error: {argv[-2]} ")
 
     @pytest.mark.parametrize("fraction", ["0.95", "0.04"], ids=["test-empty", "train-empty"])
     def test_generate_empty_split_side_exits_2(self, tmp_path, capsys, fraction):

@@ -29,9 +29,9 @@ from operon.nn import init_mlp
 from operon.train import TrainConfig, train_monolithic, train_two_step
 
 
-def _blas_threads_seen(settings, seed):
-    """Stands in for a sweep run: reports the worker's BLAS thread setting."""
-    return float(os.environ["OPENBLAS_NUM_THREADS"])
+def _one(settings, seed):
+    """Stands in for a sweep run."""
+    return 1.0
 
 
 def _fail_below_six(settings, seed):
@@ -110,6 +110,51 @@ def _run_two_sweeps_script(directory):
         text = out.read()
     assert proc.returncode == 0, text
     return [int(pid) for pid in text.split()]
+
+
+# Runs one sweep per width given on the command line; each run reports
+# the OPENBLAS_NUM_THREADS that its worker's numpy loaded BLAS with. It
+# loads numpy before operon, as a caller's script may, and spawned
+# workers rerun it, so a worker's BLAS is set by what it inherited.
+_BLAS_SEEN_SCRIPT = """
+import os, sys
+SEEN = os.environ.get("OPENBLAS_NUM_THREADS")
+import numpy
+from operon import evaluate
+from operon.evaluate import SweepSettings, generalization_sweep
+
+def seen(settings, seed):
+    return float(SEEN)
+
+if __name__ == "__main__":
+    evaluate.run_two_step_once = seen
+    print(SEEN)
+    for width in sys.argv[1:]:
+        table = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=int(width))
+        print(*sorted({e for row in table.rows for e in row.replicate_errors}))
+"""
+
+
+def _blas_threads_seen(directory, widths):
+    """Lines printed by _BLAS_SEEN_SCRIPT for a caller whose BLAS thread
+    variables were 2 before it started: its own, then one per sweep."""
+    script = directory / "blas_seen.py"
+    script.write_text(_BLAS_SEEN_SCRIPT)
+    src = str(Path(operon.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    with open(directory / "out.txt", "w+") as out:
+        proc = subprocess.run(
+            [sys.executable, str(script), *map(str, widths)],
+            env={**os.environ, **dict.fromkeys(names, "2"), "PYTHONPATH": path},
+            stdout=out,
+            stderr=subprocess.STDOUT,
+            timeout=300,
+        )
+        out.seek(0)
+        text = out.read()
+    assert proc.returncode == 0, text
+    return text.splitlines()
 
 
 def _alive(pid):
@@ -345,16 +390,6 @@ class TestSweep:
         four = generalization_sweep(settings, "m_y", [20, 30, 40], 3, max_workers=4)
         assert [r.replicate_errors for r in one.rows] == [r.replicate_errors for r in four.rows]
 
-    def test_workers_compute_with_one_blas_thread(self, monkeypatch):
-        monkeypatch.setattr(evaluate, "run_two_step_once", _blas_threads_seen)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        before = dict(os.environ)
-        table = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
-        assert [r.replicate_errors for r in table.rows] == [[1.0] * 3] * 2
-        assert dict(os.environ) == before
-        _assert_only_pool_workers(2)
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_is_first_failing_run_in_table_order(self, monkeypatch, workers):
         # The largest values are submitted first, so at 2 workers K=5
@@ -376,28 +411,20 @@ class TestSweep:
                 super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(evaluate, "run_two_step_once", _blas_threads_seen)
+        monkeypatch.setattr(evaluate, "run_two_step_once", _one)
         generalization_sweep(SweepSettings(), "K", [4], 3, max_workers=workers)
         assert sizes == [size]
 
     def test_sweeps_reuse_the_kept_workers(self, monkeypatch):
         monkeypatch.setattr(evaluate, "run_two_step_once", _worker_pid)
+        before = dict(os.environ)
         first = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
+        assert dict(os.environ) == before
         _assert_only_pool_workers(2)
         workers = {child.pid for child in multiprocessing.active_children()}
         second = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
         assert _pids(first) | _pids(second) <= workers
         assert {child.pid for child in multiprocessing.active_children()} == workers
-
-    def test_worker_started_by_a_later_sweep_is_pinned(self, monkeypatch, no_kept_pool):
-        monkeypatch.setattr(evaluate, "run_two_step_once", _blas_threads_seen)
-        generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=1)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        # A new width replaces the pool, so this sweep starts its workers.
-        table = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
-        assert [r.replicate_errors for r in table.rows] == [[1.0] * 3] * 2
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-        _assert_only_pool_workers(2)
 
     def test_sweep_after_failure_reuses_the_pool(self, monkeypatch):
         monkeypatch.setattr(evaluate, "run_two_step_once", _fail_below_six)
@@ -423,9 +450,32 @@ class TestSweep:
         assert not _pids(first) & _pids(second)
         _assert_only_pool_workers(2)
 
+    def test_workers_compute_with_one_blas_thread(self, tmp_path):
+        assert _blas_threads_seen(tmp_path, [2]) == ["2", "1.0"]
+
+    def test_worker_started_by_a_later_sweep_is_pinned(self, tmp_path):
+        # A new width replaces the pool, so the second sweep starts its workers.
+        assert _blas_threads_seen(tmp_path, [1, 2]) == ["2", "1.0", "1.0"]
+
+    def test_import_pins_blas_to_one_thread(self):
+        # Set beforehand, in a fresh process: numpy loads BLAS only once.
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        script = f"import os, operon.evaluate; print(*map(os.environ.get, {names}))"
+        src = str(Path(operon.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, **dict(zip(names, ["2", "3", "2"])), "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert proc.stdout.split() == ["1", "1", "1"]
+
     def test_sweeps_in_two_threads_both_finish(self, monkeypatch):
         # Their widths differ, so each replaces the other's pool.
-        monkeypatch.setattr(evaluate, "run_two_step_once", _blas_threads_seen)
+        monkeypatch.setattr(evaluate, "run_two_step_once", _one)
         with concurrent.futures.ThreadPoolExecutor(2) as threads:
             tables = list(threads.map(
                 lambda width: generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=width),
@@ -469,7 +519,8 @@ class TestSweep:
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = []
         for threads in (None, "1", "2"):
-            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            # Without the "1"s that this process's `import operon` set.
+            env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
             if threads is not None:
                 env["OPENBLAS_NUM_THREADS"] = threads
             proc = subprocess.run(
