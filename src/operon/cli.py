@@ -49,6 +49,7 @@ RUNTIME_ERROR = 1
 
 # Sweep config keys that name a SweepSettings field differently.
 _SWEEP_FIELD_NAMES = {"init": "init_scheme", "seed": "base_seed"}
+_SWEEP_KEYS = {name: key for key, name in _SWEEP_FIELD_NAMES.items()}
 
 
 class ConfigError(Exception):
@@ -326,7 +327,11 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--values must be comma-separated ints: {exc}") from exc
     settings = _from_config(ev.SweepSettings, config)
-    _check_seed(settings.base_seed, "config key seed")
+    try:
+        settings.validate()
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"config key {_SWEEP_KEYS.get(field, field)} {rest}") from exc
     check_replaceable(args.out, "sweep.csv")
     try:
         table = ev.generalization_sweep(

@@ -8,6 +8,7 @@ dataset and model sizes.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
@@ -146,6 +147,8 @@ def error_map(model: DeepONetModel, data: OperatorDataset, sample: int) -> np.nd
 # Generalization sweep
 # ---------------------------------------------------------------------------
 
+# The examples a sweep family can generate (_family_dataset).
+_FAMILY_EXAMPLES = ("ex1", "ex3")
 # Each sweep axis and the SweepSettings field it varies.
 _AXIS_FIELDS = {"K": "k_train", "N": "n_width", "m_y": "m_y"}
 SWEEP_AXES = tuple(_AXIS_FIELDS)
@@ -174,6 +177,34 @@ class SweepSettings:
     m_y: int | None = None
     base_seed: int = 0
 
+    def validate(self) -> None:
+        """Raise ValueError for settings no run can train with. Each message
+        starts with the name of the offending field."""
+        if self.example not in _FAMILY_EXAMPLES:
+            raise ValueError(f"example must be one of {_FAMILY_EXAMPLES}, got {self.example!r}")
+        for name in ("k_train", "k_test", "n_width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.grid_n < 3:
+            raise ValueError(f"grid_n must be >= 3, got {self.grid_n}")
+        if self.example == "ex1":
+            for name in ("beta_lo", "beta_hi"):
+                value = getattr(self, name)
+                if not (math.isfinite(value) and value > 0.0):
+                    raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name in ("trunk_hidden", "branch_hidden"):
+            if not all(w >= 1 for w in getattr(self, name)):
+                raise ValueError(f"{name} must list positive widths, got {getattr(self, name)}")
+        if self.activation not in nn.ACTIVATIONS:
+            raise ValueError(f"activation must be one of {nn.ACTIVATIONS}, got {self.activation!r}")
+        if self.init_scheme not in nn.INIT_SCHEMES:
+            raise ValueError(f"init_scheme must be one of {nn.INIT_SCHEMES}, got {self.init_scheme!r}")
+        if self.m_y is not None and not 1 <= self.m_y <= self.grid_n**2:
+            raise ValueError(f"m_y must lie in [1, {self.grid_n**2}], got {self.m_y}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        _train_config(self, self.base_seed).validate()
+
 
 @dataclass
 class SweepRow:
@@ -201,6 +232,20 @@ class SweepTable:
                 for row in self.rows
             ),
         )
+
+
+def _train_config(settings: SweepSettings, seed: int) -> TrainConfig:
+    """The two-step training config of a run; its fields that SweepSettings
+    also has take the same name there."""
+    return TrainConfig(
+        method="two_step",
+        iters_trunk=settings.iters_trunk,
+        iters_branch=settings.iters_branch,
+        lr=settings.lr,
+        seed=seed,
+        a_init_scale=settings.a_init_scale,
+        ls_refit_every=settings.ls_refit_every,
+    )
 
 
 def _family_dataset(settings: SweepSettings, seed: int) -> OperatorDataset:
@@ -242,16 +287,7 @@ def run_two_step_once(settings: SweepSettings, seed: int) -> float:
         activation=settings.activation,
         init=settings.init_scheme,
     ).build(seed)
-    cfg = TrainConfig(
-        method="two_step",
-        iters_trunk=settings.iters_trunk,
-        iters_branch=settings.iters_branch,
-        lr=settings.lr,
-        seed=seed + 3,
-        a_init_scale=settings.a_init_scale,
-        ls_refit_every=settings.ls_refit_every,
-    )
-    model, _ = train_two_step(train_view, model, cfg)
+    model, _ = train_two_step(train_view, model, _train_config(settings, seed + 3))
     return evaluate_model(model, data).mean_rel_error
 
 
@@ -338,6 +374,9 @@ def generalization_sweep(
     jobs = []
     for i, value in enumerate(values):
         run_settings = replace(settings, **{_AXIS_FIELDS[axis]: value})
+        # Checked here, before any worker starts, so that a bad setting
+        # raises a ValueError naming its field rather than failing in a run.
+        run_settings.validate()
         for rep in range(replicates):
             jobs.append((run_settings, settings.base_seed + 1000 * i + 10 * rep))
 

@@ -69,11 +69,35 @@ class Mlp:
                 raise ShapeError(f"array shape {np.shape(arr)} != {view.shape} in arch {self.arch}")
             view[...] = arr
 
+    def store_in(self, flat: np.ndarray) -> None:
+        """Copy params into flat, a vector of the same size, and keep them
+        there: params, weights and biases become views into flat. A
+        training loop holds all it trains in one such vector."""
+        flat[...] = self.params
+        self.params = flat
+        self.weights, self.biases = _layer_views(flat, self.arch)
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
+
+def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.maximum(z, 0.0, out=out)
+    return np.tanh(z, out=out)
+
+
+class Workspace:
+    """Buffers for one network at one batch size: the activations that
+    _forward_cached writes and the deltas and derivatives of backward. A
+    training loop makes one per network and reuses it every iteration.
+
+    out, when given, receives the network output in place of a buffer of
+    its own (a strided view is fine, such as the trunk columns of Phi)."""
+
+    def __init__(self, net: Mlp, batch: int, out: np.ndarray | None = None):
+        hidden = net.arch[1:-1]
+        self.acts = [np.empty((batch, n)) for n in hidden]
+        self.acts.append(np.empty((batch, net.arch[-1])) if out is None else out)
+        self.deltas = [np.empty((batch, n)) for n in hidden]
+        self.derivs = [np.empty((batch, n)) for n in hidden]
 
 
 def init_mlp(arch, activation: str, scheme: str = "he", seed: int = 0) -> Mlp:
@@ -106,15 +130,20 @@ def _check_input(net: Mlp, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_cached(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
-    """Activations h1..h_{L-1} for a batch, followed by the network output."""
+def _forward_cached(net: Mlp, x: np.ndarray, work: Workspace | None = None) -> list[np.ndarray]:
+    """Activations h1..h_{L-1} for a batch, followed by the network output,
+    written into work.acts (a new Workspace when work is None)."""
     h = _check_input(net, x)
-    acts = []
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        h = _act(h @ w.T + b, net.activation)
-        acts.append(h)
-    acts.append(h @ net.weights[-1].T + net.biases[-1])
-    return acts
+    if work is None:
+        work = Workspace(net, h.shape[0])
+    last = len(net.weights) - 1
+    for l, (w, b, out) in enumerate(zip(net.weights, net.biases, work.acts)):
+        np.matmul(h, w.T, out=out)
+        out += b
+        if l < last:
+            _act(out, net.activation, out=out)
+        h = out
+    return work.acts
 
 
 def forward(net: Mlp, x) -> np.ndarray:
@@ -127,13 +156,18 @@ def forward(net: Mlp, x) -> np.ndarray:
     return h @ net.weights[-1].T + net.biases[-1]
 
 
-def backward(net: Mlp, x, upstream, cache: list[np.ndarray]) -> np.ndarray:
+def backward(
+    net: Mlp, x, upstream, cache: list[np.ndarray], grad: np.ndarray | None = None,
+    work: Workspace | None = None,
+) -> np.ndarray:
     """Gradient of sum_batch <upstream, output> w.r.t. net.params, as one
     vector in the layout of net.params.
 
     cache is _forward_cached(net, x) from the pass that produced the
     output; derivatives are formed from its activations (1 - h^2 for
-    tanh, h > 0 for relu), so the network is not evaluated again."""
+    tanh, h > 0 for relu), so the network is not evaluated again. The
+    gradient is written into grad, and deltas and derivatives into work's
+    buffers; each is made here when not given."""
     x = _check_input(net, x)
     upstream = np.ascontiguousarray(upstream, dtype=np.float64)
     n_layers = len(net.weights)
@@ -144,7 +178,10 @@ def backward(net: Mlp, x, upstream, cache: list[np.ndarray]) -> np.ndarray:
         )
     if len(cache) != n_layers:
         raise ShapeError(f"cache holds {len(cache)} arrays, expected {n_layers}")
-    grad = np.empty_like(net.params)
+    if grad is None:
+        grad = np.empty_like(net.params)
+    if work is None:
+        work = Workspace(net, x.shape[0])
     dweights, dbiases = _layer_views(grad, net.arch)
     delta = upstream
     for l in range(n_layers - 1, -1, -1):
@@ -152,8 +189,16 @@ def backward(net: Mlp, x, upstream, cache: list[np.ndarray]) -> np.ndarray:
         np.matmul(delta.T, inp, out=dweights[l])
         np.sum(delta, axis=0, out=dbiases[l])
         if l > 0:
-            deriv = inp > 0.0 if net.activation == "relu" else 1.0 - inp * inp
-            delta = (delta @ net.weights[l]) * deriv
+            # delta <- (delta @ W_l) * sigma'(z_{l-1}); the relu mask is
+            # stored as 0.0 / 1.0, the values a boolean mask multiplies by.
+            deriv = work.derivs[l - 1]
+            if net.activation == "relu":
+                np.greater(inp, 0.0, out=deriv)
+            else:
+                np.multiply(inp, inp, out=deriv)
+                np.subtract(1.0, deriv, out=deriv)
+            delta = np.matmul(delta, net.weights[l], out=work.deltas[l - 1])
+            delta *= deriv
     return grad
 
 

@@ -13,6 +13,9 @@ from .errors import NonFiniteGradientError, ShapeError
 class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
+    # Per parameter array, two arrays of its shape that every step reuses
+    # for the update's temporaries.
+    scratch: list[tuple[np.ndarray, np.ndarray]]
     t: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -26,6 +29,7 @@ class AdamState:
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
+            scratch=[(np.empty_like(p), np.empty_like(p)) for p in params],
             lr=lr,
             **kwargs,
         )
@@ -35,7 +39,11 @@ def adam_step(
     params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
 ) -> tuple[list[np.ndarray], AdamState]:
     """One Adam update. Parameters are modified in place and returned along
-    with the advanced state. NaN/Inf gradients abort the run."""
+    with the advanced state. NaN/Inf gradients abort the run.
+
+    A training loop passes one flat parameter vector and one flat gradient
+    vector, so the update runs once per step whatever the number of
+    networks; it allocates nothing."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("params, grads and state buffers must align")
     for i, g in enumerate(grads):
@@ -48,12 +56,25 @@ def adam_step(
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state.scratch):
+        # The operations and their order are those of
+        #   m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g^2,
+        #   p -= lr (m / bias1) / (sqrt(v / bias2) + eps),
+        # with every temporary written into the scratch arrays.
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=step)
+        m += step
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
+        np.multiply(g, g, out=denom)
+        denom *= 1.0 - b2
+        v += denom
+        np.divide(m, bias1, out=step)
+        step *= state.lr
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.epsilon
+        step /= denom
+        p -= step
     return params, state
 
 

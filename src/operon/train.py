@@ -20,9 +20,11 @@ from . import linalg, nn
 from .data import OperatorDataset, csv_text, json_text
 from .deeponet import (
     DeepONetModel,
-    _phi_from_values,
+    FitWork,
+    MonolithicWork,
     assemble_c,
     assemble_phi,
+    fit_loss_and_grads,
     monolithic_loss,
     monolithic_loss_and_grads,
 )
@@ -100,20 +102,42 @@ def report_files(report: TrainReport) -> dict:
     return files
 
 
+def _flat_vectors(*parts):
+    """One parameter vector holding the parts end to end, and a gradient
+    vector of the same layout. An Mlp part moves into the parameter vector
+    (Mlp.store_in); an array part is copied into it. Returns both vectors
+    and, per part, its views into them shaped like the part: an array
+    part's view is where it is trained."""
+    sizes = [part.params.size if isinstance(part, Mlp) else part.size for part in parts]
+    params, grads = np.empty(sum(sizes)), np.empty(sum(sizes))
+    views = []
+    start = 0
+    for part, size in zip(parts, sizes):
+        p, g = params[start : start + size], grads[start : start + size]
+        start += size
+        if isinstance(part, Mlp):
+            part.store_in(p)
+        else:
+            p, g = p.reshape(part.shape), g.reshape(part.shape)
+            p[...] = part
+        views.append((p, g))
+    return params, grads, views
+
+
 def _adam_loop(
-    step, params: list[np.ndarray], iters: int, cfg: TrainConfig
+    step, params: np.ndarray, grads: np.ndarray, iters: int, cfg: TrainConfig
 ) -> list[float]:
-    """Full-batch Adam for iters iterations. step(t) returns (loss, grads)
-    at the current parameters for iteration t = 1..iters; the losses form
-    the returned trace."""
-    state = AdamState.for_params(params, lr=cfg.lr)
+    """Full-batch Adam on one parameter vector for iters iterations.
+    step(t) writes the gradient at the current parameters into grads and
+    returns the loss, for iteration t = 1..iters; the losses form the
+    returned trace."""
+    state = AdamState.for_params([params], lr=cfg.lr)
     trace: list[float] = []
     for t in range(1, iters + 1):
-        loss, grads = step(t)
-        trace.append(loss)
+        trace.append(step(t))
         state.lr = cfg.lr_at(state.t)
         try:
-            adam_step(params, grads, state)
+            adam_step([params], [grads], state)
         except NonFiniteGradientError as exc:
             raise NonFiniteGradientError(f"{exc} (at iteration {t})") from exc
     return trace
@@ -128,14 +152,14 @@ def train_monolithic(
         raise ValueError("monolithic training starts from a model without T")
     start = time.perf_counter()
     f_train, u_train = data.train_f(), np.ascontiguousarray(data.train_u())
+    m_y, k = u_train.shape
+    params, grads, [(_, trunk_g), (_, branch_g)] = _flat_vectors(model.trunk, model.branch)
+    work = MonolithicWork(model, k, m_y, trunk_g, branch_g)
 
     def step(t):
-        loss, trunk_g, branch_g = monolithic_loss_and_grads(
-            model, f_train, u_train, data.y_sensors
-        )
-        return loss, [trunk_g, branch_g]
+        return monolithic_loss_and_grads(model, f_train, u_train, data.y_sensors, work)[0]
 
-    trace = _adam_loop(step, [model.trunk.params, model.branch.params], cfg.iters_mono, cfg)
+    trace = _adam_loop(step, params, grads, cfg.iters_mono, cfg)
     final = monolithic_loss(model, data)
     report = TrainReport(
         method="van",
@@ -170,21 +194,17 @@ def train_trunk_step1(
             f"sensors ({m_y})"
         )
     rng = np.random.default_rng(cfg.seed)
-    a = rng.normal(0.0, cfg.a_init_scale, size=(n_width + 1, k))
-    scale = 2.0 / (m_y * k)
+    a_init = rng.normal(0.0, cfg.a_init_scale, size=(n_width + 1, k))
+    params, grads, [(_, trunk_g), (a, a_g)] = _flat_vectors(trunk, a_init)
+    work = FitWork(trunk, k, m_y, trunk_g)
 
     def step(t):
-        cache = nn._forward_cached(trunk, data.y_sensors)
-        phi = _phi_from_values(cache[-1])
+        nn._forward_cached(trunk, data.y_sensors, work.trunk)
         if cfg.ls_refit_every > 0 and (t - 1) % cfg.ls_refit_every == 0:
-            a[...] = linalg.least_squares(phi, u_train)
-        resid = phi @ a - u_train
-        loss = float(np.sum(resid * resid)) / (m_y * k)
-        trunk_upstream = scale * (resid @ a.T)[:, 1:]
-        trunk_grad = nn.backward(trunk, data.y_sensors, trunk_upstream, cache)
-        return loss, [trunk_grad, scale * (phi.T @ resid)]
+            a[...] = linalg.least_squares(work.phi, u_train)
+        return fit_loss_and_grads(trunk, data.y_sensors, a, u_train, a_g, work)
 
-    trace = _adam_loop(step, [trunk.params, a], cfg.iters_trunk, cfg)
+    trace = _adam_loop(step, params, grads, cfg.iters_trunk, cfg)
     phi = assemble_phi(trunk, data.y_sensors)
     if cfg.ls_refit_every > 0:
         a[...] = linalg.least_squares(phi, u_train)
@@ -225,14 +245,19 @@ def train_branch_step2(
     if branch.arch[-1] != n1:
         raise ValueError(f"branch output {branch.arch[-1]} != target rows {n1}")
 
-    def step(t):
-        cache = nn._forward_cached(branch, f_inputs)
-        diff = cache[-1].T - target
-        loss = float(np.sum(diff * diff)) / k
-        grad = nn.backward(branch, f_inputs, (2.0 / k) * diff.T, cache)
-        return loss, [grad]
+    params, grads, [(_, grad)] = _flat_vectors(branch)
+    work = nn.Workspace(branch, k)
+    diff, upstream = np.empty((n1, k)), np.empty((k, n1))
 
-    trace = _adam_loop(step, [branch.params], cfg.iters_branch, cfg)
+    def step(t):
+        cache = nn._forward_cached(branch, f_inputs, work)
+        np.subtract(cache[-1].T, target, out=diff)
+        np.multiply(diff.T, 2.0 / k, out=upstream)
+        nn.backward(branch, f_inputs, upstream, cache, grad, work)
+        np.multiply(diff, diff, out=diff)
+        return float(np.sum(diff)) / k
+
+    trace = _adam_loop(step, params, grads, cfg.iters_branch, cfg)
     c = assemble_c(branch, f_inputs)
     diff = c - target
     final_loss = float(np.sum(diff * diff)) / k

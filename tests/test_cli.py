@@ -51,6 +51,40 @@ def ex2_dir(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def ex1_grid17_dir(tmp_path_factory):
+    """ex1 at grid 17 with K 250: products large enough for OpenBLAS to
+    split them between threads."""
+    path = tmp_path_factory.mktemp("data") / "ex1_17"
+    assert main(["generate", "--example", "ex1", "--grid-n", "17", "--k", "250", "--out", str(path)]) == 0
+    return path
+
+
+def _bytes_under_caller_blas_threads(tmp_path, argv_for):
+    """Run `python -m operon.cli` with argv_for(out) three times, with the
+    caller's BLAS thread variables unset, OPENBLAS_NUM_THREADS=1 and =2,
+    each into its own out. Returns per run the files written, name ->
+    bytes; out may be a directory or a single file."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in (None, "1", "2"):
+        # Without the "1"s that this process's `import operon` set.
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"run_{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "operon.cli", *argv_for(out)],
+            env={**env, "PYTHONPATH": path},
+            capture_output=True,
+            timeout=300,
+            check=True,
+        )
+        runs.append(_snapshot(out) if out.is_dir() else {out.name: out.read_bytes()})
+    return runs
+
+
 def _train_config(tmp_path, **overrides):
     config = {
         "seed": 1,
@@ -220,33 +254,18 @@ class TestTrain:
         for name in ("trunk.bin", "branch.bin", "t_matrix.bin", "trace_trunk.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_model_bytes_independent_of_caller_blas_threads(self, tmp_path):
+    def test_model_bytes_independent_of_caller_blas_threads(self, ex1_grid17_dir, tmp_path):
         # At these shapes a model trained with two BLAS threads differs
         # from one trained with one.
-        data = tmp_path / "ex1"
-        assert main(["generate", "--example", "ex1", "--grid-n", "17", "--k", "250", "--out", str(data)]) == 0
         config = _train_config(
             tmp_path, trunk_arch=[2, 40, 40, 20], branch_arch=[1, 48, 21], iters_trunk=20, iters_branch=20
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        models = []
-        for threads in (None, "1", "2"):
-            # Without the "1"s that this process's `import operon` set.
-            env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-            if threads is not None:
-                env["OPENBLAS_NUM_THREADS"] = threads
-            out = tmp_path / f"run_{threads}"
-            subprocess.run(
-                [sys.executable, "-m", "operon.cli", "train", "--method", "2st", "--config", str(config),
-                 "--data", str(data), "--out", str(out)],
-                env={**env, "PYTHONPATH": path},
-                capture_output=True,
-                timeout=300,
-                check=True,
-            )
-            files = _snapshot(out)
-            models.append({name: files[name] for name in files if name.endswith(".bin") or name == "model.json"})
+        runs = _bytes_under_caller_blas_threads(
+            tmp_path,
+            lambda out: ["train", "--method", "2st", "--config", str(config), "--data", str(ex1_grid17_dir),
+                         "--out", str(out)],
+        )
+        models = [{name: run[name] for name in run if name.endswith(".bin") or name == "model.json"} for run in runs]
         assert sorted(models[0]) == ["branch.bin", "model.json", "t_matrix.bin", "trunk.bin"]
         assert models[0] == models[1] == models[2]
 
@@ -300,6 +319,24 @@ def trained(dataset_dir, tmp_path_factory):
 
 
 class TestEval:
+    def test_eval_bytes_independent_of_caller_blas_threads(self, ex1_grid17_dir, tmp_path):
+        model = tmp_path / "model"
+        config = _train_config(
+            tmp_path, trunk_arch=[2, 40, 40, 20], branch_arch=[1, 48, 21], iters_trunk=20, iters_branch=20
+        )
+        assert main(
+            ["train", "--method", "2st", "--config", str(config), "--data", str(ex1_grid17_dir), "--out", str(model)]
+        ) == 0
+        # Held-out samples enough for the products to be split between threads.
+        data = tmp_path / "ex1_17_held_out"
+        assert main(
+            ["generate", "--example", "ex1", "--grid-n", "17", "--k", "250", "--train-fraction", "0.1", "--out", str(data)]
+        ) == 0
+        runs = _bytes_under_caller_blas_threads(
+            tmp_path, lambda out: ["eval", "--model", str(model), "--data", str(data), "--out", str(out)]
+        )
+        assert len(json.loads(runs[0]["eval.json"])["rel_errors"]) == 225
+        assert runs[0] == runs[1] == runs[2]
 
     def test_eval_artifacts(self, trained, dataset_dir, tmp_path):
         out = tmp_path / "eval"
@@ -443,6 +480,14 @@ class TestEval:
 
 
 class TestCertify:
+    def test_certificate_bytes_independent_of_caller_blas_threads(self, ex1_grid17_dir, tmp_path):
+        runs = _bytes_under_caller_blas_threads(
+            tmp_path, lambda out: ["certify", "--data", str(ex1_grid17_dir), "--N", "8", "--out", str(out)]
+        )
+        certs = [cert for run in runs for cert in run.values()]
+        assert json.loads(certs[0])["passed"] is True
+        assert certs[0] == certs[1] == certs[2]
+
     def test_pass_certificate(self, dataset_dir, tmp_path):
         from operon.linalg import jacobi_svd
 
@@ -678,17 +723,19 @@ class TestConfigBoundary:
         self._assert_usage_error(code, capsys, out)
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, message",
         [
-            {"trunk_hidden": [[8]]},
-            {"trunk_hidden": [8.7]},
-            {"branch_hidden": [True]},
-            {"k_test": 0},
-            {"seed": -5},
+            ({"trunk_hidden": [[8]]}, "config key trunk_hidden must be a list of positive ints"),
+            ({"trunk_hidden": [8.7]}, "config key trunk_hidden must be a list of positive ints"),
+            ({"branch_hidden": [True]}, "config key branch_hidden must be a list of positive ints"),
+            ({"k_test": 0}, "config key k_test must be >= 1, got 0"),
+            ({"seed": -5}, "config key seed must be >= 0, got -5"),
         ],
         ids=["hidden-nested", "hidden-float", "hidden-bool", "k-test-zero", "seed-negative"],
     )
-    def test_sweep_config_exits_2(self, tmp_path, capsys, overrides):
+    def test_sweep_config_exits_2(self, tmp_path, capsys, monkeypatch, overrides, message):
+        # Refused before the sweep, so no worker starts.
+        _must_not_run(monkeypatch, cli.ev, "generalization_sweep")
         config = {
             "example": "ex1", "k_test": 4, "grid_n": 7, "n_width": 3, "trunk_hidden": [10],
             "branch_hidden": [10], "activation": "tanh", "iters_trunk": 5, "iters_branch": 5,
@@ -700,7 +747,7 @@ class TestConfigBoundary:
             ["sweep", "--axis", "K", "--values", "4,6,8", "--replicates", "3",
              "--config", str(path), "--out", str(out)]
         )
-        self._assert_usage_error(code, capsys, out)
+        assert message in self._assert_usage_error(code, capsys, out)
 
     def test_config_nested_too_deep_exits_2(self, dataset_dir, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -353,6 +353,26 @@ class TestSweep:
         with pytest.raises(ValueError, match="max_workers"):
             generalization_sweep(settings, "K", [4, 5, 6], 3, max_workers=0)
 
+    @pytest.mark.parametrize(
+        "field, settings, values",
+        [
+            ("base_seed", SweepSettings(base_seed=-5), [4, 5, 6]),
+            ("k_test", SweepSettings(k_test=0), [4, 5, 6]),
+            ("example", SweepSettings(example="ex2"), [4, 5, 6]),
+            ("lr", SweepSettings(lr=0.0), [4, 5, 6]),
+            ("m_y", SweepSettings(grid_n=3, m_y=10), [4, 5, 6]),
+            ("k_train", SweepSettings(), [0, 5, 6]),
+        ],
+        ids=["seed-negative", "k-test-zero", "example-ex2", "lr-zero", "m-y-over-grid", "axis-value-zero"],
+    )
+    def test_settings_refused_before_workers_start(self, monkeypatch, field, settings, values):
+        def forbidden(jobs, width):
+            pytest.fail("a worker was started for settings that cannot run")
+
+        monkeypatch.setattr(evaluate, "_submit", forbidden)
+        with pytest.raises(ValueError, match=f"^{field} "):
+            generalization_sweep(settings, "K", values, 3, max_workers=2)
+
     def test_tiny_sweep_deterministic(self):
         settings = SweepSettings(
             k_train=6,

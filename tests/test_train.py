@@ -13,7 +13,8 @@ from operon.deeponet import (
     save_model,
 )
 from operon.errors import DuplicateSensorError, NonFiniteGradientError
-from operon.nn import init_mlp
+from operon.linalg import least_squares
+from operon.nn import init_mlp, mlp_copy
 from operon.train import (
     TrainConfig,
     check_two_step_equivalence,
@@ -395,3 +396,214 @@ class TestReportIo:
         files = report_files(report)
         assert sorted(files) == ["report.json", "trace_mono.csv"]
         assert "loss_trace" not in json.loads(files["report.json"])
+
+
+# Allocating reference of the training loops as they were written before
+# they moved into reused buffers and one flat parameter vector: every
+# iteration builds new arrays, and Adam runs once per parameter array.
+# The library loops must reproduce these bit for bit.
+
+
+def _ref_act(z, kind):
+    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+
+
+def _ref_forward_cached(net, x):
+    h, acts = x, []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = _ref_act(h @ w.T + b, net.activation)
+        acts.append(h)
+    acts.append(h @ net.weights[-1].T + net.biases[-1])
+    return acts
+
+
+def _ref_backward(net, x, upstream, cache):
+    upstream = np.ascontiguousarray(upstream)
+    grads_w, grads_b = [None] * len(net.weights), [None] * len(net.weights)
+    delta = upstream
+    for l in range(len(net.weights) - 1, -1, -1):
+        inp = x if l == 0 else cache[l - 1]
+        grads_w[l] = delta.T @ inp
+        grads_b[l] = np.sum(delta, axis=0)
+        if l > 0:
+            deriv = inp > 0.0 if net.activation == "relu" else 1.0 - inp * inp
+            delta = (delta @ net.weights[l]) * deriv
+    return np.concatenate([a.ravel() for pair in zip(grads_w, grads_b) for a in pair])
+
+
+def _ref_adam_loop(step, params, iters, cfg):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    trace = []
+    for t in range(1, iters + 1):
+        loss, grads = step(t)
+        trace.append(loss)
+        lr = cfg.lr_at(t - 1)
+        for g in grads:
+            if not np.all(np.isfinite(g)):
+                raise NonFiniteGradientError(f"non-finite gradient (at iteration {t})")
+        bias1, bias2 = 1.0 - b1**t, 1.0 - b2**t
+        for p, g, mm, vv in zip(params, grads, m, v):
+            mm *= b1
+            mm += (1.0 - b1) * g
+            vv *= b2
+            vv += (1.0 - b2) * (g * g)
+            p -= lr * (mm / bias1) / (np.sqrt(vv / bias2) + eps)
+    return trace
+
+
+def _ref_phi(values):
+    return np.hstack([np.ones((values.shape[0], 1)), values])
+
+
+def _ref_step1(data, trunk, cfg):
+    u = np.ascontiguousarray(data.train_u())
+    m_y, k = u.shape
+    y = data.y_sensors
+    a = np.random.default_rng(cfg.seed).normal(0.0, cfg.a_init_scale, size=(trunk.arch[-1] + 1, k))
+    scale = 2.0 / (m_y * k)
+
+    def step(t):
+        cache = _ref_forward_cached(trunk, y)
+        phi = _ref_phi(cache[-1])
+        if cfg.ls_refit_every > 0 and (t - 1) % cfg.ls_refit_every == 0:
+            a[...] = least_squares(phi, u)
+        resid = phi @ a - u
+        loss = float(np.sum(resid * resid)) / (m_y * k)
+        upstream = scale * (resid @ a.T)[:, 1:]
+        return loss, [_ref_backward(trunk, y, upstream, cache), scale * (phi.T @ resid)]
+
+    trace = _ref_adam_loop(step, [trunk.params, a], cfg.iters_trunk, cfg)
+    if cfg.ls_refit_every > 0:
+        a[...] = least_squares(_ref_phi(_ref_forward_cached(trunk, y)[-1]), u)
+    return a, trace
+
+
+def _ref_step2(f, target, branch, cfg):
+    k = target.shape[1]
+
+    def step(t):
+        cache = _ref_forward_cached(branch, f)
+        diff = cache[-1].T - target
+        loss = float(np.sum(diff * diff)) / k
+        return loss, [_ref_backward(branch, f, (2.0 / k) * diff.T, cache)]
+
+    return _ref_adam_loop(step, [branch.params], cfg.iters_branch, cfg)
+
+
+def _ref_van(data, model, cfg):
+    f, u, y = data.train_f(), np.ascontiguousarray(data.train_u()), data.y_sensors
+    m_y, k = u.shape
+    scale = 2.0 / (m_y * k)
+
+    def step(t):
+        trunk_cache = _ref_forward_cached(model.trunk, y)
+        branch_cache = _ref_forward_cached(model.branch, f)
+        phi = _ref_phi(trunk_cache[-1])
+        c = branch_cache[-1].T
+        resid = phi @ c - u
+        loss = float(np.sum(resid * resid)) / (m_y * k)
+        trunk_up = scale * (resid @ c.T)[:, 1:]
+        branch_up = scale * (phi.T @ resid).T
+        return loss, [
+            _ref_backward(model.trunk, y, trunk_up, trunk_cache),
+            _ref_backward(model.branch, f, branch_up, branch_cache),
+        ]
+
+    return _ref_adam_loop(step, [model.trunk.params, model.branch.params], cfg.iters_mono, cfg)
+
+
+def _ref_data(seed):
+    return split_dataset(_tiny_dataset(seed=seed, m_y=40, k=30, m_x=3), 0.7, seed=seed)
+
+
+def _ref_model(seed, activation):
+    # Widths off the BLAS kernels' block sizes: at smaller shapes a change
+    # of operand layout, such as h @ ascontiguousarray(W.T), kept its bits.
+    trunk = init_mlp((2, 24, 17, 4), activation, "he", seed=seed)
+    branch = init_mlp((3, 20, 13, 5), activation, "he", seed=seed + 1)
+    return DeepONetModel(trunk=trunk, branch=branch, t_matrix=None, width=4)
+
+
+_SCHEDULE = dict(lr=1e-2, schedule_factor=2.0, schedule_every=7)
+
+
+class TestMatchesAllocatingReference:
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("method", ["two_step", "two_step_no_qr"])
+    @pytest.mark.parametrize("refit", [0, 4])
+    def test_two_step_bit_identical(self, method, refit, activation):
+        data = _ref_data(seed=31)
+        cfg = TrainConfig(
+            method=method, iters_trunk=25, iters_branch=20, seed=31, ls_refit_every=refit, **_SCHEDULE
+        )
+        model, report = train_two_step(data, _ref_model(31, activation), cfg)
+        _, a_star, _, _ = train_trunk_step1(data, _ref_model(31, activation).trunk, cfg)
+
+        ref = _ref_model(31, activation)
+        a_ref, trunk_trace = _ref_step1(data, ref.trunk, cfg)
+        if method == "two_step_no_qr":
+            t_ref, target = np.eye(5), a_ref
+        else:
+            t_ref, target = orthonormalize(ref.trunk, a_ref, data.y_sensors)
+        branch_trace = _ref_step2(data.train_f(), target, ref.branch, cfg)
+
+        assert report.loss_trace == trunk_trace
+        assert report.branch_trace == branch_trace
+        assert model.trunk.params.tobytes() == ref.trunk.params.tobytes()
+        assert a_star.tobytes() == a_ref.tobytes()
+        assert model.t_matrix.tobytes() == t_ref.tobytes()
+        assert model.branch.params.tobytes() == ref.branch.params.tobytes()
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_van_bit_identical(self, activation):
+        data = _ref_data(seed=32)
+        cfg = TrainConfig(method="van", iters_mono=30, seed=32, **_SCHEDULE)
+        model, report = train_monolithic(data, _ref_model(32, activation), cfg)
+        ref = _ref_model(32, activation)
+        trace = _ref_van(data, ref, cfg)
+        assert report.loss_trace == trace
+        assert model.trunk.params.tobytes() == ref.trunk.params.tobytes()
+        assert model.branch.params.tobytes() == ref.branch.params.tobytes()
+
+    def test_trained_nets_keep_one_params_vector(self):
+        data = _ref_data(seed=33)
+        cfg = TrainConfig(method="van", iters_mono=3, seed=33)
+        model, _ = train_monolithic(data, _ref_model(33, "tanh"), cfg)
+        for net in (model.trunk, model.branch):
+            assert net.params.flags.c_contiguous
+            for view in net.weights + net.biases:
+                assert np.shares_memory(view, net.params)
+
+    def test_nan_in_a_gradient_names_iteration(self, monkeypatch):
+        from operon import train as train_module
+
+        real = train_module.fit_loss_and_grads
+        calls = []
+
+        def poisoned(trunk, y, c, u, c_grad, work):
+            loss = real(trunk, y, c, u, c_grad, work)
+            calls.append(1)
+            if len(calls) == 3:
+                c_grad[-1, -1] = np.nan
+                assert np.all(np.isfinite(work.trunk_grad))
+            return loss
+
+        monkeypatch.setattr(train_module, "fit_loss_and_grads", poisoned)
+        data = _ref_data(seed=34)
+        with pytest.raises(NonFiniteGradientError, match="iteration 3"):
+            train_trunk_step1(data, _ref_model(34, "tanh").trunk, TrainConfig(iters_trunk=5, seed=34))
+
+    def test_second_run_from_a_copy_leaves_the_first_untouched(self):
+        data = _ref_data(seed=35)
+        cfg = TrainConfig(method="two_step", iters_trunk=10, iters_branch=10, seed=35)
+        first, _ = train_two_step(data, _ref_model(35, "tanh"), cfg)
+        saved = (first.trunk.params.tobytes(), first.branch.params.tobytes(), first.t_matrix.tobytes())
+        copy = DeepONetModel(mlp_copy(first.trunk), mlp_copy(first.branch), None, first.width)
+        train_monolithic(data, copy, TrainConfig(method="van", iters_mono=10, seed=35))
+        second, _ = train_two_step(
+            data, DeepONetModel(mlp_copy(first.trunk), mlp_copy(first.branch), None, first.width), cfg
+        )
+        assert not np.shares_memory(second.trunk.params, first.trunk.params)
+        assert (first.trunk.params.tobytes(), first.branch.params.tobytes(), first.t_matrix.tobytes()) == saved
