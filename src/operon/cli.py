@@ -327,11 +327,17 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--values must be comma-separated ints: {exc}") from exc
     settings = _from_config(ev.SweepSettings, config)
-    try:
-        settings.validate()
-    except ValueError as exc:
-        field, _, rest = str(exc).partition(" ")
-        raise ConfigError(f"config key {_SWEEP_KEYS.get(field, field)} {rest}") from exc
+    swept = ev.SWEEP_AXES[args.axis]
+    # Every run's settings, before any run starts: n_width may fit the grid
+    # but not an m_y on the axis. A bad swept field is a --values entry.
+    for value in values:
+        try:
+            dataclasses.replace(settings, **{swept: value}).validate()
+        except ValueError as exc:
+            field, _, rest = str(exc).partition(" ")
+            if field == swept:
+                raise ConfigError(f"--values: {exc}") from exc
+            raise ConfigError(f"config key {_SWEEP_KEYS.get(field, field)} {rest}") from exc
     check_replaceable(args.out, "sweep.csv")
     try:
         table = ev.generalization_sweep(

@@ -9,13 +9,11 @@ dataset and model sizes.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import linalg, nn
+from . import _NUMPY_LOADED_FIRST, linalg, nn
 from .data import (
     TRIPLET_RANGE_EX3,
     OperatorDataset,
@@ -150,8 +148,7 @@ def error_map(model: DeepONetModel, data: OperatorDataset, sample: int) -> np.nd
 # The examples a sweep family can generate (_family_dataset).
 _FAMILY_EXAMPLES = ("ex1", "ex3")
 # Each sweep axis and the SweepSettings field it varies.
-_AXIS_FIELDS = {"K": "k_train", "N": "n_width", "m_y": "m_y"}
-SWEEP_AXES = tuple(_AXIS_FIELDS)
+SWEEP_AXES = {"K": "k_train", "N": "n_width", "m_y": "m_y"}
 
 
 @dataclass
@@ -201,6 +198,11 @@ class SweepSettings:
             raise ValueError(f"init_scheme must be one of {nn.INIT_SCHEMES}, got {self.init_scheme!r}")
         if self.m_y is not None and not 1 <= self.m_y <= self.grid_n**2:
             raise ValueError(f"m_y must lie in [1, {self.grid_n**2}], got {self.m_y}")
+        sensors = self.grid_n**2 if self.m_y is None else self.m_y
+        if self.n_width >= sensors:
+            raise ValueError(
+                f"n_width must be < the number of output sensors ({sensors}), got {self.n_width}"
+            )
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         _train_config(self, self.base_seed).validate()
@@ -259,9 +261,11 @@ def _family_dataset(settings: SweepSettings, seed: int) -> OperatorDataset:
             np.concatenate([train_inputs, test_inputs]), settings.grid_n, seed=seed
         )
     elif settings.example == "ex3":
+        # The test section is drawn first, so it does not depend on k_train.
         rng = np.random.default_rng(settings.base_seed)
-        trips = rng.uniform(*TRIPLET_RANGE_EX3, size=(settings.k_train + settings.k_test, 3))
-        data = gen_example3(np.round(trips, 6), settings.grid_n, seed=seed)
+        test = rng.uniform(*TRIPLET_RANGE_EX3, size=(settings.k_test, 3))
+        train = rng.uniform(*TRIPLET_RANGE_EX3, size=(settings.k_train, 3))
+        data = gen_example3(np.round(np.concatenate([train, test]), 6), settings.grid_n, seed=seed)
     else:
         raise ValueError(f"no sweep family wired for example {settings.example!r}")
     data.train_idx = np.arange(settings.k_train)
@@ -291,59 +295,6 @@ def run_two_step_once(settings: SweepSettings, seed: int) -> float:
     return evaluate_model(model, data).mean_rel_error
 
 
-# The sweep's workers, kept for later sweeps of the same width: (width,
-# pool, its exit finalizer). A sweep holds the lock from its first submit
-# to its last result, so a sweep in another thread cannot replace the pool
-# under it.
-_kept_pool = None
-_kept_pool_lock = threading.Lock()
-
-
-def _shutdown_kept_pool() -> None:
-    global _kept_pool
-    if _kept_pool is not None:
-        _kept_pool[2]()
-        _kept_pool = None
-
-
-def _forget_kept_pool() -> None:
-    """In a forked child: the pool's threads and workers stay with the
-    parent, so the child starts its own pool and lock."""
-    global _kept_pool, _kept_pool_lock
-    _kept_pool, _kept_pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_kept_pool)
-
-
-def _submit(jobs: list, width: int) -> list:
-    """Submit each job, in order, to the kept pool of `width` workers. A
-    pool of another width, or one broken by a dead worker, is replaced."""
-    global _kept_pool
-    # Imported here: at module level they add to every `import operon`.
-    import multiprocessing.util
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    if _kept_pool is not None and _kept_pool[0] == width:
-        try:
-            return [_kept_pool[1].submit(run_two_step_once, *job) for job in jobs]
-        except BrokenProcessPool:
-            pass
-    _shutdown_kept_pool()
-    pool = ProcessPoolExecutor(width, mp_context=multiprocessing.get_context("spawn"))
-    # Exit finalizers run before a multiprocessing child joins its own
-    # children, which would wait forever on idle workers, and before the
-    # interpreter's teardown, where a pool's clean-up fails. The priority
-    # puts this one before those of the pool's queues (10).
-    stop = multiprocessing.util.Finalize(
-        pool, pool.shutdown, kwargs={"cancel_futures": True}, exitpriority=20
-    )
-    _kept_pool = (width, pool, stop)
-    return [pool.submit(run_two_step_once, *job) for job in jobs]
-
-
 def generalization_sweep(
     settings: SweepSettings,
     axis: str,
@@ -354,15 +305,16 @@ def generalization_sweep(
     """Train two-step models end to end for each axis value, with fresh
     seeds per replicate, and tabulate mean/std test relative errors.
 
-    The runs go to min(max_workers, runs) spawned worker processes that
-    compute with one BLAS thread each, so the table is the same at any
-    worker count and on any core count. The workers start at the first
-    sweep and are reused by later sweeps with the same worker count; they
-    exit with the interpreter. A failing sweep raises the error of its
-    first failing run in table order. Workers are spawned, so a script
-    that calls this needs the `if __name__ == "__main__":` guard."""
+    The runs go to min(max_workers, runs) worker processes that compute
+    with one BLAS thread each, so the table is the same at any worker count
+    and on any core count. The workers are forked for this sweep and exit
+    with it, so sweeps need the fork start method (Linux); Python 3.12 and
+    later warn when a process forks while it holds other threads. A process
+    that loaded numpy before operon spawns its workers instead, so only such
+    a script needs the `if __name__ == "__main__":` guard. A failing sweep
+    raises the error of its first failing run in table order."""
     if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     values = [int(v) for v in values]
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"values must be strictly increasing, got {values}")
@@ -373,27 +325,30 @@ def generalization_sweep(
 
     jobs = []
     for i, value in enumerate(values):
-        run_settings = replace(settings, **{_AXIS_FIELDS[axis]: value})
+        run_settings = replace(settings, **{SWEEP_AXES[axis]: value})
         # Checked here, before any worker starts, so that a bad setting
         # raises a ValueError naming its field rather than failing in a run.
         run_settings.validate()
         for rep in range(replicates):
             jobs.append((run_settings, settings.base_seed + 1000 * i + 10 * rep))
 
-    from concurrent.futures import wait
+    # Imported here: at module level they add to every `import operon`.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
-    with _kept_pool_lock:
+    # Forked workers inherit the one BLAS thread of a process whose numpy
+    # operon loaded; one that loaded numpy first has its own BLAS threads,
+    # so its workers are spawned and load numpy under operon's pin.
+    method = "spawn" if _NUMPY_LOADED_FIRST else "fork"
+    with ProcessPoolExecutor(min(max_workers, len(jobs)), mp_context=get_context(method)) as pool:
         # A run costs more the larger its axis value, so the largest start
         # first; results are read in job order.
-        futures = _submit(jobs[::-1], min(max_workers, len(jobs)))[::-1]
+        futures = [pool.submit(run_two_step_once, *job) for job in jobs[::-1]][::-1]
         try:
             errors = [future.result() for future in futures]
         except BaseException:
-            # Runs not yet started are cancelled and running ones waited
-            # for, so the kept pool is idle when the error is raised.
-            for future in futures:
-                future.cancel()
-            wait(futures)
+            # Runs not yet started are cancelled; running ones finish.
+            pool.shutdown(cancel_futures=True)
             raise
 
     table = SweepTable(axis=axis)

@@ -96,8 +96,13 @@ class Workspace:
         hidden = net.arch[1:-1]
         self.acts = [np.empty((batch, n)) for n in hidden]
         self.acts.append(np.empty((batch, net.arch[-1])) if out is None else out)
-        self.deltas = [np.empty((batch, n)) for n in hidden]
-        self.derivs = [np.empty((batch, n)) for n in hidden]
+        # backward holds two deltas and one derivative at a time, so layer
+        # l's views are the leading entries of delta buffer l % 2 and of the
+        # one derivative buffer.
+        size = batch * max(hidden, default=0)
+        deltas, deriv = [np.empty(size) for _ in hidden[:2]], np.empty(size)
+        self.deltas = [deltas[l % 2][: batch * n].reshape(batch, n) for l, n in enumerate(hidden)]
+        self.derivs = [deriv[: batch * n].reshape(batch, n) for n in hidden]
 
 
 def init_mlp(arch, activation: str, scheme: str = "he", seed: int = 0) -> Mlp:

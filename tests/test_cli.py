@@ -137,6 +137,13 @@ def _must_not_run(monkeypatch, module, name):
     monkeypatch.setattr(module, name, forbidden)
 
 
+def _fail_below_six_sensors(settings, seed):
+    """Stands in for a sweep run."""
+    if settings.m_y < 6:
+        raise ValueError(f"m_y {settings.m_y}")
+    return 1.0
+
+
 class TestGenerate:
     def test_dataset_written_with_split(self, dataset_dir):
         data = load_dataset(dataset_dir)
@@ -651,18 +658,36 @@ class TestSweep:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_first_failing_value_reported(self, tmp_path, monkeypatch, capsys, threads):
         # Runs of the largest value start first; the error is still that
-        # of the first failing value.
+        # of the first failing value. The forked workers see the stand-in.
         monkeypatch.setenv("OPERON_THREADS", threads)
+        monkeypatch.setattr(cli.ev, "run_two_step_once", _fail_below_six_sensors)
         out = tmp_path / "x"
         code = main(
-            ["sweep", "--axis", "m_y", "--values", "2,3,4", "--replicates", "3",
+            ["sweep", "--axis", "m_y", "--values", "4,5,6", "--replicates", "3",
              "--config", str(self._sweep_config(tmp_path)), "--out", str(out)]
         )
         assert code == 2
-        err = capsys.readouterr().err
-        assert err == (
-            "error: width+1 (4) must not exceed the number of output sensors (2)\n"
+        assert capsys.readouterr().err == "error: m_y 4\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "axis, values, message",
+        [
+            ("m_y", "2,3,4", "config key n_width must be < the number of output sensors (2), got 3"),
+            ("m_y", "0,3,4", "--values: m_y must lie in [1, 49], got 0"),
+            ("N", "3,49", "--values: n_width must be < the number of output sensors (49), got 49"),
+        ],
+        ids=["width-over-m_y", "m_y-zero", "width-over-grid"],
+    )
+    def test_run_settings_refused_before_runs(self, tmp_path, monkeypatch, capsys, axis, values, message):
+        _must_not_run(monkeypatch, cli.ev, "generalization_sweep")
+        out = tmp_path / "x"
+        code = main(
+            ["sweep", "--axis", axis, "--values", values, "--replicates", "3",
+             "--config", str(self._sweep_config(tmp_path)), "--out", str(out)]
         )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_thread_env_respected(self, tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import os
 import signal
 import subprocess
 import sys
-import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,14 +45,6 @@ def _worker_pid(settings, seed):
     return float(os.getpid())
 
 
-def _assert_only_pool_workers(width):
-    """The live children are at most the pool's width and are its workers."""
-    live = {child.pid for child in multiprocessing.active_children()}
-    kept_width, pool, _ = evaluate._kept_pool
-    assert kept_width == width and len(live) <= width
-    assert live <= set(pool._processes)
-
-
 def _pids(table):
     return {int(e) for row in table.rows for e in row.replicate_errors}
 
@@ -63,14 +55,27 @@ def _sweep_into(results):
     results.put(_pids(table))
 
 
-@pytest.fixture
-def no_kept_pool():
-    evaluate._shutdown_kept_pool()
-    assert multiprocessing.active_children() == []
+def _recording_pools(monkeypatch):
+    """Patches the executor so that each pool a sweep makes is listed with
+    its width, start method and futures."""
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context):
+            super().__init__(max_workers, mp_context=mp_context)
+            self.width, self.method, self.futures = max_workers, mp_context.get_start_method(), []
+            pools.append(self)
+
+        def submit(self, *args):
+            self.futures.append(super().submit(*args))
+            return self.futures[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return pools
 
 
-# Runs two sweeps and prints the PIDs of its workers. It is run from a
-# file, so the spawned workers can import its `pid` job.
+# Runs two sweeps, each printing the PIDs of its workers and checking that
+# none is left. It has no `__main__` guard: forked workers do not rerun it.
 _TWO_SWEEPS_SCRIPT = """
 import multiprocessing, os
 from operon import evaluate
@@ -79,21 +84,18 @@ from operon.evaluate import SweepSettings, generalization_sweep
 def pid(settings, seed):
     return float(os.getpid())
 
-if __name__ == "__main__":
-    evaluate.run_two_step_once = pid
-    ran = set()
-    for _ in range(2):
-        table = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
-        ran |= {int(e) for row in table.rows for e in row.replicate_errors}
-    live = {child.pid for child in multiprocessing.active_children()}
-    assert ran <= live and len(live) <= 2, (ran, live)
-    print(*sorted(live))
+evaluate.run_two_step_once = pid
+for _ in range(2):
+    table = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
+    print(*sorted({int(e) for row in table.rows for e in row.replicate_errors}))
+    assert multiprocessing.active_children() == []
 """
 
 
 def _run_two_sweeps_script(directory):
-    """Worker PIDs printed by _TWO_SWEEPS_SCRIPT, after it has exited 0.
-    Its output goes to a file: a leftover worker would hold a pipe open."""
+    """Worker PIDs printed by _TWO_SWEEPS_SCRIPT, one list per sweep, after
+    it has exited 0. Its output goes to a file: a leftover worker would
+    hold a pipe open."""
     script = directory / "two_sweeps.py"
     script.write_text(_TWO_SWEEPS_SCRIPT)
     src = str(Path(operon.__file__).resolve().parents[1])
@@ -109,7 +111,7 @@ def _run_two_sweeps_script(directory):
         out.seek(0)
         text = out.read()
     assert proc.returncode == 0, text
-    return [int(pid) for pid in text.split()]
+    return [[int(pid) for pid in line.split()] for line in text.splitlines()]
 
 
 # Runs one sweep per width given on the command line; each run reports
@@ -339,7 +341,26 @@ class TestEvaluateModel:
         assert np.all(grid[:, 2] >= 0)
 
 
+class TestFamilyDataset:
+    @pytest.mark.parametrize("example", ["ex1", "ex3"])
+    def test_test_section_independent_of_k_train(self, example):
+        settings = SweepSettings(example=example, k_test=3, grid_n=5, base_seed=4)
+        sections = []
+        for k_train in (4, 6):
+            data = evaluate._family_dataset(replace(settings, k_train=k_train), seed=9)
+            assert list(data.test_idx) == list(range(k_train, k_train + 3))
+            sections.append((data.f_matrix[data.test_idx], data.u_matrix[:, data.test_idx]))
+        for first, second in zip(*sections):
+            np.testing.assert_array_equal(first, second)
+
+
 class TestSweep:
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        """Every sweep's workers exit with it, whether it returned or raised."""
+        yield
+        assert multiprocessing.active_children() == []
+
     def test_axis_validation(self):
         settings = SweepSettings()
         with pytest.raises(ValueError):
@@ -362,14 +383,18 @@ class TestSweep:
             ("lr", SweepSettings(lr=0.0), [4, 5, 6]),
             ("m_y", SweepSettings(grid_n=3, m_y=10), [4, 5, 6]),
             ("k_train", SweepSettings(), [0, 5, 6]),
+            ("n_width", SweepSettings(grid_n=3, n_width=9), [4, 5, 6]),
         ],
-        ids=["seed-negative", "k-test-zero", "example-ex2", "lr-zero", "m-y-over-grid", "axis-value-zero"],
+        ids=[
+            "seed-negative", "k-test-zero", "example-ex2", "lr-zero", "m-y-over-grid",
+            "axis-value-zero", "width-over-sensors",
+        ],
     )
     def test_settings_refused_before_workers_start(self, monkeypatch, field, settings, values):
-        def forbidden(jobs, width):
-            pytest.fail("a worker was started for settings that cannot run")
+        def forbidden(*args, **kwargs):
+            pytest.fail("a worker pool was made for settings that cannot run")
 
-        monkeypatch.setattr(evaluate, "_submit", forbidden)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
         with pytest.raises(ValueError, match=f"^{field} "):
             generalization_sweep(settings, "K", values, 3, max_workers=2)
 
@@ -410,71 +435,50 @@ class TestSweep:
         four = generalization_sweep(settings, "m_y", [20, 30, 40], 3, max_workers=4)
         assert [r.replicate_errors for r in one.rows] == [r.replicate_errors for r in four.rows]
 
+    def test_ex3_worker_count_does_not_change_table(self):
+        settings = SweepSettings(
+            example="ex3",
+            k_test=3,
+            grid_n=5,
+            n_width=2,
+            trunk_hidden=(8,),
+            branch_hidden=(8,),
+            activation="tanh",
+            iters_trunk=20,
+            iters_branch=20,
+            base_seed=3,
+        )
+        one = generalization_sweep(settings, "K", [4, 6], 3, max_workers=1)
+        two = generalization_sweep(settings, "K", [4, 6], 3, max_workers=2)
+        assert [r.replicate_errors for r in one.rows] == [r.replicate_errors for r in two.rows]
+        assert all(np.isfinite(r.replicate_errors).all() for r in one.rows)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_is_first_failing_run_in_table_order(self, monkeypatch, workers):
         # The largest values are submitted first, so at 2 workers K=5
         # fails before K=4 has started.
+        pools = _recording_pools(monkeypatch)
         monkeypatch.setattr(evaluate, "run_two_step_once", _fail_below_six)
         before = dict(os.environ)
         with pytest.raises(ValueError, match="^k_train 4$"):
             generalization_sweep(SweepSettings(), "K", [4, 5, 6], 3, max_workers=workers)
         assert dict(os.environ) == before
-        _assert_only_pool_workers(workers)
+        # One pool, with every run finished or cancelled when the error is raised.
+        [pool] = pools
+        assert len(pool.futures) == 9 and all(f.done() for f in pool.futures)
 
     @pytest.mark.parametrize("workers, size", [(8, 3), (2, 2)])
-    def test_pool_sized_by_runs(self, monkeypatch, no_kept_pool, workers, size):
-        sizes = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_sized_by_runs(self, monkeypatch, workers, size):
+        pools = _recording_pools(monkeypatch)
         monkeypatch.setattr(evaluate, "run_two_step_once", _one)
         generalization_sweep(SweepSettings(), "K", [4], 3, max_workers=workers)
-        assert sizes == [size]
-
-    def test_sweeps_reuse_the_kept_workers(self, monkeypatch):
-        monkeypatch.setattr(evaluate, "run_two_step_once", _worker_pid)
-        before = dict(os.environ)
-        first = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
-        assert dict(os.environ) == before
-        _assert_only_pool_workers(2)
-        workers = {child.pid for child in multiprocessing.active_children()}
-        second = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
-        assert _pids(first) | _pids(second) <= workers
-        assert {child.pid for child in multiprocessing.active_children()} == workers
-
-    def test_sweep_after_failure_reuses_the_pool(self, monkeypatch):
-        monkeypatch.setattr(evaluate, "run_two_step_once", _fail_below_six)
-        with pytest.raises(ValueError, match="^k_train 4$"):
-            generalization_sweep(SweepSettings(), "K", [4, 5, 6], 3, max_workers=2)
-        pool = evaluate._kept_pool
-        monkeypatch.setattr(evaluate, "run_two_step_once", _worker_pid)
-        table = generalization_sweep(SweepSettings(), "K", [4, 5, 6], 3, max_workers=2)
-        assert evaluate._kept_pool is pool
-        assert _pids(table) <= set(pool[1]._processes)
-
-    def test_dead_worker_pool_is_replaced(self, monkeypatch):
-        monkeypatch.setattr(evaluate, "run_two_step_once", _worker_pid)
-        first = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
-        broken = evaluate._kept_pool[1]
-        for pid in _pids(first):
-            os.kill(pid, signal.SIGKILL)
-        deadline = time.monotonic() + 60
-        while not broken._broken and time.monotonic() < deadline:
-            time.sleep(0.01)
-        second = generalization_sweep(SweepSettings(), "K", [4, 5], 3, max_workers=2)
-        assert evaluate._kept_pool[1] is not broken
-        assert not _pids(first) & _pids(second)
-        _assert_only_pool_workers(2)
+        assert [(pool.width, pool.method) for pool in pools] == [(size, "fork")]
 
     def test_workers_compute_with_one_blas_thread(self, tmp_path):
         assert _blas_threads_seen(tmp_path, [2]) == ["2", "1.0"]
 
     def test_worker_started_by_a_later_sweep_is_pinned(self, tmp_path):
-        # A new width replaces the pool, so the second sweep starts its workers.
+        # Each sweep starts its own workers.
         assert _blas_threads_seen(tmp_path, [1, 2]) == ["2", "1.0", "1.0"]
 
     def test_import_pins_blas_to_one_thread(self):
@@ -494,7 +498,7 @@ class TestSweep:
         assert proc.stdout.split() == ["1", "1", "1"]
 
     def test_sweeps_in_two_threads_both_finish(self, monkeypatch):
-        # Their widths differ, so each replaces the other's pool.
+        # Each thread's sweep forks its own pool while the other runs.
         monkeypatch.setattr(evaluate, "run_two_step_once", _one)
         with concurrent.futures.ThreadPoolExecutor(2) as threads:
             tables = list(threads.map(
@@ -516,9 +520,9 @@ class TestSweep:
         assert not _pids(first) & results.get()
 
     def test_workers_exit_with_the_interpreter(self, tmp_path):
-        pids = _run_two_sweeps_script(tmp_path)
-        assert 1 <= len(pids) <= 2
-        leftover = [pid for pid in pids if _alive(pid)]
+        sweeps = _run_two_sweeps_script(tmp_path)
+        assert len(sweeps) == 2 and all(1 <= len(pids) <= 2 for pids in sweeps)
+        leftover = [pid for pids in sweeps for pid in pids if _alive(pid)]
         for pid in leftover:
             os.kill(pid, signal.SIGKILL)
         assert leftover == []
