@@ -47,22 +47,21 @@ from .train import TrainConfig, report_files, train_monolithic, train_two_step
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
-# Sweep config keys that name a SweepSettings field differently.
-_SWEEP_FIELD_NAMES = {"init": "init_scheme", "seed": "base_seed"}
-_SWEEP_KEYS = {name: key for key, name in _SWEEP_FIELD_NAMES.items()}
+# SweepSettings fields whose sweep config key has another name.
+_SWEEP_KEYS = {"init_scheme": "init", "base_seed": "seed"}
 
 
 class ConfigError(Exception):
     """Invalid run configuration (exit code 2)."""
 
 
-def _config_schema(*classes, skip=(), renamed=None) -> dict:
+def _config_schema(*classes, skip=(), keys=None) -> dict:
     """Config key -> (field name, type) over the fields of the dataclasses,
-    leaving out the fields in skip (those set by flags)."""
-    key_of = {name: key for key, name in (renamed or {}).items()}
+    leaving out the fields in skip (those set by flags); keys maps a field
+    to its config key where the two differ."""
     hints = {cls: typing.get_type_hints(cls) for cls in classes}
     return {
-        key_of.get(f.name, f.name): (f.name, hints[cls][f.name])
+        (keys or {}).get(f.name, f.name): (f.name, hints[cls][f.name])
         for cls in classes
         for f in dataclasses.fields(cls)
         if f.name not in skip
@@ -71,7 +70,7 @@ def _config_schema(*classes, skip=(), renamed=None) -> dict:
 
 # --method sets the training method and only --axis m_y sets m_y.
 _TRAIN_SCHEMA = _config_schema(TrainConfig, ModelSpec, skip=("method",))
-_SWEEP_SCHEMA = _config_schema(ev.SweepSettings, skip=("m_y",), renamed=_SWEEP_FIELD_NAMES)
+_SWEEP_SCHEMA = _config_schema(ev.SweepSettings, skip=("m_y",), keys=_SWEEP_KEYS)
 
 
 def _parse_value(key: str, kind, value):

@@ -111,28 +111,28 @@ def monolithic_loss(model: DeepONetModel, data: OperatorDataset) -> float:
 class FitWork:
     """Buffers of fit_loss_and_grads for one trunk, K training inputs and
     m_y output sensors, made once and reused by every iteration of a
-    training loop. The trunk gradient goes to trunk_grad: the given vector
-    (a view into a loop's gradient vector), or a new one."""
+    training loop. The trunk gradient goes to trunk.grad, the trunk
+    Workspace's: trunk_grad when given (a view into a loop's gradient
+    vector), else a vector of its own."""
 
     def __init__(self, trunk: Mlp, k: int, m_y: int, trunk_grad: np.ndarray | None = None):
         n1 = trunk.arch[-1] + 1
         # Column 0 of phi stays 1; the trunk writes its output into the rest.
         self.phi = np.ones((m_y, n1))
-        self.trunk = nn.Workspace(trunk, m_y, out=self.phi[:, 1:])
+        self.trunk = nn.Workspace(trunk, m_y, out=self.phi[:, 1:], grad=trunk_grad)
         self.resid = np.empty((m_y, k))
         self.phi_grad = np.empty((m_y, n1))
         self.trunk_upstream = np.empty((m_y, n1 - 1))
         self.c_grad = np.empty((n1, k))
-        self.trunk_grad = np.empty_like(trunk.params) if trunk_grad is None else trunk_grad
 
 
 def fit_loss_and_grads(
     trunk: Mlp, y_sensors: np.ndarray, c: np.ndarray, u: np.ndarray, c_grad: np.ndarray, work: FitWork
 ) -> float:
     """||Phi C - U||_F^2 / (m_y K) for an (N+1) x K coefficient matrix C,
-    with Phi the trunk value matrix that nn._forward_cached(trunk,
-    y_sensors, work.trunk) last wrote into work.phi. The gradient in C
-    goes to c_grad, the one in the trunk parameters to work.trunk_grad.
+    with Phi the trunk value matrix that nn.forward(trunk, y_sensors,
+    work.trunk) last wrote into work.phi. The gradient in C goes to
+    c_grad, the one in the trunk parameters to work.trunk.grad.
 
     Step 1 passes its free matrix A as C; the monolithic loss passes the
     branch output."""
@@ -144,7 +144,7 @@ def fit_loss_and_grads(
     # d loss / d phi, dropping the constant column for the trunk.
     np.matmul(resid, c.T, out=work.phi_grad)
     np.multiply(work.phi_grad[:, 1:], scale, out=work.trunk_upstream)
-    nn.backward(trunk, y_sensors, work.trunk_upstream, work.trunk.acts, work.trunk_grad, work.trunk)
+    nn.backward(trunk, y_sensors, work.trunk_upstream, work.trunk)
     np.matmul(phi.T, resid, out=work.c_grad)
     np.multiply(work.c_grad, scale, out=c_grad)
     # The gradients are formed; the residual is squared in place for the loss.
@@ -154,13 +154,13 @@ def fit_loss_and_grads(
 
 class MonolithicWork:
     """Buffers of monolithic_loss_and_grads, as FitWork for the trunk plus
-    the branch's; the branch gradient goes to branch_grad, or a new vector."""
+    the branch's; the branch gradient goes to branch.grad, branch_grad
+    when given, else a vector of its own."""
 
     def __init__(self, model: DeepONetModel, k: int, m_y: int, trunk_grad=None, branch_grad=None):
         self.fit = FitWork(model.trunk, k, m_y, trunk_grad)
-        self.branch = nn.Workspace(model.branch, k)
+        self.branch = nn.Workspace(model.branch, k, grad=branch_grad)
         self.branch_upstream = np.empty((k, model.width + 1))
-        self.branch_grad = np.empty_like(model.branch.params) if branch_grad is None else branch_grad
 
 
 def monolithic_loss_and_grads(
@@ -175,15 +175,13 @@ def monolithic_loss_and_grads(
     m_y, k = u.shape
     if work is None:
         work = MonolithicWork(model, k, m_y)
-    nn._forward_cached(model.trunk, y_sensors, work.fit.trunk)
-    branch_cache = nn._forward_cached(model.branch, f_inputs, work.branch)
+    nn.forward(model.trunk, y_sensors, work.fit.trunk)
+    c = nn.forward(model.branch, f_inputs, work.branch).T
     # C is the transposed branch output, so d loss / d C transposed is the
     # branch's upstream gradient.
-    loss = fit_loss_and_grads(
-        model.trunk, y_sensors, branch_cache[-1].T, u, work.branch_upstream.T, work.fit
-    )
-    nn.backward(model.branch, f_inputs, work.branch_upstream, branch_cache, work.branch_grad, work.branch)
-    return loss, work.fit.trunk_grad, work.branch_grad
+    loss = fit_loss_and_grads(model.trunk, y_sensors, c, u, work.branch_upstream.T, work.fit)
+    nn.backward(model.branch, f_inputs, work.branch_upstream, work.branch)
+    return loss, work.fit.trunk.grad, work.branch.grad
 
 
 MODEL_MANIFEST = "model.json"

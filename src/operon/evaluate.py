@@ -9,6 +9,7 @@ dataset and model sizes.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -305,14 +306,15 @@ def generalization_sweep(
     """Train two-step models end to end for each axis value, with fresh
     seeds per replicate, and tabulate mean/std test relative errors.
 
-    The runs go to min(max_workers, runs) worker processes that compute
-    with one BLAS thread each, so the table is the same at any worker count
-    and on any core count. The workers are forked for this sweep and exit
-    with it, so sweeps need the fork start method (Linux); Python 3.12 and
-    later warn when a process forks while it holds other threads. A process
-    that loaded numpy before operon spawns its workers instead, so only such
-    a script needs the `if __name__ == "__main__":` guard. A failing sweep
-    raises the error of its first failing run in table order."""
+    The runs go to min(max_workers, runs, cores) worker processes that
+    compute with one BLAS thread each, so the table is the same at any
+    worker count and on any core count. The workers are forked for this
+    sweep and exit with it, so sweeps need the fork start method (Linux);
+    Python 3.12 and later warn when a process forks while it holds other
+    threads. A process that loaded numpy before operon spawns its workers
+    instead, so only such a script needs the `if __name__ == "__main__":`
+    guard. A failing sweep raises the error of its first failing run in
+    table order."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     values = [int(v) for v in values]
@@ -340,7 +342,9 @@ def generalization_sweep(
     # operon loaded; one that loaded numpy first has its own BLAS threads,
     # so its workers are spawned and load numpy under operon's pin.
     method = "spawn" if _NUMPY_LOADED_FIRST else "fork"
-    with ProcessPoolExecutor(min(max_workers, len(jobs)), mp_context=get_context(method)) as pool:
+    # The pool starts every worker at the first submit; more than the cores add nothing.
+    width = min(max_workers, len(jobs), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(width, mp_context=get_context(method)) as pool:
         # A run costs more the larger its axis value, so the largest start
         # first; results are read in job order.
         futures = [pool.submit(run_two_step_once, *job) for job in jobs[::-1]][::-1]

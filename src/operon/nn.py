@@ -6,6 +6,9 @@ A network with architecture (n0, ..., nL) applies
 so the last layer is affine. The ReLU subgradient at exactly 0 is taken
 to be 0.
 
+forward keeps each layer's output in a Workspace when given one, and
+backward forms the gradient from them into the Workspace's grad.
+
 interpolating_relu projects the points onto a separating direction,
 rescales so the closest projected pair is exactly 2 apart, and stacks one
 hat-bump block per point. Each block is a 3-layer ReLU unit carrying the
@@ -86,16 +89,19 @@ def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
 
 class Workspace:
     """Buffers for one network at one batch size: the activations that
-    _forward_cached writes and the deltas and derivatives of backward. A
-    training loop makes one per network and reuses it every iteration.
+    forward writes, and the deltas, derivatives and parameter gradient grad
+    that backward writes. A training loop makes one per network and reuses
+    it every iteration.
 
     out, when given, receives the network output in place of a buffer of
-    its own (a strided view is fine, such as the trunk columns of Phi)."""
+    its own (a strided view is fine, such as the trunk columns of Phi), and
+    grad, when given, is the gradient vector (a view into a loop's, say)."""
 
-    def __init__(self, net: Mlp, batch: int, out: np.ndarray | None = None):
+    def __init__(self, net: Mlp, batch: int, out=None, grad=None):
         hidden = net.arch[1:-1]
         self.acts = [np.empty((batch, n)) for n in hidden]
         self.acts.append(np.empty((batch, net.arch[-1])) if out is None else out)
+        self.grad = np.empty_like(net.params) if grad is None else grad
         # backward holds two deltas and one derivative at a time, so layer
         # l's views are the leading entries of delta buffer l % 2 and of the
         # one derivative buffer.
@@ -103,6 +109,12 @@ class Workspace:
         deltas, deriv = [np.empty(size) for _ in hidden[:2]], np.empty(size)
         self.deltas = [deltas[l % 2][: batch * n].reshape(batch, n) for l, n in enumerate(hidden)]
         self.derivs = [deriv[: batch * n].reshape(batch, n) for n in hidden]
+
+    def check(self, net: Mlp, batch: int) -> None:
+        """ShapeError unless made for net's widths at this batch size."""
+        shapes = [a.shape for a in self.acts]
+        if shapes != [(batch, n) for n in net.arch[1:]]:
+            raise ShapeError(f"workspace {shapes} is not for arch {net.arch} at batch {batch}")
 
 
 def init_mlp(arch, activation: str, scheme: str = "he", seed: int = 0) -> Mlp:
@@ -135,62 +147,44 @@ def _check_input(net: Mlp, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_cached(net: Mlp, x: np.ndarray, work: Workspace | None = None) -> list[np.ndarray]:
-    """Activations h1..h_{L-1} for a batch, followed by the network output,
-    written into work.acts (a new Workspace when work is None)."""
+def forward(net: Mlp, x, work: Workspace | None = None) -> np.ndarray:
+    """Batched evaluation: rows of x are samples. Given work, each layer's
+    output is written into work.acts, where backward reads it, and the
+    last one is returned. Given none, no activation is kept, so memory does
+    not grow with depth (the interpolating networks have 2 n + 1 layers
+    for n points)."""
     h = _check_input(net, x)
-    if work is None:
-        work = Workspace(net, h.shape[0])
+    if work is not None:
+        work.check(net, h.shape[0])
     last = len(net.weights) - 1
-    for l, (w, b, out) in enumerate(zip(net.weights, net.biases, work.acts)):
-        np.matmul(h, w.T, out=out)
-        out += b
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = np.matmul(h, w.T, out=None if work is None else work.acts[l])
+        h += b
         if l < last:
-            _act(out, net.activation, out=out)
-        h = out
-    return work.acts
+            _act(h, net.activation, out=h)
+    return h
 
 
-def forward(net: Mlp, x) -> np.ndarray:
-    """Batched evaluation: rows of x are samples. Unlike _forward_cached it
-    keeps no activations, so memory does not grow with depth (the
-    interpolating networks have 2 n + 1 layers for n points)."""
-    h = _check_input(net, x)
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        h = _act(h @ w.T + b, net.activation)
-    return h @ net.weights[-1].T + net.biases[-1]
-
-
-def backward(
-    net: Mlp, x, upstream, cache: list[np.ndarray], grad: np.ndarray | None = None,
-    work: Workspace | None = None,
-) -> np.ndarray:
+def backward(net: Mlp, x, upstream, work: Workspace) -> np.ndarray:
     """Gradient of sum_batch <upstream, output> w.r.t. net.params, as one
-    vector in the layout of net.params.
+    vector in the layout of net.params: work.grad, which is returned.
 
-    cache is _forward_cached(net, x) from the pass that produced the
-    output; derivatives are formed from its activations (1 - h^2 for
-    tanh, h > 0 for relu), so the network is not evaluated again. The
-    gradient is written into grad, and deltas and derivatives into work's
-    buffers; each is made here when not given."""
+    work holds the activations of forward(net, x, work), the pass that
+    produced the output; derivatives are formed from them (1 - h^2 for
+    tanh, h > 0 for relu), so the network is not evaluated again. Deltas
+    and derivatives go to work's buffers."""
     x = _check_input(net, x)
     upstream = np.ascontiguousarray(upstream, dtype=np.float64)
-    n_layers = len(net.weights)
     if upstream.shape != (x.shape[0], net.arch[-1]):
         raise ShapeError(
             f"upstream shape {upstream.shape} != (batch, nL) "
             f"({x.shape[0]}, {net.arch[-1]})"
         )
-    if len(cache) != n_layers:
-        raise ShapeError(f"cache holds {len(cache)} arrays, expected {n_layers}")
-    if grad is None:
-        grad = np.empty_like(net.params)
-    if work is None:
-        work = Workspace(net, x.shape[0])
-    dweights, dbiases = _layer_views(grad, net.arch)
+    work.check(net, x.shape[0])
+    dweights, dbiases = _layer_views(work.grad, net.arch)
     delta = upstream
-    for l in range(n_layers - 1, -1, -1):
-        inp = x if l == 0 else cache[l - 1]
+    for l in range(len(net.weights) - 1, -1, -1):
+        inp = x if l == 0 else work.acts[l - 1]
         np.matmul(delta.T, inp, out=dweights[l])
         np.sum(delta, axis=0, out=dbiases[l])
         if l > 0:
@@ -204,7 +198,7 @@ def backward(
                 np.subtract(1.0, deriv, out=deriv)
             delta = np.matmul(delta, net.weights[l], out=work.deltas[l - 1])
             delta *= deriv
-    return grad
+    return work.grad
 
 
 def gradcheck(net: Mlp, x, epsilon: float = 1e-6) -> float:
@@ -212,8 +206,9 @@ def gradcheck(net: Mlp, x, epsilon: float = 1e-6) -> float:
     for the scalar loss 0.5 * ||forward(x)||^2."""
     if not 0.0 < epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in (0, 1e-3], got {epsilon}")
-    cache = _forward_cached(net, x)
-    grad = backward(net, x, cache[-1], cache)
+    x = _check_input(net, x)
+    work = Workspace(net, x.shape[0])
+    grad = backward(net, x, forward(net, x, work), work)
 
     def loss() -> float:
         y = forward(net, x)

@@ -79,11 +79,15 @@ def adam_step(
 
 
 def step_decay(lr0: float, factor: float, every: int, t: int) -> float:
-    """Learning rate after t steps: lr0 / factor**floor(t / every)."""
+    """Learning rate after t steps: lr0 / factor**floor(t / every), or 0.0,
+    its limit, once that power leaves the float range."""
     if lr0 <= 0.0:
         raise ValueError(f"lr0 must be > 0, got {lr0}")
     if factor <= 1.0:
         raise ValueError(f"decay factor must be > 1, got {factor}")
     if every < 1:
         raise ValueError(f"decay interval must be >= 1, got {every}")
-    return lr0 / factor ** (t // every)
+    try:
+        return lr0 / factor ** (t // every)
+    except OverflowError:
+        return 0.0

@@ -199,7 +199,7 @@ def train_trunk_step1(
     work = FitWork(trunk, k, m_y, trunk_g)
 
     def step(t):
-        nn._forward_cached(trunk, data.y_sensors, work.trunk)
+        nn.forward(trunk, data.y_sensors, work.trunk)
         if cfg.ls_refit_every > 0 and (t - 1) % cfg.ls_refit_every == 0:
             a[...] = linalg.least_squares(work.phi, u_train)
         return fit_loss_and_grads(trunk, data.y_sensors, a, u_train, a_g, work)
@@ -246,14 +246,13 @@ def train_branch_step2(
         raise ValueError(f"branch output {branch.arch[-1]} != target rows {n1}")
 
     params, grads, [(_, grad)] = _flat_vectors(branch)
-    work = nn.Workspace(branch, k)
+    work = nn.Workspace(branch, k, grad=grad)
     diff, upstream = np.empty((n1, k)), np.empty((k, n1))
 
     def step(t):
-        cache = nn._forward_cached(branch, f_inputs, work)
-        np.subtract(cache[-1].T, target, out=diff)
+        np.subtract(nn.forward(branch, f_inputs, work).T, target, out=diff)
         np.multiply(diff.T, 2.0 / k, out=upstream)
-        nn.backward(branch, f_inputs, upstream, cache, grad, work)
+        nn.backward(branch, f_inputs, upstream, work)
         np.multiply(diff, diff, out=diff)
         return float(np.sum(diff)) / k
 

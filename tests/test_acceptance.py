@@ -32,7 +32,7 @@ from operon.deeponet import (
 )
 from operon.evaluate import SweepSettings, evaluate_model, generalization_sweep
 from operon.linalg import best_rank_k_error, householder_qr, jacobi_svd, least_squares
-from operon.nn import gradcheck, init_mlp, mlp_copy, _forward_cached
+from operon.nn import Workspace, forward, gradcheck, init_mlp, mlp_copy
 from operon.train import (
     TrainConfig,
     check_two_step_equivalence,
@@ -216,8 +216,10 @@ def test_criterion_01_gradient_correctness():
         x = None
         for _ in range(100):
             candidate = rng.normal(size=(3, 3))
-            # The cache holds post-activations; rebuild z1..z_{L-1}.
-            acts = _forward_cached(net, candidate)
+            # The workspace holds post-activations; rebuild z1..z_{L-1}.
+            work = Workspace(net, candidate.shape[0])
+            forward(net, candidate, work)
+            acts = work.acts
             pres = [
                 h @ w.T + b
                 for h, w, b in zip([candidate] + acts, net.weights, net.biases)

@@ -249,6 +249,17 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_schedule_past_the_float_range_trains(self, dataset_dir, tmp_path, capsys):
+        # factor ** 2 overflows a float at the second step: the rate is 0 from there.
+        config = _train_config(
+            tmp_path, trunk_arch=[2, 4, 3], branch_arch=[1, 4, 4], iters_trunk=3,
+            schedule_factor=1e308, schedule_every=1,
+        )
+        args = ["train", "--config", str(config), "--data", str(dataset_dir)]
+        for method in ("2st", "van"):
+            assert main(args + ["--method", method, "--out", str(tmp_path / method)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_deterministic_model_bytes(self, dataset_dir, tmp_path):
         config = _train_config(tmp_path)
         outs = []

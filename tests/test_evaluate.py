@@ -472,7 +472,16 @@ class TestSweep:
         pools = _recording_pools(monkeypatch)
         monkeypatch.setattr(evaluate, "run_two_step_once", _one)
         generalization_sweep(SweepSettings(), "K", [4], 3, max_workers=workers)
+        size = min(size, len(os.sched_getaffinity(0)))
         assert [(pool.width, pool.method) for pool in pools] == [(size, "fork")]
+
+    def test_pool_capped_at_the_cores(self, monkeypatch):
+        pools = _recording_pools(monkeypatch)
+        monkeypatch.setattr(evaluate, "run_two_step_once", _one)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        table = generalization_sweep(SweepSettings(), "K", [4], 3, max_workers=8)
+        assert [pool.width for pool in pools] == [1]
+        assert table.rows[0].replicate_errors == [1.0] * 3
 
     def test_workers_compute_with_one_blas_thread(self, tmp_path):
         assert _blas_threads_seen(tmp_path, [2]) == ["2", "1.0"]

@@ -11,13 +11,19 @@ from operon.data import _blob
 from operon.errors import ShapeError
 from operon.nn import (
     Mlp,
-    _forward_cached,
+    Workspace,
     backward,
     forward,
     gradcheck,
     init_mlp,
     mlp_copy,
 )
+
+
+def _backward_after_forward(net, x, upstream):
+    work = Workspace(net, x.shape[0])
+    forward(net, x, work)
+    return backward(net, x, upstream, work)
 
 
 def _hand_net():
@@ -96,11 +102,44 @@ class TestForward:
             forward(net, np.zeros((5, 2)))
 
 
+class TestWorkspace:
+    def test_forward_keeps_activations_and_output(self):
+        net = init_mlp((3, 7, 5, 2), "tanh", "he", seed=5)
+        x = np.random.default_rng(5).normal(size=(6, 3))
+        out = np.empty((6, 2))
+        work = Workspace(net, 6, out=out)
+        y = forward(net, x, work)
+        assert y is out and np.array_equal(y, forward(net, x))
+        assert [a.shape for a in work.acts] == [(6, 7), (6, 5), (6, 2)]
+        h1 = np.tanh(x @ net.weights[0].T + net.biases[0])
+        assert np.array_equal(work.acts[0], h1)
+
+    def test_backward_writes_the_given_gradient_vector(self):
+        net = init_mlp((2, 4, 3), "relu", "he", seed=6)
+        x = np.random.default_rng(6).normal(size=(5, 2))
+        expected = _backward_after_forward(net, x, forward(net, x))
+        flat = np.zeros(net.params.size + 2)
+        work = Workspace(net, 5, grad=flat[1:-1])
+        grad = backward(net, x, forward(net, x, work), work)
+        assert np.shares_memory(grad, flat) and np.array_equal(flat[1:-1], expected)
+        assert flat[0] == flat[-1] == 0.0
+
+    @pytest.mark.parametrize("batch, arch", [(4, (2, 6, 3)), (5, (2, 6, 6, 3)), (5, (2, 7, 3))])
+    def test_workspace_for_another_batch_or_depth(self, batch, arch):
+        net = init_mlp((2, 6, 3), "tanh", "he", seed=7)
+        x = np.random.default_rng(7).normal(size=(5, 2))
+        work = Workspace(init_mlp(arch, "tanh", "he", seed=7), batch)
+        with pytest.raises(ShapeError, match="workspace"):
+            backward(net, x, np.ones((5, 3)), work)
+        with pytest.raises(ShapeError, match="workspace"):
+            forward(net, x, work)
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         net = init_mlp((2, 6, 3), "tanh", "he", seed=3)
         x = np.random.default_rng(3).normal(size=(4, 2))
-        grad = backward(net, x, np.zeros((4, 3)), _forward_cached(net, x))
+        grad = _backward_after_forward(net, x, np.zeros((4, 3)))
         assert np.array_equal(grad, np.zeros_like(net.params))
 
     def test_single_linear_layer_chain_rule(self):
@@ -112,7 +151,7 @@ class TestBackward:
         )
         x = np.array([[3.0]])
         g = np.array([[2.0]])
-        grad = backward(net, x, g, _forward_cached(net, x))
+        grad = _backward_after_forward(net, x, g)
         # Layout (W1, b1): dW = g x, db = g.
         assert grad[0] == pytest.approx(2.0 * 3.0)
         assert grad[1] == pytest.approx(2.0)
@@ -127,7 +166,7 @@ class TestBackward:
     def test_gradient_shapes_mirror_net(self):
         net = init_mlp((2, 5, 3), "relu", "he", seed=4)
         x = np.random.default_rng(4).normal(size=(6, 2))
-        grad = backward(net, x, np.ones((6, 3)), _forward_cached(net, x))
+        grad = _backward_after_forward(net, x, np.ones((6, 3)))
         assert grad.shape == net.params.shape == (2 * 5 + 5 + 5 * 3 + 3,)
 
 
@@ -139,8 +178,10 @@ class TestGradcheck:
             # keep pre-activations away from 0 by retrying inputs
             for _ in range(50):
                 x = rng.normal(size=(3, 2)) + 0.5
-                # The cache holds post-activations; rebuild z1..z_{L-1}.
-                acts = _forward_cached(net, x)
+                # The workspace holds post-activations; rebuild z1..z_{L-1}.
+                work = Workspace(net, x.shape[0])
+                forward(net, x, work)
+                acts = work.acts
                 pres = [
                     h @ w.T + b for h, w, b in zip([x] + acts, net.weights, net.biases)
                 ]

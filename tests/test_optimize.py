@@ -86,6 +86,13 @@ class TestStepDecay:
         assert step_decay(1e-3, 2.0, 100_000, 100_000) == 5e-4
         assert step_decay(1e-3, 2.0, 100_000, 250_000) == 2.5e-4
 
+    def test_rate_past_the_float_range_is_zero(self):
+        # 2.0 ** 1024 overflows; every rate before it keeps its value.
+        assert step_decay(1e-3, 2.0, 1, 1023) == 1e-3 / 2.0**1023
+        assert step_decay(1e-3, 2.0, 1, 1024) == 0.0
+        assert step_decay(1e-3, 1e308, 1, 1) == 1e-3 / 1e308
+        assert step_decay(1e-3, 1e308, 1, 2) == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             step_decay(0.0, 2.0, 10, 0)

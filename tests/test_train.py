@@ -14,6 +14,7 @@ from operon.deeponet import (
 )
 from operon.errors import DuplicateSensorError, NonFiniteGradientError
 from operon.linalg import least_squares
+from operon import nn
 from operon.nn import init_mlp, mlp_copy
 from operon.train import (
     TrainConfig,
@@ -343,6 +344,39 @@ class TestMonolithic:
             train_monolithic(data, model, cfg)
 
 
+class TestOneForwardPass:
+    """Every training iteration's forward pass is nn.forward with the
+    loop's Workspace, the function the per-layer benchmark traces."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        real = nn.forward
+
+        def counting(net, x, work=None):
+            calls.append((net, isinstance(work, nn.Workspace)))
+            return real(net, x, work)
+
+        monkeypatch.setattr(nn, "forward", counting)
+        return calls
+
+    @staticmethod
+    def _training_passes(calls, net):
+        return sum(1 for called, with_work in calls if called is net and with_work)
+
+    def test_two_step(self, passes):
+        cfg = TrainConfig(method="two_step", iters_trunk=7, iters_branch=5, seed=20)
+        model, _ = train_two_step(_tiny_dataset(seed=20), _tiny_model(seed=20), cfg)
+        assert self._training_passes(passes, model.trunk) == 7
+        assert self._training_passes(passes, model.branch) == 5
+
+    def test_monolithic(self, passes):
+        cfg = TrainConfig(method="van", iters_mono=6, seed=21)
+        model, _ = train_monolithic(_tiny_dataset(seed=21), _tiny_model(seed=21), cfg)
+        assert self._training_passes(passes, model.trunk) == 6
+        assert self._training_passes(passes, model.branch) == 6
+
+
 class TestInterpolatingBranch:
     def test_interpolates_small_target(self):
         rng = np.random.default_rng(20)
@@ -587,7 +621,7 @@ class TestMatchesAllocatingReference:
             calls.append(1)
             if len(calls) == 3:
                 c_grad[-1, -1] = np.nan
-                assert np.all(np.isfinite(work.trunk_grad))
+                assert np.all(np.isfinite(work.trunk.grad))
             return loss
 
         monkeypatch.setattr(train_module, "fit_loss_and_grads", poisoned)
