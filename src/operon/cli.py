@@ -313,13 +313,6 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    threads = os.environ.get("OPERON_THREADS", "1")
-    try:
-        workers = int(threads)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"OPERON_THREADS must be an int >= 1, got {threads!r}")
     config = _load_config(args.config, _SWEEP_SCHEMA)
     try:
         values = [int(v) for v in args.values.split(",")]
@@ -339,9 +332,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"config key {_SWEEP_KEYS.get(field, field)} {rest}") from exc
     check_replaceable(args.out, "sweep.csv")
     try:
-        table = ev.generalization_sweep(
-            settings, args.axis, values, args.replicates, max_workers=workers
-        )
+        table = ev.generalization_sweep(settings, args.axis, values, args.replicates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     write_artifact(args.out, "sweep.csv", {"sweep.csv": table.to_csv_text()})
@@ -368,8 +359,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (OperonError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OperonError, ValueError, OSError, MemoryError) as exc:
+        # A MemoryError may carry no message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return RUNTIME_ERROR
 
 

@@ -122,18 +122,13 @@ def grid_coordinates(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _as_grid_field(values, axis: np.ndarray) -> np.ndarray:
-    """Evaluate a callable/scalar/array f on the tensor grid."""
+    """Evaluate f, a callable of (x, y) or a scalar, on the tensor grid."""
     n = axis.size
-    if callable(values):
-        # 'xy' meshgrid puts x along columns, so the result is [iy, ix].
-        xx, yy = np.meshgrid(axis, axis, indexing="xy")
-        return np.asarray(values(xx, yy), dtype=np.float64) * np.ones((n, n))
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full((n, n), float(arr))
-    if arr.shape != (n, n):
-        raise ShapeError(f"grid field shape {arr.shape} != ({n}, {n})")
-    return arr
+    if not callable(values):
+        return np.full((n, n), float(values))
+    # 'xy' meshgrid puts x along columns, so the result is [iy, ix].
+    xx, yy = np.meshgrid(axis, axis, indexing="xy")
+    return np.asarray(values(xx, yy), dtype=np.float64) * np.ones((n, n))
 
 
 def solve_poisson_fd(grid_n: int, f_values, g_boundary) -> np.ndarray:
@@ -182,7 +177,12 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], -1).sum(axis=1)
 
 
-def _conjugate_gradient(operator, rhs: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+# CG stops once a system's residual norm is at most CG_RTOL times
+# max(1, the norm of its right-hand side).
+CG_RTOL = 1e-12
+
+
+def _conjugate_gradient(operator, rhs: np.ndarray) -> np.ndarray:
     """Solve a stack of independent SPD systems A_b u_b = rhs[b] in lockstep.
 
     operator(systems) returns the function that applies the operators of
@@ -200,7 +200,7 @@ def _conjugate_gradient(operator, rhs: np.ndarray, rtol: float = 1e-12) -> np.nd
     r = rhs - apply_op(u)
     p = r.copy()
     rr = _row_sums(r * r)
-    target = rtol * np.maximum(1.0, np.sqrt(_row_sums(rhs * rhs)))
+    target = CG_RTOL * np.maximum(1.0, np.sqrt(_row_sums(rhs * rhs)))
     max_iter = 20 * rhs[0].size + 100
     for iteration in range(max_iter + 1):
         done = np.sqrt(rr) <= target

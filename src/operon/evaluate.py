@@ -1,9 +1,9 @@
 """Test-time metrics and the generalization scaling probe.
 
-Includes the relative l2 error, the conditional-optimal reference (the
-least-squares fit achievable with the frozen trunk if the true test output
-were known), prediction truncation, and sweeps of the test error against
-dataset and model sizes.
+Includes the conditional-optimal reference (the least-squares fit
+achievable with the frozen trunk if the true test output were known),
+prediction truncation, and sweeps of the test error against dataset and
+model sizes.
 """
 
 from __future__ import annotations
@@ -27,17 +27,13 @@ from .deeponet import DeepONetModel, ModelSpec, assemble_c, model_basis, predict
 from .train import TrainConfig, train_two_step
 
 
-def relative_l2_error(prediction, target) -> float:
-    """||prediction - target||_2 / ||target||_2."""
-    p = np.ascontiguousarray(prediction, dtype=np.float64).ravel()
-    t = np.ascontiguousarray(target, dtype=np.float64).ravel()
-    if p.size != t.size:
-        raise ValueError(f"length mismatch: {p.size} vs {t.size}")
-    return float(_column_errors(p, t))
+# Bins of the log10 error histogram that `operon eval` writes.
+HISTOGRAM_BINS = 20
 
 
 def _column_errors(prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """relative_l2_error per column of two m x n matrices (0-d for vectors)."""
+    """||prediction - target||_2 / ||target||_2 per column of two m x n
+    matrices."""
     scale = _column_scale(prediction, target)
     prediction, target = prediction * scale, target * scale
     t_norms = np.sqrt(np.sum(target * target, axis=0))
@@ -55,11 +51,10 @@ def _column_scale(*matrices: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, -np.frexp(peak)[1])
 
 
-def conditional_optimal(basis, u_test) -> tuple[np.ndarray, float | np.ndarray]:
+def conditional_optimal(basis, u_test) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares coefficients for a frozen basis (model_basis of the
-    trained model at the test sensors) against the true test output, and
-    the resulting relative error: one float for a vector u_test, one per
-    column of an m_y x n u_test.
+    trained model at the test sensors) against the true test output, an
+    m_y x n matrix, and the resulting relative error of each column.
 
     All columns share one QR of the basis. This reference is unattainable
     in deployment (it needs the target), but it always lower-bounds the
@@ -75,7 +70,7 @@ def conditional_optimal(basis, u_test) -> tuple[np.ndarray, float | np.ndarray]:
     # beyond it: they become inf while the errors stay finite.
     with np.errstate(over="ignore"):
         a_star = a_star / scale
-    return a_star, float(errors) if u.ndim == 1 else errors
+    return a_star, errors
 
 
 def truncate_prediction(prediction, bound_m: float) -> np.ndarray:
@@ -128,10 +123,11 @@ def evaluate_model(
     )
 
 
-def log10_histogram(errors, n_bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of log10(errors); returns (bin_edges, counts)."""
+def log10_histogram(errors) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram of log10(errors) in HISTOGRAM_BINS bins; returns
+    (bin_edges, counts)."""
     logs = np.log10(np.maximum(np.asarray(errors, dtype=np.float64), 1e-300))
-    counts, edges = np.histogram(logs, bins=n_bins)
+    counts, edges = np.histogram(logs, bins=HISTOGRAM_BINS)
     return edges, counts
 
 
@@ -154,7 +150,9 @@ SWEEP_AXES = {"K": "k_train", "N": "n_width", "m_y": "m_y"}
 
 @dataclass
 class SweepSettings:
-    """Base configuration for one family of end-to-end two-step runs."""
+    """Base configuration for one family of end-to-end two-step runs. The
+    fields it shares with TrainConfig and ModelSpec default as there, but
+    for the iteration counts."""
 
     example: str = "ex1"
     k_train: int = 50
@@ -165,13 +163,13 @@ class SweepSettings:
     n_width: int = 20
     trunk_hidden: tuple[int, ...] = (40, 40, 40)
     branch_hidden: tuple[int, ...] = (48,)
-    activation: nn.Activation = "relu"
-    init_scheme: nn.InitScheme = "he"
+    activation: nn.Activation = ModelSpec.activation
+    init_scheme: nn.InitScheme = ModelSpec.init
     iters_trunk: int = 2000
     iters_branch: int = 2000
-    lr: float = 1e-3
-    ls_refit_every: int = 0
-    a_init_scale: float = 0.1
+    lr: float = TrainConfig.lr
+    ls_refit_every: int = TrainConfig.ls_refit_every
+    a_init_scale: float = TrainConfig.a_init_scale
     m_y: int | None = None
     base_seed: int = 0
 
@@ -211,7 +209,6 @@ class SweepSettings:
 
 @dataclass
 class SweepRow:
-    axis: str
     value: int
     mean_rel_error: float
     std_rel_error: float
@@ -301,17 +298,17 @@ def generalization_sweep(
     axis: str,
     values,
     replicates: int,
-    max_workers: int = 1,
+    max_workers: int | None = None,
 ) -> SweepTable:
     """Train two-step models end to end for each axis value, with fresh
     seeds per replicate, and tabulate mean/std test relative errors.
 
-    The runs go to min(max_workers, runs, cores) worker processes that
-    compute with one BLAS thread each, so the table is the same at any
-    worker count and on any core count. The workers are forked for this
-    sweep and exit with it, so sweeps need the fork start method (Linux);
-    Python 3.12 and later warn when a process forks while it holds other
-    threads. A process that loaded numpy before operon spawns its workers
+    The runs go to min(runs, cores) worker processes, or to max_workers
+    when that is fewer. They compute with one BLAS thread each, so the
+    table is the same at any worker count and on any core count. The
+    workers are forked for this sweep and exit with it, so sweeps need the
+    fork start method (Linux); Python 3.12 and later warn when a process
+    forks while it holds other threads. A process that loaded numpy before operon spawns its workers
     instead, so only such a script needs the `if __name__ == "__main__":`
     guard. A failing sweep raises the error of its first failing run in
     table order."""
@@ -322,7 +319,7 @@ def generalization_sweep(
         raise ValueError(f"values must be strictly increasing, got {values}")
     if replicates < 3:
         raise ValueError(f"need at least 3 replicates, got {replicates}")
-    if max_workers < 1:
+    if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
 
     jobs = []
@@ -343,7 +340,7 @@ def generalization_sweep(
     # so its workers are spawned and load numpy under operon's pin.
     method = "spawn" if _NUMPY_LOADED_FIRST else "fork"
     # The pool starts every worker at the first submit; more than the cores add nothing.
-    width = min(max_workers, len(jobs), len(os.sched_getaffinity(0)))
+    width = min(len(jobs), len(os.sched_getaffinity(0)), max_workers or len(jobs))
     with ProcessPoolExecutor(width, mp_context=get_context(method)) as pool:
         # A run costs more the larger its axis value, so the largest start
         # first; results are read in job order.
@@ -361,7 +358,6 @@ def generalization_sweep(
         arr = np.asarray(row_errors)
         table.rows.append(
             SweepRow(
-                axis=axis,
                 value=value,
                 mean_rel_error=float(arr.mean()),
                 std_rel_error=float(arr.std(ddof=1)),

@@ -124,15 +124,12 @@ def householder_qr(a) -> QrFactors:
 
 
 def solve_upper_triangular(r, b) -> np.ndarray:
-    """Solve r @ x = b by back substitution; b may carry several columns."""
+    """Solve r @ x = b by back substitution for the columns of a matrix b."""
     r = _require_finite(as_matrix(r), "triangular matrix")
     n = r.shape[0]
     if r.shape[1] != n:
         raise ShapeError(f"triangular matrix must be square, got {r.shape}")
-    b_arr = np.ascontiguousarray(b, dtype=np.float64)
-    vector_input = b_arr.ndim == 1
-    if vector_input:
-        b_arr = b_arr[:, None]
+    b_arr = as_matrix(b)
     if b_arr.shape[0] != n:
         raise ShapeError(f"rhs rows {b_arr.shape[0]} != system size {n}")
 
@@ -149,26 +146,19 @@ def solve_upper_triangular(r, b) -> np.ndarray:
     x = np.zeros_like(b_arr)
     for i in range(n - 1, -1, -1):
         x[i] = (b_arr[i] - r[i, i + 1 :] @ x[i + 1 :]) / r[i, i]
-    _require_finite(x, "triangular solve result")
-    return x[:, 0] if vector_input else x
+    return _require_finite(x, "triangular solve result")
 
 
 def least_squares(a, b) -> np.ndarray:
-    """Minimize ||a @ x - b||_F over x via the QR route.
-
-    Handles one or many right-hand sides. Requires full column rank and
-    propagates RankDeficientError otherwise.
+    """Minimize ||a @ x - b||_F over x via the QR route, for the columns
+    of a matrix b. Requires full column rank and propagates
+    RankDeficientError otherwise.
     """
-    a = as_matrix(a)
-    b_arr = np.ascontiguousarray(b, dtype=np.float64)
-    vector_input = b_arr.ndim == 1
-    if vector_input:
-        b_arr = b_arr[:, None]
-    if b_arr.shape[0] != a.shape[0]:
-        raise ShapeError(f"rhs rows {b_arr.shape[0]} != matrix rows {a.shape[0]}")
+    a, b = as_matrix(a), as_matrix(b)
+    if b.shape[0] != a.shape[0]:
+        raise ShapeError(f"rhs rows {b.shape[0]} != matrix rows {a.shape[0]}")
     qr = householder_qr(a)
-    x = solve_upper_triangular(qr.r, qr.q.T @ b_arr)
-    return x[:, 0] if vector_input else x
+    return solve_upper_triangular(qr.r, qr.q.T @ b)
 
 
 def _round_robin(n: int) -> list[np.ndarray]:

@@ -72,6 +72,11 @@ class Mlp:
                 raise ShapeError(f"array shape {np.shape(arr)} != {view.shape} in arch {self.arch}")
             view[...] = arr
 
+    def __reduce__(self):
+        # Copies and unpickled networks are rebuilt by the constructor, so
+        # their weights and biases are views of their own params.
+        return Mlp, (self.arch, self.weights, self.biases, self.activation)
+
     def store_in(self, flat: np.ndarray) -> None:
         """Copy params into flat, a vector of the same size, and keep them
         there: params, weights and biases become views into flat. A
@@ -201,11 +206,13 @@ def backward(net: Mlp, x, upstream, work: Workspace) -> np.ndarray:
     return work.grad
 
 
-def gradcheck(net: Mlp, x, epsilon: float = 1e-6) -> float:
+# Central-difference step of gradcheck.
+GRADCHECK_STEP = 1e-6
+
+
+def gradcheck(net: Mlp, x) -> float:
     """Max relative disagreement between backward() and central differences
-    for the scalar loss 0.5 * ||forward(x)||^2."""
-    if not 0.0 < epsilon <= 1e-3:
-        raise ValueError(f"epsilon must lie in (0, 1e-3], got {epsilon}")
+    of step GRADCHECK_STEP for the scalar loss 0.5 * ||forward(x)||^2."""
     x = _check_input(net, x)
     work = Workspace(net, x.shape[0])
     grad = backward(net, x, forward(net, x, work), work)
@@ -218,12 +225,12 @@ def gradcheck(net: Mlp, x, epsilon: float = 1e-6) -> float:
     theta = net.params
     for i in range(theta.size):
         orig = theta[i]
-        theta[i] = orig + epsilon
+        theta[i] = orig + GRADCHECK_STEP
         up = loss()
-        theta[i] = orig - epsilon
+        theta[i] = orig - GRADCHECK_STEP
         down = loss()
         theta[i] = orig
-        fd = (up - down) / (2.0 * epsilon)
+        fd = (up - down) / (2.0 * GRADCHECK_STEP)
         worst = max(worst, abs(grad[i] - fd) / max(1.0, abs(grad[i])))
     return worst
 

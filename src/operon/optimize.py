@@ -8,6 +8,9 @@ import numpy as np
 
 from .errors import NonFiniteGradientError, ShapeError
 
+# Adam's moment decay rates and the denominator's guard.
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -16,14 +19,11 @@ class AdamState:
     # Per parameter array, two arrays of its shape that every step reuses
     # for the update's temporaries.
     scratch: list[tuple[np.ndarray, np.ndarray]]
+    lr: float
     t: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float = 1e-3, **kwargs) -> "AdamState":
+    def for_params(cls, params: list[np.ndarray], lr: float) -> "AdamState":
         if lr <= 0.0:
             raise ValueError(f"learning rate must be > 0, got {lr}")
         return cls(
@@ -31,7 +31,6 @@ class AdamState:
             v=[np.zeros_like(p) for p in params],
             scratch=[(np.empty_like(p), np.empty_like(p)) for p in params],
             lr=lr,
-            **kwargs,
         )
 
 
@@ -53,7 +52,7 @@ def adam_step(
             raise ShapeError(f"gradient {i} shape {g.shape} != param {params[i].shape}")
 
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
     for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state.scratch):
@@ -72,7 +71,7 @@ def adam_step(
         step *= state.lr
         np.divide(v, bias2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.epsilon
+        denom += EPSILON
         step /= denom
         p -= step
     return params, state

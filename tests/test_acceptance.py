@@ -61,8 +61,8 @@ def _replica_start():
 def _train_replica_van(directory):
     """Runs in a spawned worker: trains the replica's monolithic model,
     saves it to directory and returns its report. The model travels as
-    files because an unpickled Mlp's weights would be copies, not views
-    of its params."""
+    files, as `operon train` hands models on, so the criteria read van
+    through load_model like any saved model."""
     data, trunk, branch = _replica_start()
     cfg = TrainConfig(method="van", iters_mono=40000, **REPLICA_CFG)
     van, report = train_monolithic(data, DeepONetModel(trunk, branch, None, 50), cfg)
@@ -207,7 +207,7 @@ def test_criterion_01_gradient_correctness():
         ] + [int(rng.integers(1, 5))]
         net = init_mlp(arch, "tanh", "he", seed=seed)
         x = rng.normal(size=(4, arch[0]))
-        worst_tanh = max(worst_tanh, gradcheck(net, x, 1e-6))
+        worst_tanh = max(worst_tanh, gradcheck(net, x))
     assert worst_tanh <= 1e-6
 
     worst_relu = 0.0
@@ -228,7 +228,7 @@ def test_criterion_01_gradient_correctness():
                 x = candidate
                 break
         assert x is not None, "could not find inputs away from the kinks"
-        worst_relu = max(worst_relu, gradcheck(net, x, 1e-6))
+        worst_relu = max(worst_relu, gradcheck(net, x))
     assert worst_relu <= 1e-4
 
     elapsed = time.perf_counter() - start

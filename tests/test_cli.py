@@ -3,8 +3,6 @@ import io
 import json
 import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import recording_pools, run_python
 from operon import cli
 from operon.cli import _SWEEP_SCHEMA, _TRAIN_SCHEMA, _from_config, _load_config, main
 from operon.data import _is_int, load_dataset
@@ -65,8 +64,6 @@ def _bytes_under_caller_blas_threads(tmp_path, argv_for):
     caller's BLAS thread variables unset, OPENBLAS_NUM_THREADS=1 and =2,
     each into its own out. Returns per run the files written, name ->
     bytes; out may be a directory or a single file."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = []
     for threads in (None, "1", "2"):
         # Without the "1"s that this process's `import operon` set.
@@ -74,12 +71,8 @@ def _bytes_under_caller_blas_threads(tmp_path, argv_for):
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
         out = tmp_path / f"run_{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "operon.cli", *argv_for(out)],
-            env={**env, "PYTHONPATH": path},
-            capture_output=True,
-            timeout=300,
-            check=True,
+        run_python(
+            ["-m", "operon.cli", *argv_for(out)], env, capture_output=True, timeout=300, check=True
         )
         runs.append(_snapshot(out) if out.is_dir() else {out.name: out.read_bytes()})
     return runs
@@ -193,7 +186,7 @@ class TestGenerate:
         from operon import data as data_module
         from operon.errors import SolverError
 
-        def stall(operator, rhs, rtol=1e-12):
+        def stall(operator, rhs):
             raise SolverError("conjugate gradient stalled", system=1)
 
         monkeypatch.setattr(data_module, "_conjugate_gradient", stall)
@@ -653,24 +646,12 @@ class TestSweep:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("threads", ["four", "2.5", "", "0", "-4"])
-    def test_thread_env_not_int_exits_2(self, tmp_path, monkeypatch, capsys, threads):
-        monkeypatch.setenv("OPERON_THREADS", threads)
-        out = tmp_path / "x"
-        code = main(
-            ["sweep", "--axis", "K", "--values", "4,6,8", "--replicates", "3",
-             "--config", str(self._sweep_config(tmp_path)), "--out", str(out)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: OPERON_THREADS") and err.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_first_failing_value_reported(self, tmp_path, monkeypatch, capsys, threads):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_first_failing_value_reported(self, tmp_path, monkeypatch, capsys, cores):
         # Runs of the largest value start first; the error is still that
-        # of the first failing value. The forked workers see the stand-in.
-        monkeypatch.setenv("OPERON_THREADS", threads)
+        # of the first failing value, with one worker or two. The forked
+        # workers see the stand-in.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         monkeypatch.setattr(cli.ev, "run_two_step_once", _fail_below_six_sensors)
         out = tmp_path / "x"
         code = main(
@@ -701,16 +682,44 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_thread_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OPERON_THREADS", "4")
+    def test_pool_is_runs_capped_at_the_cores(self, tmp_path, monkeypatch):
+        # Nine runs: as many workers as usable cores, and the same table
+        # from one worker.
+        pools = recording_pools(monkeypatch)
         config = self._sweep_config(tmp_path)
-        out = tmp_path / "sweep_mt"
-        code = main(
-            ["sweep", "--axis", "K", "--values", "4,6,8", "--replicates", "3",
-             "--config", str(config), "--out", str(out)]
-        )
-        assert code == 0
-        assert (out / "sweep.csv").exists()
+        cores = len(os.sched_getaffinity(0))
+        csvs = []
+        for tag in ("all", "one"):
+            if tag == "one":
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            out = tmp_path / tag
+            code = main(
+                ["sweep", "--axis", "K", "--values", "4,6,8", "--replicates", "3",
+                 "--config", str(config), "--out", str(out)]
+            )
+            assert code == 0
+            csvs.append((out / "sweep.csv").read_bytes())
+        assert [pool.width for pool in pools] == [min(9, cores), 1]
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--example", "ex1", "--k", "100000000000000"],
+            ["generate", "--example", "ex1", "--grid-n", "10000000"],
+            ["sweep", "--axis", "K", "--values", "4,100000000000000", "--replicates", "3"],
+        ],
+        ids=["generate-k", "generate-grid", "sweep-k-in-a-worker"],
+    )
+    def test_array_too_large_exits_1(self, tmp_path, capsys, argv):
+        # Each first allocation asks for about 728 TiB, so none succeeds.
+        if argv[0] == "sweep":
+            argv = [*argv, "--config", str(self._sweep_config(tmp_path))]
+        out = tmp_path / "x"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
 
 
 def _arch(entry):

@@ -132,9 +132,9 @@ class TestExample2:
     def test_operator_symmetric(self, monkeypatch, grid_n):
         operators = []
 
-        def capture(operator, rhs, rtol=1e-12):
+        def capture(operator, rhs):
             operators.append((operator(np.arange(1)), rhs.shape))
-            return cg(operator, rhs, rtol)
+            return cg(operator, rhs)
 
         cg = data_module._conjugate_gradient
         monkeypatch.setattr(data_module, "_conjugate_gradient", capture)
@@ -164,10 +164,10 @@ class TestExample2:
         # A failure in the second block names the beta, not its index there.
         betas = np.linspace(0.01, 10.0, data_module.DARCY_BLOCK + 5)
 
-        def fail_second_block(operator, rhs, rtol=1e-12):
+        def fail_second_block(operator, rhs):
             if rhs.shape[0] == 5:
                 raise SolverError("stalled", system=3)
-            return cg(operator, rhs, rtol)
+            return cg(operator, rhs)
 
         cg = data_module._conjugate_gradient
         monkeypatch.setattr(data_module, "_conjugate_gradient", fail_second_block)

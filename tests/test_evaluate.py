@@ -2,26 +2,24 @@ import concurrent.futures
 import multiprocessing
 import os
 import signal
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import operon
+from conftest import recording_pools, run_python
 from operon import evaluate
 from operon.data import gen_example1
 from operon.deeponet import DeepONetModel, assemble_phi, model_basis, predict
 from operon.evaluate import (
+    HISTOGRAM_BINS,
     SweepSettings,
+    _column_errors,
     conditional_optimal,
     error_map,
     evaluate_model,
     generalization_sweep,
     log10_histogram,
-    relative_l2_error,
     run_two_step_once,
     truncate_prediction,
 )
@@ -55,25 +53,6 @@ def _sweep_into(results):
     results.put(_pids(table))
 
 
-def _recording_pools(monkeypatch):
-    """Patches the executor so that each pool a sweep makes is listed with
-    its width, start method and futures."""
-    pools = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, mp_context):
-            super().__init__(max_workers, mp_context=mp_context)
-            self.width, self.method, self.futures = max_workers, mp_context.get_start_method(), []
-            pools.append(self)
-
-        def submit(self, *args):
-            self.futures.append(super().submit(*args))
-            return self.futures[-1]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return pools
-
-
 # Runs two sweeps, each printing the PIDs of its workers and checking that
 # none is left. It has no `__main__` guard: forked workers do not rerun it.
 _TWO_SWEEPS_SCRIPT = """
@@ -98,16 +77,8 @@ def _run_two_sweeps_script(directory):
     hold a pipe open."""
     script = directory / "two_sweeps.py"
     script.write_text(_TWO_SWEEPS_SCRIPT)
-    src = str(Path(operon.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     with open(directory / "out.txt", "w+") as out:
-        proc = subprocess.run(
-            [sys.executable, str(script)],
-            env={**os.environ, "PYTHONPATH": path},
-            stdout=out,
-            stderr=subprocess.STDOUT,
-            timeout=300,
-        )
+        proc = run_python([str(script)], stdout=out, stderr=out, timeout=300)
         out.seek(0)
         text = out.read()
     assert proc.returncode == 0, text
@@ -142,15 +113,13 @@ def _blas_threads_seen(directory, widths):
     variables were 2 before it started: its own, then one per sweep."""
     script = directory / "blas_seen.py"
     script.write_text(_BLAS_SEEN_SCRIPT)
-    src = str(Path(operon.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     with open(directory / "out.txt", "w+") as out:
-        proc = subprocess.run(
-            [sys.executable, str(script), *map(str, widths)],
-            env={**os.environ, **dict.fromkeys(names, "2"), "PYTHONPATH": path},
+        proc = run_python(
+            [str(script), *map(str, widths)],
+            {**os.environ, **dict.fromkeys(names, "2")},
             stdout=out,
-            stderr=subprocess.STDOUT,
+            stderr=out,
             timeout=300,
         )
         out.seek(0)
@@ -179,26 +148,38 @@ def _trained_model(seed=0, width=4, iters=300):
     return model, data
 
 
+def _column(*values):
+    return np.array(values)[:, None]
+
+
 class TestRelativeL2Error:
+    """_column_errors: ||prediction - target||_2 / ||target||_2 per column."""
+
     def test_exact_match(self):
-        assert relative_l2_error([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert _column_errors(_column(1.0, 2.0), _column(1.0, 2.0)) == [0.0]
 
     def test_double_target(self):
-        assert relative_l2_error([2.0, 4.0], [1.0, 2.0]) == pytest.approx(1.0)
+        assert _column_errors(_column(2.0, 4.0), _column(1.0, 2.0)) == pytest.approx([1.0])
 
     def test_hand_value(self):
-        assert relative_l2_error([1.0, 0.0], [1.0, 1.0]) == pytest.approx(1 / np.sqrt(2))
+        errors = _column_errors(_column(1.0, 0.0), _column(1.0, 1.0))
+        assert errors == pytest.approx([1 / np.sqrt(2)])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
-        p, t = rng.normal(size=10), rng.normal(size=10)
-        base = relative_l2_error(p, t)
-        scaled = relative_l2_error(1e6 * p, 1e6 * t)
+        p, t = rng.normal(size=(10, 3)), rng.normal(size=(10, 3))
+        base = _column_errors(p, t)
+        scaled = _column_errors(1e6 * p, 1e6 * t)
         assert scaled == pytest.approx(base, abs=1e-14)
 
     def test_zero_target_rejected(self):
-        with pytest.raises(ValueError):
-            relative_l2_error([1.0], [0.0])
+        with pytest.raises(ValueError, match="zero norm"):
+            _column_errors(_column(1.0, 2.0), _column(0.0, 0.0))
+        # evaluate_model refuses a test sample whose output is all zero.
+        model, data = _trained_model(seed=5)
+        data.u_matrix[:, data.test_idx[1]] = 0.0
+        with pytest.raises(ValueError, match="zero norm"):
+            evaluate_model(model, data)
 
 
 class TestConditionalOptimal:
@@ -206,9 +187,9 @@ class TestConditionalOptimal:
         model, data = _trained_model(seed=1)
         basis = assemble_phi(model.trunk, data.y_sensors) @ model.t_matrix
         coeff = np.random.default_rng(1).normal(size=model.width + 1)
-        u = basis @ coeff
+        u = (basis @ coeff)[:, None]
         _, err = conditional_optimal(model_basis(model, data.y_sensors), u)
-        assert err <= 1e-10
+        assert err[0] <= 1e-10
 
     def test_matrix_target_equals_column_calls(self):
         model, data = _trained_model(seed=3)
@@ -217,10 +198,10 @@ class TestConditionalOptimal:
         assert a_mat.shape == (model.width + 1, targets.shape[1])
         assert errors.shape == (targets.shape[1],)
         for j in range(targets.shape[1]):
-            a_j, err_j = conditional_optimal(model_basis(model, data.y_sensors), targets[:, j])
-            assert isinstance(err_j, float)
-            assert np.allclose(a_mat[:, j], a_j, rtol=1e-12, atol=1e-12 * np.abs(a_j).max())
-            assert errors[j] == pytest.approx(err_j, rel=1e-12)
+            a_j, err_j = conditional_optimal(model_basis(model, data.y_sensors), targets[:, [j]])
+            assert a_j.shape == (model.width + 1, 1) and err_j.shape == (1,)
+            assert np.allclose(a_mat[:, [j]], a_j, rtol=1e-12, atol=1e-12 * np.abs(a_j).max())
+            assert errors[j] == pytest.approx(err_j[0], rel=1e-12)
 
     def test_errors_scale_free_up_to_float64_limit(self):
         # Power-of-two rescaling is exact: the errors keep their bits even
@@ -235,15 +216,15 @@ class TestConditionalOptimal:
         for scaled in (huge, large):
             assert np.array_equal(conditional_optimal(basis, scaled)[1], errors)
         assert np.array_equal(conditional_optimal(basis, large)[0], a * 2.0**900)
-        assert relative_l2_error(np.zeros(len(huge)), huge[:, 0]) == 1.0
+        assert np.array_equal(_column_errors(np.zeros_like(huge), huge), np.ones(huge.shape[1]))
 
     def test_never_exceeds_model_error(self):
         model, data = _trained_model(seed=2)
         for k in data.test_idx:
-            u = data.u_matrix[:, k]
-            pred = predict(model, data.f_matrix[k], data.y_sensors)
+            u = data.u_matrix[:, [k]]
+            pred = predict(model, data.f_matrix[k], data.y_sensors)[:, None]
             _, opt = conditional_optimal(model_basis(model, data.y_sensors), u)
-            assert opt <= relative_l2_error(pred, u) + 1e-12
+            assert opt[0] <= _column_errors(pred, u)[0] + 1e-12
 
 
 class TestTruncate:
@@ -272,12 +253,12 @@ def _per_sample_reference(model, data, truncate_m):
     """The errors of evaluate_model, one test sample at a time."""
     rel, opt = [], []
     for k in data.test_idx:
-        target = data.u_matrix[:, k]
-        pred = predict(model, data.f_matrix[k], data.y_sensors)
+        target = data.u_matrix[:, [k]]
+        pred = predict(model, data.f_matrix[k], data.y_sensors)[:, None]
         if truncate_m is not None:
             pred = truncate_prediction(pred, truncate_m)
-        rel.append(relative_l2_error(pred, target))
-        opt.append(conditional_optimal(model_basis(model, data.y_sensors), target)[1])
+        rel.append(_column_errors(pred, target)[0])
+        opt.append(conditional_optimal(model_basis(model, data.y_sensors), target)[1][0])
     return np.array(rel), np.array(opt)
 
 
@@ -330,9 +311,9 @@ class TestEvaluateModel:
         assert trace == pytest.approx(model.width + 1, abs=1e-8)
 
     def test_histogram_counts(self):
-        edges, counts = log10_histogram([1e-3, 1e-2, 1e-1], n_bins=5)
+        edges, counts = log10_histogram([1e-3, 1e-2, 1e-1])
         assert counts.sum() == 3
-        assert edges.size == 6
+        assert edges.size == HISTOGRAM_BINS + 1
 
     def test_error_map_shape(self):
         model, data = _trained_model(seed=9)
@@ -457,7 +438,7 @@ class TestSweep:
     def test_failure_is_first_failing_run_in_table_order(self, monkeypatch, workers):
         # The largest values are submitted first, so at 2 workers K=5
         # fails before K=4 has started.
-        pools = _recording_pools(monkeypatch)
+        pools = recording_pools(monkeypatch)
         monkeypatch.setattr(evaluate, "run_two_step_once", _fail_below_six)
         before = dict(os.environ)
         with pytest.raises(ValueError, match="^k_train 4$"):
@@ -467,16 +448,16 @@ class TestSweep:
         [pool] = pools
         assert len(pool.futures) == 9 and all(f.done() for f in pool.futures)
 
-    @pytest.mark.parametrize("workers, size", [(8, 3), (2, 2)])
+    @pytest.mark.parametrize("workers, size", [(8, 3), (2, 2), (None, 3)])
     def test_pool_sized_by_runs(self, monkeypatch, workers, size):
-        pools = _recording_pools(monkeypatch)
+        pools = recording_pools(monkeypatch)
         monkeypatch.setattr(evaluate, "run_two_step_once", _one)
         generalization_sweep(SweepSettings(), "K", [4], 3, max_workers=workers)
         size = min(size, len(os.sched_getaffinity(0)))
         assert [(pool.width, pool.method) for pool in pools] == [(size, "fork")]
 
     def test_pool_capped_at_the_cores(self, monkeypatch):
-        pools = _recording_pools(monkeypatch)
+        pools = recording_pools(monkeypatch)
         monkeypatch.setattr(evaluate, "run_two_step_once", _one)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         table = generalization_sweep(SweepSettings(), "K", [4], 3, max_workers=8)
@@ -494,11 +475,9 @@ class TestSweep:
         # Set beforehand, in a fresh process: numpy loads BLAS only once.
         names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         script = f"import os, operon.evaluate; print(*map(os.environ.get, {names}))"
-        src = str(Path(operon.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, **dict(zip(names, ["2", "3", "2"])), "PYTHONPATH": path},
+        proc = run_python(
+            ["-c", script],
+            {**os.environ, **dict(zip(names, ["2", "3", "2"]))},
             capture_output=True,
             text=True,
             timeout=120,
@@ -548,21 +527,14 @@ class TestSweep:
             "    table = generalization_sweep(s, 'K', [250], 3)\n"
             "    print([e.hex() for e in table.rows[0].replicate_errors])\n"
         )
-        src = str(Path(operon.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = []
         for threads in (None, "1", "2"):
             # Without the "1"s that this process's `import operon` set.
             env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
             if threads is not None:
                 env["OPENBLAS_NUM_THREADS"] = threads
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                env={**env, "PYTHONPATH": path},
-                capture_output=True,
-                text=True,
-                timeout=300,
-                check=True,
+            proc = run_python(
+                ["-c", script], env, capture_output=True, text=True, timeout=300, check=True
             )
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1] == outputs[2]

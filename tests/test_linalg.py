@@ -125,7 +125,7 @@ class TestSolveUpperTriangular:
     def test_near_singular_diagonal(self):
         r = np.diag([1.0, 1e-16])
         with pytest.raises(SingularTriangularError):
-            solve_upper_triangular(r, np.ones(2))
+            solve_upper_triangular(r, np.ones((2, 1)))
 
     def test_multiple_rhs(self):
         rng = np.random.default_rng(2)
@@ -181,15 +181,15 @@ class TestLeastSquares:
         x = least_squares(a, b)
         assert x.shape == (n, k)
         for j in range(k):
-            x_j = least_squares(a, b[:, j])
-            assert np.allclose(x[:, j], x_j, rtol=1e-10, atol=1e-10 * np.abs(x_j).max())
+            x_j = least_squares(a, b[:, [j]])
+            assert np.allclose(x[:, [j]], x_j, rtol=1e-10, atol=1e-10 * np.abs(x_j).max())
         bound = 1e-9 * np.linalg.norm(a) * np.linalg.norm(b)
         assert np.linalg.norm(a.T @ (a @ x - b)) <= bound
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(20, 5))
-        b = rng.normal(size=(20,))
+        b = rng.normal(size=(20, 1))
         gram = a.T @ a
         x_ref = np.linalg.solve(gram, a.T @ b)
         assert np.allclose(least_squares(a, b), x_ref, atol=1e-10)

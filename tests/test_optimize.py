@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from operon.errors import NonFiniteGradientError
-from operon.optimize import AdamState, adam_step, step_decay
+from operon.optimize import BETA1, AdamState, adam_step, step_decay
 
 
 def _scalar_state(lr=1e-3):
@@ -48,7 +48,7 @@ class TestAdamStep:
         rng = np.random.default_rng(seed)
         params = [rng.normal(size=(5, 3)), rng.normal(size=4)]
         state = AdamState.for_params(params, lr=1e-3)
-        bound = state.lr * (1 + 1e-6) / (1 - state.beta1)
+        bound = state.lr * (1 + 1e-6) / (1 - BETA1)
         for _ in range(50):
             before = [p.copy() for p in params]
             grads = [
