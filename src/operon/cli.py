@@ -231,6 +231,15 @@ def _make_model(spec: ModelSpec, seed: int, data: OperatorDataset) -> DeepONetMo
     return spec.build(seed)
 
 
+def _check_width(n_width: int, data: OperatorDataset, name: str) -> None:
+    """The two-step methods and the certificate need width + 1 <= m_y."""
+    if n_width + 1 > data.m_y:
+        raise ConfigError(
+            f"{name}: width+1 ({n_width + 1}) must not exceed the number of "
+            f"output sensors ({data.m_y})"
+        )
+
+
 def _cmd_train(args) -> int:
     config = _load_config(args.config, _TRAIN_SCHEMA)
     method = {"van": "van", "2st": "two_step", "2st-noqr": "two_step_no_qr"}[args.method]
@@ -246,6 +255,7 @@ def _cmd_train(args) -> int:
     if method == "van":
         model, report = train_monolithic(data, model, cfg)
     else:
+        _check_width(model.width, data, "config key trunk_arch")
         model, report = train_two_step(data, model, cfg)
     write_artifact(args.out, MODEL_MANIFEST, {**model_files(model), **report_files(report)})
     print(
@@ -296,6 +306,7 @@ def _cmd_certify(args) -> int:
         raise ConfigError(f"--N must be >= 1, got {args.n_width}")
     _check_seed(args.seed)
     data = load_dataset(args.data)
+    _check_width(args.n_width, data, "--N")
     cert = verify_zero_loss_pipeline(data, args.n_width, seed=args.seed)
     payload = json_text(cert.to_dict())
     sys.stdout.write(payload)

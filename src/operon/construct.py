@@ -127,9 +127,19 @@ def verify_zero_loss_pipeline(
 
     With n_width >= rank(U) the assembled loss must vanish (up to
     ZERO_LOSS_TOL relative); below the rank it must match the best
-    low-rank approximation error instead.
+    low-rank approximation error instead. The checks compare squared
+    norms, so a nonzero U whose ||U||_F^2 is not a normal float64 (it
+    overflows or underflows) raises ValueError before any work; an
+    all-zero U raises ZeroMatrixError.
     """
     u_train = data.train_u()
+    with np.errstate(over="ignore"):
+        u_sq = float(np.sum(u_train * u_train))
+    if np.any(u_train) and not np.finfo(float).tiny <= u_sq < np.inf:
+        raise ValueError(
+            f"||U_train||_F^2 is {u_sq:.3e}, outside the normal float64 range; "
+            f"the certificate compares squared norms, so rescale U"
+        )
     f_train = data.train_f()
     # One factorization of U serves the trunk, the rank and the
     # Eckart-Young bound.
@@ -140,7 +150,6 @@ def verify_zero_loss_pipeline(
     phi = assemble_phi(trunk, data.y_sensors)
     resid = phi @ a_star - u_train
     resid_sq = float(np.sum(resid * resid))
-    u_sq = float(np.sum(u_train * u_train))
     ey = float(np.sum(svd.sigma[n_width:] ** 2))
     step1_loss = resid_sq / (m_y * k)
 

@@ -112,14 +112,13 @@ class FitWork:
     """Buffers of fit_loss_and_grads for one trunk, K training inputs and
     m_y output sensors, made once and reused by every iteration of a
     training loop. The trunk gradient goes to trunk.grad, the trunk
-    Workspace's: trunk_grad when given (a view into a loop's gradient
-    vector), else a vector of its own."""
+    Workspace's."""
 
-    def __init__(self, trunk: Mlp, k: int, m_y: int, trunk_grad: np.ndarray | None = None):
+    def __init__(self, trunk: Mlp, k: int, m_y: int):
         n1 = trunk.arch[-1] + 1
         # Column 0 of phi stays 1; the trunk writes its output into the rest.
         self.phi = np.ones((m_y, n1))
-        self.trunk = nn.Workspace(trunk, m_y, out=self.phi[:, 1:], grad=trunk_grad)
+        self.trunk = nn.Workspace(trunk, m_y, out=self.phi[:, 1:])
         self.resid = np.empty((m_y, k))
         self.phi_grad = np.empty((m_y, n1))
         self.trunk_upstream = np.empty((m_y, n1 - 1))
@@ -154,12 +153,12 @@ def fit_loss_and_grads(
 
 class MonolithicWork:
     """Buffers of monolithic_loss_and_grads, as FitWork for the trunk plus
-    the branch's; the branch gradient goes to branch.grad, branch_grad
-    when given, else a vector of its own."""
+    the branch's; the branch gradient goes to branch.grad, the branch
+    Workspace's."""
 
-    def __init__(self, model: DeepONetModel, k: int, m_y: int, trunk_grad=None, branch_grad=None):
-        self.fit = FitWork(model.trunk, k, m_y, trunk_grad)
-        self.branch = nn.Workspace(model.branch, k, grad=branch_grad)
+    def __init__(self, model: DeepONetModel, k: int, m_y: int):
+        self.fit = FitWork(model.trunk, k, m_y)
+        self.branch = nn.Workspace(model.branch, k)
         self.branch_upstream = np.empty((k, model.width + 1))
 
 

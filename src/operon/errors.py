@@ -22,7 +22,7 @@ class ZeroMatrixError(OperonError):
 
 
 class NonFiniteGradientError(OperonError):
-    """A gradient contained NaN or Inf; the run is aborted."""
+    """A loss or gradient contained NaN or Inf; the run is aborted."""
 
 
 class DuplicateSensorError(OperonError):

@@ -315,6 +315,8 @@ def generalization_sweep(
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     values = [int(v) for v in values]
+    if not values:
+        raise ValueError("values must list at least one value")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"values must be strictly increasing, got {values}")
     if replicates < 3:

@@ -190,13 +190,20 @@ def jacobi_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
     Singular values not exceeding rank_tol * sigma_max are dropped; the
     retained count is reported as the numerical rank. Left singular
     vectors are sign-normalized so their largest-magnitude entry is
-    positive, which makes the factorization deterministic.
+    positive, which makes the factorization deterministic. Scaling a by
+    a power of two scales sigma by it and leaves the other bits alone.
     """
     if rank_tol < 0.0:
         raise ValueError(f"rank_tol must be >= 0, got {rank_tol}")
     a = _require_finite(as_matrix(a), "matrix")
     if not np.any(a):
         raise ZeroMatrixError("cannot factor an all-zero matrix")
+    # The factorization runs on a * 2**-exponent, whose largest entry lies
+    # in [0.5, 1), so squared column norms neither overflow nor underflow;
+    # sigma is scaled back. A power-of-two scaling is exact, so an input
+    # whose squares stayed in range factors to the same bits as before.
+    exponent = int(np.frexp(np.max(np.abs(a)))[1])
+    a = np.ldexp(a, -exponent)
 
     # Row j of bt is column j of the working matrix (a, or a.T when a is
     # wide), row j of vt column j of v: a step gathers and scatters whole
@@ -269,7 +276,7 @@ def jacobi_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
         u, v = v, u
     _require_finite(u, "u factor")
     _require_finite(v, "v factor")
-    return SvdFactors(u=u, sigma=sigma, v=v, rank=rank)
+    return SvdFactors(u=u, sigma=np.ldexp(sigma, exponent), v=v, rank=rank)
 
 
 def best_rank_k_error(a, k: int) -> float:

@@ -77,14 +77,6 @@ class Mlp:
         # their weights and biases are views of their own params.
         return Mlp, (self.arch, self.weights, self.biases, self.activation)
 
-    def store_in(self, flat: np.ndarray) -> None:
-        """Copy params into flat, a vector of the same size, and keep them
-        there: params, weights and biases become views into flat. A
-        training loop holds all it trains in one such vector."""
-        flat[...] = self.params
-        self.params = flat
-        self.weights, self.biases = _layer_views(flat, self.arch)
-
 
 def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     if kind == "relu":
@@ -96,17 +88,16 @@ class Workspace:
     """Buffers for one network at one batch size: the activations that
     forward writes, and the deltas, derivatives and parameter gradient grad
     that backward writes. A training loop makes one per network and reuses
-    it every iteration.
+    it every iteration; grad is where Adam reads the network's gradient.
 
     out, when given, receives the network output in place of a buffer of
-    its own (a strided view is fine, such as the trunk columns of Phi), and
-    grad, when given, is the gradient vector (a view into a loop's, say)."""
+    its own (a strided view is fine, such as the trunk columns of Phi)."""
 
-    def __init__(self, net: Mlp, batch: int, out=None, grad=None):
+    def __init__(self, net: Mlp, batch: int, out=None):
         hidden = net.arch[1:-1]
         self.acts = [np.empty((batch, n)) for n in hidden]
         self.acts.append(np.empty((batch, net.arch[-1])) if out is None else out)
-        self.grad = np.empty_like(net.params) if grad is None else grad
+        self.grad = np.empty_like(net.params)
         # backward holds two deltas and one derivative at a time, so layer
         # l's views are the leading entries of delta buffer l % 2 and of the
         # one derivative buffer.

@@ -34,15 +34,11 @@ class AdamState:
         )
 
 
-def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update. Parameters are modified in place and returned along
-    with the advanced state. NaN/Inf gradients abort the run.
-
-    A training loop passes one flat parameter vector and one flat gradient
-    vector, so the update runs once per step whatever the number of
-    networks; it allocates nothing."""
+def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
+    """One Adam update of the arrays in params, in place, with grads[i] the
+    gradient of params[i]; state advances by one step. NaN/Inf gradients
+    abort the run. The update allocates nothing: its temporaries go to
+    state's scratch arrays."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("params, grads and state buffers must align")
     for i, g in enumerate(grads):
@@ -74,7 +70,6 @@ def adam_step(
         denom += EPSILON
         step /= denom
         p -= step
-    return params, state
 
 
 def step_decay(lr0: float, factor: float, every: int, t: int) -> float:

@@ -102,42 +102,24 @@ def report_files(report: TrainReport) -> dict:
     return files
 
 
-def _flat_vectors(*parts):
-    """One parameter vector holding the parts end to end, and a gradient
-    vector of the same layout. An Mlp part moves into the parameter vector
-    (Mlp.store_in); an array part is copied into it. Returns both vectors
-    and, per part, its views into them shaped like the part: an array
-    part's view is where it is trained."""
-    sizes = [part.params.size if isinstance(part, Mlp) else part.size for part in parts]
-    params, grads = np.empty(sum(sizes)), np.empty(sum(sizes))
-    views = []
-    start = 0
-    for part, size in zip(parts, sizes):
-        p, g = params[start : start + size], grads[start : start + size]
-        start += size
-        if isinstance(part, Mlp):
-            part.store_in(p)
-        else:
-            p, g = p.reshape(part.shape), g.reshape(part.shape)
-            p[...] = part
-        views.append((p, g))
-    return params, grads, views
-
-
 def _adam_loop(
-    step, params: np.ndarray, grads: np.ndarray, iters: int, cfg: TrainConfig
+    step, params: list[np.ndarray], grads: list[np.ndarray], iters: int, cfg: TrainConfig
 ) -> list[float]:
-    """Full-batch Adam on one parameter vector for iters iterations.
-    step(t) writes the gradient at the current parameters into grads and
-    returns the loss, for iteration t = 1..iters; the losses form the
-    returned trace."""
-    state = AdamState.for_params([params], lr=cfg.lr)
+    """Full-batch Adam on the arrays in params for iters iterations.
+    step(t) writes the gradient at the current parameters into grads, one
+    array per parameter array, and returns the loss, for iteration
+    t = 1..iters; the losses form the returned trace. A loss or gradient
+    that is not finite aborts the run with NonFiniteGradientError."""
+    state = AdamState.for_params(params, lr=cfg.lr)
     trace: list[float] = []
     for t in range(1, iters + 1):
-        trace.append(step(t))
+        loss = step(t)
+        trace.append(loss)
         state.lr = cfg.lr_at(state.t)
         try:
-            adam_step([params], [grads], state)
+            if not math.isfinite(loss):
+                raise NonFiniteGradientError(f"loss is {loss}")
+            adam_step(params, grads, state)
         except NonFiniteGradientError as exc:
             raise NonFiniteGradientError(f"{exc} (at iteration {t})") from exc
     return trace
@@ -153,13 +135,15 @@ def train_monolithic(
     start = time.perf_counter()
     f_train, u_train = data.train_f(), np.ascontiguousarray(data.train_u())
     m_y, k = u_train.shape
-    params, grads, [(_, trunk_g), (_, branch_g)] = _flat_vectors(model.trunk, model.branch)
-    work = MonolithicWork(model, k, m_y, trunk_g, branch_g)
+    work = MonolithicWork(model, k, m_y)
 
     def step(t):
         return monolithic_loss_and_grads(model, f_train, u_train, data.y_sensors, work)[0]
 
-    trace = _adam_loop(step, params, grads, cfg.iters_mono, cfg)
+    trace = _adam_loop(
+        step, [model.trunk.params, model.branch.params],
+        [work.fit.trunk.grad, work.branch.grad], cfg.iters_mono, cfg,
+    )
     final = monolithic_loss(model, data)
     report = TrainReport(
         method="van",
@@ -194,9 +178,9 @@ def train_trunk_step1(
             f"sensors ({m_y})"
         )
     rng = np.random.default_rng(cfg.seed)
-    a_init = rng.normal(0.0, cfg.a_init_scale, size=(n_width + 1, k))
-    params, grads, [(_, trunk_g), (a, a_g)] = _flat_vectors(trunk, a_init)
-    work = FitWork(trunk, k, m_y, trunk_g)
+    a = rng.normal(0.0, cfg.a_init_scale, size=(n_width + 1, k))
+    a_g = np.empty_like(a)
+    work = FitWork(trunk, k, m_y)
 
     def step(t):
         nn.forward(trunk, data.y_sensors, work.trunk)
@@ -204,7 +188,7 @@ def train_trunk_step1(
             a[...] = linalg.least_squares(work.phi, u_train)
         return fit_loss_and_grads(trunk, data.y_sensors, a, u_train, a_g, work)
 
-    trace = _adam_loop(step, params, grads, cfg.iters_trunk, cfg)
+    trace = _adam_loop(step, [trunk.params, a], [work.trunk.grad, a_g], cfg.iters_trunk, cfg)
     phi = assemble_phi(trunk, data.y_sensors)
     if cfg.ls_refit_every > 0:
         a[...] = linalg.least_squares(phi, u_train)
@@ -245,8 +229,7 @@ def train_branch_step2(
     if branch.arch[-1] != n1:
         raise ValueError(f"branch output {branch.arch[-1]} != target rows {n1}")
 
-    params, grads, [(_, grad)] = _flat_vectors(branch)
-    work = nn.Workspace(branch, k, grad=grad)
+    work = nn.Workspace(branch, k)
     diff, upstream = np.empty((n1, k)), np.empty((k, n1))
 
     def step(t):
@@ -256,7 +239,7 @@ def train_branch_step2(
         np.multiply(diff, diff, out=diff)
         return float(np.sum(diff)) / k
 
-    trace = _adam_loop(step, params, grads, cfg.iters_branch, cfg)
+    trace = _adam_loop(step, [branch.params], [work.grad], cfg.iters_branch, cfg)
     c = assemble_c(branch, f_inputs)
     diff = c - target
     final_loss = float(np.sum(diff * diff)) / k

@@ -59,6 +59,28 @@ def ex1_grid17_dir(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def scaled_dirs(tmp_path_factory):
+    """ex1 at grid 5 with K 12, its U scaled by 1e160 and by 1e-160: the
+    entries are finite, but their squares leave the float64 range."""
+    base = tmp_path_factory.mktemp("data")
+    assert main(["generate", "--example", "ex1", "--grid-n", "5", "--k", "12", "--out", str(base / "ex1")]) == 0
+    dirs = {}
+    for scale in (1e160, 1e-160):
+        path = dirs[scale] = base / f"scaled_{scale:g}"
+        shutil.copytree(base / "ex1", path)
+        u = np.frombuffer((path / "U.bin").read_bytes(), "<f8") * scale
+        (path / "U.bin").write_bytes(u.astype("<f8").tobytes())
+    return dirs
+
+
+@pytest.fixture(scope="module")
+def nine_sensor_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "ex1_3"
+    assert main(["generate", "--example", "ex1", "--grid-n", "3", "--k", "12", "--out", str(path)]) == 0
+    return path
+
+
 def _bytes_under_caller_blas_threads(tmp_path, argv_for):
     """Run `python -m operon.cli` with argv_for(out) three times, with the
     caller's BLAS thread variables unset, OPENBLAS_NUM_THREADS=1 and =2,
@@ -252,6 +274,37 @@ class TestTrain:
         for method in ("2st", "van"):
             assert main(args + ["--method", method, "--out", str(tmp_path / method)]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("method", ["2st", "van"])
+    def test_overflowing_loss_exits_1(self, scaled_dirs, tmp_path, capsys, method):
+        # The squared residual overflows at the first step; Adam would
+        # stall on it and report.json would hold Infinity.
+        out = tmp_path / "run"
+        code = main(
+            ["train", "--method", method, "--config", str(_train_config(tmp_path)),
+             "--data", str(scaled_dirs[1e160]), "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("(at iteration 1)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, expected", [("2st", 2), ("2st-noqr", 2), ("van", 0)])
+    def test_width_over_sensors(self, nine_sensor_dir, tmp_path, capsys, monkeypatch, method, expected):
+        # The two-step methods need width + 1 <= m_y; van trains at any width.
+        _must_not_run(monkeypatch, cli, "train_two_step")
+        config = _train_config(tmp_path, trunk_arch=[2, 4, 9], branch_arch=[1, 4, 10], iters_mono=3)
+        code = main(
+            ["train", "--method", method, "--config", str(config),
+             "--data", str(nine_sensor_dir), "--out", str(tmp_path / "run")]
+        )
+        assert code == expected
+        if expected == 2:
+            assert capsys.readouterr().err == (
+                "error: config key trunk_arch: width+1 (10) must not exceed "
+                "the number of output sensors (9)\n"
+            )
 
     def test_deterministic_model_bytes(self, dataset_dir, tmp_path):
         config = _train_config(tmp_path)
@@ -567,6 +620,24 @@ class TestCertify:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --N") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_output_norm_outside_float64_exits_1(self, scaled_dirs, tmp_path, capsys, scale):
+        # The checks compare squared norms, which overflow or underflow here.
+        out = tmp_path / "cert.json"
+        code = main(["certify", "--data", str(scaled_dirs[scale]), "--N", "2", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ||U_train||_F^2") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
+    def test_width_over_sensors_exits_2(self, nine_sensor_dir, capsys, monkeypatch):
+        _must_not_run(monkeypatch, cli, "verify_zero_loss_pipeline")
+        code = main(["certify", "--data", str(nine_sensor_dir), "--N", "9"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --N: width+1 (10) must not exceed the number of output sensors (9)\n"
+        )
 
     def test_corrupt_dataset_exits_1(self, dataset_dir, tmp_path):
         import shutil

@@ -354,6 +354,8 @@ class TestSweep:
             generalization_sweep(settings, "m_x", [2, 4], 3)
         with pytest.raises(ValueError, match="max_workers"):
             generalization_sweep(settings, "K", [4, 5, 6], 3, max_workers=0)
+        with pytest.raises(ValueError, match="^values must list at least one value"):
+            generalization_sweep(settings, "K", [], 3)
 
     @pytest.mark.parametrize(
         "field, settings, values",

@@ -291,6 +291,19 @@ class TestJacobiSvd:
         assert sigma.size == 8
         assert np.max(np.abs(sigma - ref) / ref) <= 1e-12
 
+    @pytest.mark.parametrize("k", [-540, -300, 520, 1000])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_power_of_two_scaling_is_exact(self, k, wide):
+        # At 2**520 and beyond the squared column norms overflow, at 2**-540
+        # they underflow; the factors must not notice.
+        a = np.random.default_rng(9).normal(size=(30, 8))
+        if wide:
+            a = a.T
+        ref, svd = jacobi_svd(a), jacobi_svd(np.ldexp(a, k))
+        assert svd.rank == ref.rank == 8
+        assert np.array_equal(svd.sigma, np.ldexp(ref.sigma, k))
+        assert np.array_equal(svd.u, ref.u) and np.array_equal(svd.v, ref.v)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 180])
     def test_round_robin_schedule(self, n):
         steps = _round_robin(n)

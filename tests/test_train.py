@@ -433,9 +433,9 @@ class TestReportIo:
 
 
 # Allocating reference of the training loops as they were written before
-# they moved into reused buffers and one flat parameter vector: every
-# iteration builds new arrays, and Adam runs once per parameter array.
-# The library loops must reproduce these bit for bit.
+# they moved into reused buffers: every iteration builds new arrays, and
+# Adam runs once per parameter array. The library loops must reproduce
+# these bit for bit.
 
 
 def _ref_act(z, kind):
@@ -604,11 +604,15 @@ class TestMatchesAllocatingReference:
     def test_trained_nets_keep_one_params_vector(self):
         data = _ref_data(seed=33)
         cfg = TrainConfig(method="van", iters_mono=3, seed=33)
-        model, _ = train_monolithic(data, _ref_model(33, "tanh"), cfg)
-        for net in (model.trunk, model.branch):
-            assert net.params.flags.c_contiguous
+        van, _ = train_monolithic(data, _ref_model(33, "tanh"), cfg)
+        cfg = TrainConfig(iters_trunk=3, iters_branch=3, seed=33)
+        two_step, _ = train_two_step(data, _ref_model(33, "tanh"), cfg)
+        trunk, a_star, _, _ = train_trunk_step1(data, _ref_model(33, "tanh").trunk, cfg)
+        for net in (van.trunk, van.branch, two_step.trunk, two_step.branch, trunk):
+            assert net.params.flags.c_contiguous and net.params.flags.owndata
             for view in net.weights + net.biases:
                 assert np.shares_memory(view, net.params)
+        assert not np.shares_memory(a_star, trunk.params)
 
     def test_nan_in_a_gradient_names_iteration(self, monkeypatch):
         from operon import train as train_module
