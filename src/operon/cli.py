@@ -40,7 +40,7 @@ from .data import (
     triplet_grid_sample,
     write_artifact,
 )
-from .deeponet import MODEL_MANIFEST, DeepONetModel, ModelSpec, load_model, model_files
+from .deeponet import MODEL_MANIFEST, DeepONetModel, ModelSpec, check_width, load_model, model_files
 from .errors import OperonError
 from .train import TrainConfig, report_files, train_monolithic, train_two_step
 
@@ -232,12 +232,13 @@ def _make_model(spec: ModelSpec, seed: int, data: OperatorDataset) -> DeepONetMo
 
 
 def _check_width(n_width: int, data: OperatorDataset, name: str) -> None:
-    """The two-step methods and the certificate need width + 1 <= m_y."""
-    if n_width + 1 > data.m_y:
-        raise ConfigError(
-            f"{name}: width+1 ({n_width + 1}) must not exceed the number of "
-            f"output sensors ({data.m_y})"
-        )
+    """The two-step methods and the certificate need width + 1 <= m_y;
+    breaking the rule is a usage error, named after the option that set
+    the width."""
+    try:
+        check_width(n_width, data.m_y)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _cmd_train(args) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .data import OperatorDataset
-from .deeponet import DeepONetModel, assemble_phi
+from .deeponet import DeepONetModel, assemble_phi, check_width
 from .nn import Mlp, interpolating_relu
 from .train import check_two_step_equivalence, fit_interpolating_branch, orthonormalize
 
@@ -47,11 +47,7 @@ def build_interpolating_trunk(
     m_y = y.shape[0]
     if u.shape[0] != m_y:
         raise ValueError(f"u rows {u.shape[0]} != sensor count {m_y}")
-    if n_width + 1 > m_y:
-        raise ValueError(
-            f"width+1 ({n_width + 1}) must not exceed the number of output "
-            f"sensors ({m_y})"
-        )
+    check_width(n_width, m_y)
 
     svd = linalg.jacobi_svd(u)
     r = min(n_width, svd.rank)

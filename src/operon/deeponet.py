@@ -73,6 +73,16 @@ class ModelSpec:
         )
 
 
+def check_width(n_width: int, m_y: int) -> None:
+    """Raise ValueError unless a width-N trunk fits m_y output sensors: the
+    two-step methods and the certificate need the N + 1 basis columns of
+    Phi to be independent on the sensors, so N + 1 <= m_y."""
+    if n_width + 1 > m_y:
+        raise ValueError(
+            f"width+1 ({n_width + 1}) must not exceed the number of output sensors ({m_y})"
+        )
+
+
 def _phi_from_values(values: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((values.shape[0], 1)), values])
 

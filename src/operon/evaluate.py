@@ -23,7 +23,7 @@ from .data import (
     gen_example3,
     subsample_output_sensors,
 )
-from .deeponet import DeepONetModel, ModelSpec, assemble_c, model_basis, predict
+from .deeponet import DeepONetModel, ModelSpec, assemble_c, check_width, model_basis, predict
 from .train import TrainConfig, train_two_step
 
 
@@ -197,11 +197,10 @@ class SweepSettings:
             raise ValueError(f"init_scheme must be one of {nn.INIT_SCHEMES}, got {self.init_scheme!r}")
         if self.m_y is not None and not 1 <= self.m_y <= self.grid_n**2:
             raise ValueError(f"m_y must lie in [1, {self.grid_n**2}], got {self.m_y}")
-        sensors = self.grid_n**2 if self.m_y is None else self.m_y
-        if self.n_width >= sensors:
-            raise ValueError(
-                f"n_width must be < the number of output sensors ({sensors}), got {self.n_width}"
-            )
+        try:
+            check_width(self.n_width, self.grid_n**2 if self.m_y is None else self.m_y)
+        except ValueError as exc:
+            raise ValueError(f"n_width {self.n_width}: {exc}") from exc
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         _train_config(self, self.base_seed).validate()

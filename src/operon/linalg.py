@@ -192,6 +192,13 @@ def jacobi_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
     vectors are sign-normalized so their largest-magnitude entry is
     positive, which makes the factorization deterministic. Scaling a by
     a power of two scales sigma by it and leaves the other bits alone.
+
+    A pair is rotated only when both its columns' squared norms exceed
+    negligible_sq, so a column once measured at or below it is never
+    written again: it stays dead. Once a column has died, each step drops
+    the pairs holding a dead column before it gathers, and a step left
+    with none is skipped. Those pairs could not rotate and add nothing to
+    the convergence test, so the factors keep every bit.
     """
     if rank_tol < 0.0:
         raise ValueError(f"rank_tol must be >= 0, got {rank_tol}")
@@ -220,24 +227,35 @@ def jacobi_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
     eps = 1e-15
     negligible_sq = (1e-15 * frobenius(a)) ** 2
     steps = _round_robin(n)
+    # alive is False for the columns a step has measured at or below
+    # negligible_sq; full-rank inputs never prune and keep the plain path.
+    alive = np.ones(n, dtype=bool)
+    pruning = False
     for _ in range(100):
         off = 0.0
         for pairs in steps:
+            if pruning:
+                pairs = pairs[alive[pairs[:, 0]] & alive[pairs[:, 1]]]
+                if not pairs.size:
+                    continue
             x = bt[pairs]  # (k, 2, m): columns p and q of each pair
             app = np.einsum("ij,ij->i", x[:, 0], x[:, 0])
             aqq = np.einsum("ij,ij->i", x[:, 1], x[:, 1])
             apq = np.einsum("ij,ij->i", x[:, 0], x[:, 1])
             # sqrt separately: the product can underflow for tiny columns
             norms = np.sqrt(app) * np.sqrt(aqq)
+            # count_nonzero: per step it costs less than np.any or np.all.
+            live = (app > negligible_sq) & (aqq > negligible_sq)
+            if np.count_nonzero(live) < live.size:
+                alive[pairs[app <= negligible_sq, 0]] = False
+                alive[pairs[aqq <= negligible_sq, 1]] = False
+                pruning = True
             # |apq| > eps * norms also skips every pair with apq == 0.
-            act = (
-                (app > negligible_sq)
-                & (aqq > negligible_sq)
-                & (np.abs(apq) > eps * norms)
-            )
-            if not np.any(act):
+            act = live & (np.abs(apq) > eps * norms)
+            active = np.count_nonzero(act)
+            if not active:
                 continue
-            if not np.all(act):
+            if active < act.size:
                 pairs, x = pairs[act], x[act]
                 app, aqq, apq, norms = app[act], aqq[act], apq[act], norms[act]
             off = max(off, float(np.max(np.abs(apq) / norms)))

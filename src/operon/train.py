@@ -24,6 +24,7 @@ from .deeponet import (
     MonolithicWork,
     assemble_c,
     assemble_phi,
+    check_width,
     fit_loss_and_grads,
     monolithic_loss,
     monolithic_loss_and_grads,
@@ -109,19 +110,21 @@ def _adam_loop(
     step(t) writes the gradient at the current parameters into grads, one
     array per parameter array, and returns the loss, for iteration
     t = 1..iters; the losses form the returned trace. A loss or gradient
-    that is not finite aborts the run with NonFiniteGradientError."""
+    that is not finite aborts the run with NonFiniteGradientError, so
+    numpy's overflow and invalid-value warnings are silenced inside."""
     state = AdamState.for_params(params, lr=cfg.lr)
     trace: list[float] = []
-    for t in range(1, iters + 1):
-        loss = step(t)
-        trace.append(loss)
-        state.lr = cfg.lr_at(state.t)
-        try:
-            if not math.isfinite(loss):
-                raise NonFiniteGradientError(f"loss is {loss}")
-            adam_step(params, grads, state)
-        except NonFiniteGradientError as exc:
-            raise NonFiniteGradientError(f"{exc} (at iteration {t})") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, iters + 1):
+            loss = step(t)
+            trace.append(loss)
+            state.lr = cfg.lr_at(state.t)
+            try:
+                if not math.isfinite(loss):
+                    raise NonFiniteGradientError(f"loss is {loss}")
+                adam_step(params, grads, state)
+            except NonFiniteGradientError as exc:
+                raise NonFiniteGradientError(f"{exc} (at iteration {t})") from exc
     return trace
 
 
@@ -172,11 +175,7 @@ def train_trunk_step1(
     u_train = np.ascontiguousarray(data.train_u())
     m_y, k = u_train.shape
     n_width = trunk.arch[-1]
-    if n_width + 1 > m_y:
-        raise ValueError(
-            f"width+1 ({n_width + 1}) must not exceed the number of output "
-            f"sensors ({m_y})"
-        )
+    check_width(n_width, m_y)
     rng = np.random.default_rng(cfg.seed)
     a = rng.normal(0.0, cfg.a_init_scale, size=(n_width + 1, k))
     a_g = np.empty_like(a)

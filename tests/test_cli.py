@@ -290,6 +290,19 @@ class TestTrain:
         assert err.endswith("(at iteration 1)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["2st", "van"])
+    def test_overflowing_loss_writes_only_the_error_line(self, scaled_dirs, tmp_path, method):
+        # pytest captures numpy's warnings; a fresh interpreter shows what
+        # the user sees on stderr.
+        proc = run_python(
+            ["-m", "operon.cli", "train", "--method", method,
+             "--config", str(_train_config(tmp_path)), "--data", str(scaled_dirs[1e160]),
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: loss is inf (at iteration 1)\n"
+
     @pytest.mark.parametrize("method, expected", [("2st", 2), ("2st-noqr", 2), ("van", 0)])
     def test_width_over_sensors(self, nine_sensor_dir, tmp_path, capsys, monkeypatch, method, expected):
         # The two-step methods need width + 1 <= m_y; van trains at any width.
@@ -736,9 +749,9 @@ class TestSweep:
     @pytest.mark.parametrize(
         "axis, values, message",
         [
-            ("m_y", "2,3,4", "config key n_width must be < the number of output sensors (2), got 3"),
+            ("m_y", "2,3,4", "config key n_width 3: width+1 (4) must not exceed the number of output sensors (2)"),
             ("m_y", "0,3,4", "--values: m_y must lie in [1, 49], got 0"),
-            ("N", "3,49", "--values: n_width must be < the number of output sensors (49), got 49"),
+            ("N", "3,49", "--values: n_width 49: width+1 (50) must not exceed the number of output sensors (49)"),
         ],
         ids=["width-over-m_y", "m_y-zero", "width-over-grid"],
     )

@@ -12,9 +12,17 @@ from operon.errors import (
     SingularTriangularError,
     ZeroMatrixError,
 )
+from operon import linalg
+from operon.construct import verify_zero_loss_pipeline
+from operon.data import gen_example1, split_dataset
 from operon.linalg import (
+    RANK_TOL,
+    SvdFactors,
+    _require_finite,
     _round_robin,
+    as_matrix,
     best_rank_k_error,
+    frobenius,
     householder_qr,
     jacobi_svd,
     least_squares,
@@ -314,6 +322,168 @@ class TestJacobiSvd:
             assert np.unique(pairs).size == pairs.size  # disjoint pairs
             visited += map(tuple, pairs.tolist())
         assert sorted(visited) == list(itertools.combinations(range(n), 2))
+
+
+# jacobi_svd as it was before it skipped the pairs of dead columns, kept
+# verbatim (it shares the library's helpers and Brent-Luk schedule). The
+# library must reproduce its factors bit for bit.
+
+
+def _ref_jacobi_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
+    """Thin SVD by the one-sided Jacobi method with round-robin sweeps.
+
+    Each sweep visits every column pair once in the Brent-Luk round-robin
+    order (see _round_robin): a step gathers the columns of its n/2
+    disjoint pairs and rotates them all with one batched 2 x 2 product.
+    Singular values not exceeding rank_tol * sigma_max are dropped; the
+    retained count is reported as the numerical rank. Left singular
+    vectors are sign-normalized so their largest-magnitude entry is
+    positive, which makes the factorization deterministic. Scaling a by
+    a power of two scales sigma by it and leaves the other bits alone.
+    """
+    if rank_tol < 0.0:
+        raise ValueError(f"rank_tol must be >= 0, got {rank_tol}")
+    a = _require_finite(as_matrix(a), "matrix")
+    if not np.any(a):
+        raise ZeroMatrixError("cannot factor an all-zero matrix")
+    # The factorization runs on a * 2**-exponent, whose largest entry lies
+    # in [0.5, 1), so squared column norms neither overflow nor underflow;
+    # sigma is scaled back. A power-of-two scaling is exact, so an input
+    # whose squares stayed in range factors to the same bits as before.
+    exponent = int(np.frexp(np.max(np.abs(a)))[1])
+    a = np.ldexp(a, -exponent)
+
+    # Row j of bt is column j of the working matrix (a, or a.T when a is
+    # wide), row j of vt column j of v: a step gathers and scatters whole
+    # contiguous rows.
+    transposed = a.shape[0] < a.shape[1]
+    bt = (a if transposed else a.T).copy()
+    n, m = bt.shape
+    vt = np.eye(n)
+
+    # Sweep over column pairs, rotating until every pair is orthogonal
+    # relative to machine precision. Columns whose norm has collapsed to
+    # rounding noise are left alone: they lie far below any singular value
+    # the rank tolerance could retain.
+    eps = 1e-15
+    negligible_sq = (1e-15 * frobenius(a)) ** 2
+    steps = _round_robin(n)
+    for _ in range(100):
+        off = 0.0
+        for pairs in steps:
+            x = bt[pairs]  # (k, 2, m): columns p and q of each pair
+            app = np.einsum("ij,ij->i", x[:, 0], x[:, 0])
+            aqq = np.einsum("ij,ij->i", x[:, 1], x[:, 1])
+            apq = np.einsum("ij,ij->i", x[:, 0], x[:, 1])
+            # sqrt separately: the product can underflow for tiny columns
+            norms = np.sqrt(app) * np.sqrt(aqq)
+            # |apq| > eps * norms also skips every pair with apq == 0.
+            act = (
+                (app > negligible_sq)
+                & (aqq > negligible_sq)
+                & (np.abs(apq) > eps * norms)
+            )
+            if not np.any(act):
+                continue
+            if not np.all(act):
+                pairs, x = pairs[act], x[act]
+                app, aqq, apq, norms = app[act], aqq[act], apq[act], norms[act]
+            off = max(off, float(np.max(np.abs(apq) / norms)))
+            zeta = (aqq - app) / (2.0 * apq)
+            t = np.sign(zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+            t[zeta == 0.0] = 1.0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            # Column p becomes c p - s q and column q becomes s p + c q.
+            rot = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
+            bt[pairs] = rot @ x
+            vt[pairs] = rot @ vt[pairs]
+        if off == 0.0:
+            break
+    else:
+        raise RuntimeError("one-sided Jacobi SVD failed to converge")
+
+    sigma = np.sqrt(np.einsum("ij,ij->i", bt, bt))
+    order = np.argsort(-sigma, kind="stable")
+    sigma = sigma[order]
+
+    keep = sigma > rank_tol * sigma[0]
+    rank = int(np.count_nonzero(keep))
+    sigma = sigma[:rank]
+    u = np.ascontiguousarray(bt[order[:rank]].T) / sigma
+    v = np.ascontiguousarray(vt[order[:rank]].T)
+
+    # Canonical signs: largest-magnitude entry of each left vector positive.
+    for j in range(rank):
+        i = int(np.argmax(np.abs(u[:, j])))
+        if u[i, j] < 0.0:
+            u[:, j] = -u[:, j]
+            v[:, j] = -v[:, j]
+
+    if transposed:
+        u, v = v, u
+    _require_finite(u, "u factor")
+    _require_finite(v, "v factor")
+    return SvdFactors(u=u, sigma=np.ldexp(sigma, exponent), v=v, rank=rank)
+
+
+def _replica_train():
+    """The acceptance replica's training data: ex1 on a 17x17 grid, K=200,
+    split 0.9 with seed 1 (U is 289 x 180 of rank 6)."""
+    return split_dataset(gen_example1(np.linspace(1, 100, 200), 17), 0.9, seed=1)
+
+
+def _deficient(m, n, r, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+
+
+def _graded(seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(12, 8)) * 10.0 ** -rng.permutation(np.linspace(0, 13, 8))
+
+
+def _assert_same_factors(a):
+    got, ref = jacobi_svd(a), _ref_jacobi_svd(a)
+    assert got.rank == ref.rank
+    for name in ("u", "sigma", "v"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+class TestJacobiMatchesReference:
+    def test_replica_u(self):
+        _assert_same_factors(_replica_train().train_u())
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            _deficient(120, 70, 5, 40),
+            _deficient(70, 120, 5, 41),
+            np.random.default_rng(42).normal(size=(60, 40)),
+            np.random.default_rng(43).normal(size=(30, 50)),
+            _graded(44),
+        ],
+        ids=["deficient-tall", "deficient-wide", "tall", "wide", "graded"],
+    )
+    @pytest.mark.parametrize("k", [0, -540, 540])
+    def test_matrices(self, a, k):
+        _assert_same_factors(np.ldexp(a, k))
+
+    def test_rank_deficient_inputs_lose_columns(self):
+        # The products above exercise the pruning: columns of theirs end at
+        # or below the 1e-15 ||a||_F cut under which Jacobi leaves them.
+        for a in (_deficient(120, 70, 5, 40), _deficient(70, 120, 5, 41)):
+            sigma = _ref_jacobi_svd(a, rank_tol=0.0).sigma
+            assert np.count_nonzero(sigma <= 1e-15 * np.linalg.norm(a)) > 0
+
+    def test_replica_certificates(self, monkeypatch):
+        data = _replica_train()
+        rank = jacobi_svd(data.train_u()).rank
+        widths = (rank - 2, rank, rank + 2)
+        got = [verify_zero_loss_pipeline(data, n).to_dict() for n in widths]
+        monkeypatch.setattr(linalg, "jacobi_svd", _ref_jacobi_svd)
+        assert got == [verify_zero_loss_pipeline(data, n).to_dict() for n in widths]
+        assert all(cert["passed"] for cert in got)
 
 
 class TestBestRankKError:
