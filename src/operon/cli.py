@@ -42,7 +42,7 @@ from .data import (
 )
 from .deeponet import MODEL_MANIFEST, DeepONetModel, ModelSpec, check_width, load_model, model_files
 from .errors import OperonError
-from .train import TrainConfig, report_files, train_monolithic, train_two_step
+from .train import METHODS, TrainConfig, report_files, train_monolithic, train_two_step
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -71,6 +71,7 @@ def _config_schema(*classes, skip=(), keys=None) -> dict:
 # --method sets the training method and only --axis m_y sets m_y.
 _TRAIN_SCHEMA = _config_schema(TrainConfig, ModelSpec, skip=("method",))
 _SWEEP_SCHEMA = _config_schema(ev.SweepSettings, skip=("m_y",), keys=_SWEEP_KEYS)
+_SWEEP_FIELDS = {f.name for f in dataclasses.fields(ev.SweepSettings)}
 
 
 def _parse_value(key: str, kind, value):
@@ -148,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-fraction", type=float, default=0.9)
 
     p = sub.add_parser("train", help="train a model on a dataset")
-    p.add_argument("--method", choices=("van", "2st", "2st-noqr"), required=True)
+    p.add_argument("--method", choices=tuple(METHODS.values()), required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -243,7 +244,7 @@ def _check_width(n_width: int, data: OperatorDataset, name: str) -> None:
 
 def _cmd_train(args) -> int:
     config = _load_config(args.config, _TRAIN_SCHEMA)
-    method = {"van": "van", "2st": "two_step", "2st-noqr": "two_step_no_qr"}[args.method]
+    method = {name: m for m, name in METHODS.items()}[args.method]
     cfg = _from_config(TrainConfig, config, method=method)
     try:
         cfg.validate()
@@ -331,22 +332,19 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--values must be comma-separated ints: {exc}") from exc
     settings = _from_config(ev.SweepSettings, config)
-    swept = ev.SWEEP_AXES[args.axis]
-    # Every run's settings, before any run starts: n_width may fit the grid
-    # but not an m_y on the axis. A bad swept field is a --values entry.
-    for value in values:
-        try:
-            dataclasses.replace(settings, **{swept: value}).validate()
-        except ValueError as exc:
-            field, _, rest = str(exc).partition(" ")
-            if field == swept:
-                raise ConfigError(f"--values: {exc}") from exc
-            raise ConfigError(f"config key {_SWEEP_KEYS.get(field, field)} {rest}") from exc
-    check_replaceable(args.out, "sweep.csv")
+    # Every run is checked before any starts. A bad setting's message starts
+    # with its field: the swept one is a --values entry, another a config key.
     try:
-        table = ev.generalization_sweep(settings, args.axis, values, args.replicates)
+        ev.sweep_runs(settings, args.axis, values, args.replicates)
     except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        if field == ev.SWEEP_AXES[args.axis]:
+            raise ConfigError(f"--values: {exc}") from exc
+        if field in _SWEEP_FIELDS:
+            raise ConfigError(f"config key {_SWEEP_KEYS.get(field, field)} {rest}") from exc
         raise ConfigError(str(exc)) from exc
+    check_replaceable(args.out, "sweep.csv")
+    table = ev.generalization_sweep(settings, args.axis, values, args.replicates)
     write_artifact(args.out, "sweep.csv", {"sweep.csv": table.to_csv_text()})
     for row in table.rows:
         print(

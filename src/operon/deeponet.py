@@ -174,23 +174,20 @@ class MonolithicWork:
 
 def monolithic_loss_and_grads(
     model: DeepONetModel, f_inputs: np.ndarray, u: np.ndarray, y_sensors: np.ndarray,
-    work: MonolithicWork | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss plus exact gradients for both sub-networks (no T matrix), each
-    in the layout of the sub-network's params. Every intermediate is
-    written into work (a new MonolithicWork when None)."""
+    work: MonolithicWork,
+) -> float:
+    """Loss of a model without a T matrix; its exact gradients go to
+    work.fit.trunk.grad and work.branch.grad, each in the layout of the
+    sub-network's params. Every intermediate is written into work."""
     if model.t_matrix is not None:
         raise ValueError("joint training applies to models without a T matrix")
-    m_y, k = u.shape
-    if work is None:
-        work = MonolithicWork(model, k, m_y)
     nn.forward(model.trunk, y_sensors, work.fit.trunk)
     c = nn.forward(model.branch, f_inputs, work.branch).T
     # C is the transposed branch output, so d loss / d C transposed is the
     # branch's upstream gradient.
     loss = fit_loss_and_grads(model.trunk, y_sensors, c, u, work.branch_upstream.T, work.fit)
     nn.backward(model.branch, f_inputs, work.branch_upstream, work.branch)
-    return loss, work.fit.trunk.grad, work.branch.grad
+    return loss
 
 
 MODEL_MANIFEST = "model.json"

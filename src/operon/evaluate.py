@@ -51,10 +51,10 @@ def _column_scale(*matrices: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, -np.frexp(peak)[1])
 
 
-def conditional_optimal(basis, u_test) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares coefficients for a frozen basis (model_basis of the
-    trained model at the test sensors) against the true test output, an
-    m_y x n matrix, and the resulting relative error of each column.
+def conditional_optimal(basis, u_test) -> np.ndarray:
+    """Relative error of each column of the true test output, an m_y x n
+    matrix, against its least-squares fit in a frozen basis (model_basis
+    of the trained model at the test sensors).
 
     All columns share one QR of the basis. This reference is unattainable
     in deployment (it needs the target), but it always lower-bounds the
@@ -62,15 +62,8 @@ def conditional_optimal(basis, u_test) -> tuple[np.ndarray, np.ndarray]:
     """
     u = np.ascontiguousarray(u_test, dtype=np.float64)
     # The fit is linear in u, so it runs on exactly rescaled columns.
-    scale = _column_scale(u)
-    u = u * scale
-    a_star = linalg.least_squares(basis, u)
-    errors = _column_errors(basis @ a_star, u)
-    # Coefficients of a target near the float64 limit may themselves lie
-    # beyond it: they become inf while the errors stay finite.
-    with np.errstate(over="ignore"):
-        a_star = a_star / scale
-    return a_star, errors
+    u = u * _column_scale(u)
+    return _column_errors(basis @ linalg.least_squares(basis, u), u)
 
 
 def truncate_prediction(prediction, bound_m: float) -> np.ndarray:
@@ -109,7 +102,7 @@ def evaluate_model(
     if truncate_m is not None:
         preds = truncate_prediction(preds, truncate_m)
     rel = _column_errors(preds, targets)
-    _, opt = conditional_optimal(basis, targets)
+    opt = conditional_optimal(basis, targets)
     mean_rel, mean_opt = float(rel.mean()), float(opt.mean())
     return EvalReport(
         sample_indices=[int(i) for i in indices],
@@ -292,6 +285,32 @@ def run_two_step_once(settings: SweepSettings, seed: int) -> float:
     return evaluate_model(model, data).mean_rel_error
 
 
+def sweep_runs(
+    settings: SweepSettings, axis: str, values, replicates: int
+) -> list[tuple[SweepSettings, int]]:
+    """Every run of a sweep as (settings, seed), in table order: for each
+    axis value, the settings with that value in the axis's field, then
+    replicates fresh seeds. Raises ValueError, before any run, for a bad
+    axis, values or replicate count, or for run settings that cannot
+    train; the message of a bad setting starts with its field's name."""
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
+    values = [int(v) for v in values]
+    if not values:
+        raise ValueError("values must list at least one value")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"values must be strictly increasing, got {values}")
+    if replicates < 3:
+        raise ValueError(f"need at least 3 replicates, got {replicates}")
+    runs = []
+    for i, value in enumerate(values):
+        run_settings = replace(settings, **{SWEEP_AXES[axis]: value})
+        run_settings.validate()
+        for rep in range(replicates):
+            runs.append((run_settings, settings.base_seed + 1000 * i + 10 * rep))
+    return runs
+
+
 def generalization_sweep(
     settings: SweepSettings,
     axis: str,
@@ -299,8 +318,8 @@ def generalization_sweep(
     replicates: int,
     max_workers: int | None = None,
 ) -> SweepTable:
-    """Train two-step models end to end for each axis value, with fresh
-    seeds per replicate, and tabulate mean/std test relative errors.
+    """Train two-step models end to end, one per run of sweep_runs, and
+    tabulate mean/std test relative errors per axis value.
 
     The runs go to min(runs, cores) worker processes, or to max_workers
     when that is fewer. They compute with one BLAS thread each, so the
@@ -311,26 +330,9 @@ def generalization_sweep(
     instead, so only such a script needs the `if __name__ == "__main__":`
     guard. A failing sweep raises the error of its first failing run in
     table order."""
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
-    values = [int(v) for v in values]
-    if not values:
-        raise ValueError("values must list at least one value")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"values must be strictly increasing, got {values}")
-    if replicates < 3:
-        raise ValueError(f"need at least 3 replicates, got {replicates}")
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-
-    jobs = []
-    for i, value in enumerate(values):
-        run_settings = replace(settings, **{SWEEP_AXES[axis]: value})
-        # Checked here, before any worker starts, so that a bad setting
-        # raises a ValueError naming its field rather than failing in a run.
-        run_settings.validate()
-        for rep in range(replicates):
-            jobs.append((run_settings, settings.base_seed + 1000 * i + 10 * rep))
+    jobs = sweep_runs(settings, axis, values, replicates)
 
     # Imported here: at module level they add to every `import operon`.
     from concurrent.futures import ProcessPoolExecutor
@@ -354,12 +356,12 @@ def generalization_sweep(
             raise
 
     table = SweepTable(axis=axis)
-    for i, value in enumerate(values):
-        row_errors = errors[i * replicates : (i + 1) * replicates]
+    for start in range(0, len(jobs), replicates):
+        row_errors = errors[start : start + replicates]
         arr = np.asarray(row_errors)
         table.rows.append(
             SweepRow(
-                value=value,
+                value=getattr(jobs[start][0], SWEEP_AXES[axis]),
                 mean_rel_error=float(arr.mean()),
                 std_rel_error=float(arr.std(ddof=1)),
                 replicate_errors=row_errors,

@@ -33,7 +33,8 @@ from .errors import DuplicateSensorError, NonFiniteGradientError, RankDeficientE
 from .nn import Mlp
 from .optimize import AdamState, adam_step, step_decay
 
-METHODS = ("van", "two_step", "two_step_no_qr")
+# Each TrainConfig.method and its name in `operon train --method` and report.json.
+METHODS = {"van": "van", "two_step": "2st", "two_step_no_qr": "2st-noqr"}
 
 
 @dataclass
@@ -51,7 +52,7 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ValueError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
         for name in ("iters_trunk", "iters_branch", "iters_mono"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -128,6 +129,17 @@ def _adam_loop(
     return trace
 
 
+def _final_loss(loss, iters: int) -> float:
+    """loss(), the loss after the last of iters updates, with numpy's
+    warnings silenced as in _adam_loop; one that is not finite aborts the
+    run with NonFiniteGradientError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = loss()
+    if not math.isfinite(value):
+        raise NonFiniteGradientError(f"loss is {value} after the last update (iteration {iters})")
+    return value
+
+
 def train_monolithic(
     data: OperatorDataset, model: DeepONetModel, cfg: TrainConfig
 ) -> tuple[DeepONetModel, TrainReport]:
@@ -141,13 +153,13 @@ def train_monolithic(
     work = MonolithicWork(model, k, m_y)
 
     def step(t):
-        return monolithic_loss_and_grads(model, f_train, u_train, data.y_sensors, work)[0]
+        return monolithic_loss_and_grads(model, f_train, u_train, data.y_sensors, work)
 
     trace = _adam_loop(
         step, [model.trunk.params, model.branch.params],
         [work.fit.trunk.grad, work.branch.grad], cfg.iters_mono, cfg,
     )
-    final = monolithic_loss(model, data)
+    final = _final_loss(lambda: monolithic_loss(model, data), cfg.iters_mono)
     report = TrainReport(
         method="van",
         loss_trace=trace,
@@ -188,12 +200,16 @@ def train_trunk_step1(
         return fit_loss_and_grads(trunk, data.y_sensors, a, u_train, a_g, work)
 
     trace = _adam_loop(step, [trunk.params, a], [work.trunk.grad, a_g], cfg.iters_trunk, cfg)
-    phi = assemble_phi(trunk, data.y_sensors)
-    if cfg.ls_refit_every > 0:
-        a[...] = linalg.least_squares(phi, u_train)
-    resid = phi @ a - u_train
-    final_loss = float(np.sum(resid * resid)) / (m_y * k)
-    return trunk, a, final_loss, trace
+
+    def final():
+        phi = assemble_phi(trunk, data.y_sensors)
+        # A trunk pushed out of the float range gets no refit; its loss is not finite.
+        if cfg.ls_refit_every > 0 and np.all(np.isfinite(phi)):
+            a[...] = linalg.least_squares(phi, u_train)
+        resid = phi @ a - u_train
+        return float(np.sum(resid * resid)) / (m_y * k)
+
+    return trunk, a, _final_loss(final, cfg.iters_trunk), trace
 
 
 def orthonormalize(
@@ -239,10 +255,12 @@ def train_branch_step2(
         return float(np.sum(diff)) / k
 
     trace = _adam_loop(step, [branch.params], [work.grad], cfg.iters_branch, cfg)
-    c = assemble_c(branch, f_inputs)
-    diff = c - target
-    final_loss = float(np.sum(diff * diff)) / k
-    return branch, final_loss, trace
+
+    def final():
+        diff = assemble_c(branch, f_inputs) - target
+        return float(np.sum(diff * diff)) / k
+
+    return branch, _final_loss(final, cfg.iters_branch), trace
 
 
 def train_two_step(
@@ -281,9 +299,9 @@ def finish_two_step(
     )
     model.trunk = trunk
     model.t_matrix = t_star
-    final = monolithic_loss(model, data)
+    final = _final_loss(lambda: monolithic_loss(model, data), cfg.iters_branch)
     report = TrainReport(
-        method="2st-noqr" if cfg.method == "two_step_no_qr" else "2st",
+        method=METHODS[cfg.method],
         loss_trace=trunk_trace,
         branch_trace=branch_trace,
         final_trunk_loss=trunk_loss,

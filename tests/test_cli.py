@@ -303,6 +303,30 @@ class TestTrain:
         assert proc.returncode == 1
         assert proc.stderr == "error: loss is inf (at iteration 1)\n"
 
+    @pytest.mark.parametrize(
+        "method, refit", [("van", 0), ("2st", 0), ("2st-noqr", 0), ("2st", 1)],
+        ids=["van", "2st", "2st-noqr", "2st-refit"],
+    )
+    def test_loss_after_last_update_not_finite_exits_1(self, dataset_dir, tmp_path, method, refit):
+        # The one update leaves the float range; only the loss after it,
+        # evaluated past the training loop, shows that, and the trunk gets
+        # no final refit. A fresh interpreter shows numpy's warnings, if
+        # any, on stderr.
+        config = _train_config(
+            tmp_path, trunk_arch=[2, 8, 8, 4], branch_arch=[1, 8, 5], activation="relu",
+            iters_trunk=1, iters_branch=1, iters_mono=1, lr=1e300, ls_refit_every=refit,
+        )
+        out = tmp_path / "run"
+        proc = run_python(
+            ["-m", "operon.cli", "train", "--method", method, "--config", str(config),
+             "--data", str(dataset_dir), "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: loss is ") and proc.stderr.count("\n") == 1
+        assert proc.stderr.endswith(" after the last update (iteration 1)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("method, expected", [("2st", 2), ("2st-noqr", 2), ("van", 0)])
     def test_width_over_sensors(self, nine_sensor_dir, tmp_path, capsys, monkeypatch, method, expected):
         # The two-step methods need width + 1 <= m_y; van trains at any width.
@@ -722,19 +746,46 @@ class TestSweep:
         assert err.startswith("error: ") and "holds no sweep.csv" in err and err.count("\n") == 1
         assert _snapshot(out) == {"notes.txt": b"keep me"}
 
-    def test_nonincreasing_values_exit_2(self, tmp_path):
+    def test_nonincreasing_values_exit_2(self, tmp_path, capsys):
         config = self._sweep_config(tmp_path)
         code = main(
             ["sweep", "--axis", "K", "--values", "8,6", "--replicates", "3",
              "--config", str(config), "--out", str(tmp_path / "x")]
         )
         assert code == 2
+        assert capsys.readouterr().err == "error: values must be strictly increasing, got [8, 6]\n"
+
+    def test_width_axis_sweep(self, tmp_path, monkeypatch):
+        # The same table from one usable core and from two.
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "example": "ex1", "k_train": 8, "k_test": 4, "grid_n": 5, "n_width": 3,
+            "trunk_hidden": [6], "branch_hidden": [6], "activation": "tanh",
+            "iters_trunk": 5, "iters_branch": 5,
+        }))
+        csvs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            out = tmp_path / f"cores_{cores}"
+            code = main(
+                ["sweep", "--axis", "N", "--values", "2,4,6", "--replicates", "3",
+                 "--config", str(config), "--out", str(out)]
+            )
+            assert code == 0
+            csvs.append((out / "sweep.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        header, *rows = csvs[0].decode().splitlines()
+        assert header == "axis,value,mean_rel_error,std_rel_error,rep0,rep1,rep2"
+        assert [row.split(",")[:2] for row in rows] == [["N", "2"], ["N", "4"], ["N", "6"]]
+        errors = np.array([row.split(",")[4:] for row in rows], dtype=float)
+        assert np.all(np.isfinite(errors)) and np.all(errors > 0)
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_first_failing_value_reported(self, tmp_path, monkeypatch, capsys, cores):
         # Runs of the largest value start first; the error is still that
         # of the first failing value, with one worker or two. The forked
-        # workers see the stand-in.
+        # workers see the stand-in. A run that fails once every setting was
+        # accepted is a runtime error, whatever its type.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         monkeypatch.setattr(cli.ev, "run_two_step_once", _fail_below_six_sensors)
         out = tmp_path / "x"
@@ -742,7 +793,7 @@ class TestSweep:
             ["sweep", "--axis", "m_y", "--values", "4,5,6", "--replicates", "3",
              "--config", str(self._sweep_config(tmp_path)), "--out", str(out)]
         )
-        assert code == 2
+        assert code == 1
         assert capsys.readouterr().err == "error: m_y 4\n"
         assert not out.exists()
 

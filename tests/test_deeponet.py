@@ -6,6 +6,7 @@ import pytest
 from operon.data import OperatorDataset
 from operon.deeponet import (
     DeepONetModel,
+    MonolithicWork,
     assemble_c,
     assemble_phi,
     load_model,
@@ -155,7 +156,10 @@ class TestMonolithicLoss:
         model = _small_model(seed=11)
         data = _dataset(seed=11)
         f, u, y = data.f_matrix, data.u_matrix, data.y_sensors
-        loss, trunk_g, branch_g = monolithic_loss_and_grads(model, f, u, y)
+        work = MonolithicWork(model, *u.shape[::-1])
+        monolithic_loss_and_grads(model, f, u, y, work)
+        # The finite-difference calls below overwrite the work's gradients.
+        trunk_g, branch_g = work.fit.trunk.grad.copy(), work.branch.grad.copy()
         eps = 1e-6
         worst = 0.0
         for net, grad in ((model.trunk, trunk_g), (model.branch, branch_g)):
@@ -163,9 +167,9 @@ class TestMonolithicLoss:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                up = monolithic_loss_and_grads(model, f, u, y)[0]
+                up = monolithic_loss_and_grads(model, f, u, y, work)
                 flat[i] = orig - eps
-                down = monolithic_loss_and_grads(model, f, u, y)[0]
+                down = monolithic_loss_and_grads(model, f, u, y, work)
                 flat[i] = orig
                 fd = (up - down) / (2 * eps)
                 worst = max(worst, abs(fd - grad[i]) / max(1.0, abs(grad[i])))

@@ -188,19 +188,17 @@ class TestConditionalOptimal:
         basis = assemble_phi(model.trunk, data.y_sensors) @ model.t_matrix
         coeff = np.random.default_rng(1).normal(size=model.width + 1)
         u = (basis @ coeff)[:, None]
-        _, err = conditional_optimal(model_basis(model, data.y_sensors), u)
+        err = conditional_optimal(model_basis(model, data.y_sensors), u)
         assert err[0] <= 1e-10
 
     def test_matrix_target_equals_column_calls(self):
         model, data = _trained_model(seed=3)
         targets = data.u_matrix[:, data.test_idx]
-        a_mat, errors = conditional_optimal(model_basis(model, data.y_sensors), targets)
-        assert a_mat.shape == (model.width + 1, targets.shape[1])
+        errors = conditional_optimal(model_basis(model, data.y_sensors), targets)
         assert errors.shape == (targets.shape[1],)
         for j in range(targets.shape[1]):
-            a_j, err_j = conditional_optimal(model_basis(model, data.y_sensors), targets[:, [j]])
-            assert a_j.shape == (model.width + 1, 1) and err_j.shape == (1,)
-            assert np.allclose(a_mat[:, [j]], a_j, rtol=1e-12, atol=1e-12 * np.abs(a_j).max())
+            err_j = conditional_optimal(model_basis(model, data.y_sensors), targets[:, [j]])
+            assert err_j.shape == (1,)
             assert errors[j] == pytest.approx(err_j[0], rel=1e-12)
 
     def test_errors_scale_free_up_to_float64_limit(self):
@@ -211,11 +209,9 @@ class TestConditionalOptimal:
         targets = data.u_matrix[:, data.test_idx]
         huge = targets * 2.0 ** (1024 - np.frexp(np.abs(targets).max())[1])
         assert np.abs(huge).max() > 8.9e307
-        a, errors = conditional_optimal(basis, targets)
-        large = targets * 2.0**900
-        for scaled in (huge, large):
-            assert np.array_equal(conditional_optimal(basis, scaled)[1], errors)
-        assert np.array_equal(conditional_optimal(basis, large)[0], a * 2.0**900)
+        errors = conditional_optimal(basis, targets)
+        for scaled in (huge, targets * 2.0**900):
+            assert np.array_equal(conditional_optimal(basis, scaled), errors)
         assert np.array_equal(_column_errors(np.zeros_like(huge), huge), np.ones(huge.shape[1]))
 
     def test_never_exceeds_model_error(self):
@@ -223,7 +219,7 @@ class TestConditionalOptimal:
         for k in data.test_idx:
             u = data.u_matrix[:, [k]]
             pred = predict(model, data.f_matrix[k], data.y_sensors)[:, None]
-            _, opt = conditional_optimal(model_basis(model, data.y_sensors), u)
+            opt = conditional_optimal(model_basis(model, data.y_sensors), u)
             assert opt[0] <= _column_errors(pred, u)[0] + 1e-12
 
 
@@ -258,7 +254,7 @@ def _per_sample_reference(model, data, truncate_m):
         if truncate_m is not None:
             pred = truncate_prediction(pred, truncate_m)
         rel.append(_column_errors(pred, target)[0])
-        opt.append(conditional_optimal(model_basis(model, data.y_sensors), target)[1][0])
+        opt.append(conditional_optimal(model_basis(model, data.y_sensors), target)[0])
     return np.array(rel), np.array(opt)
 
 
@@ -301,7 +297,7 @@ class TestEvaluateModel:
         report = evaluate_model(model, data)
         assert report.optimal_ratio == report.mean_rel_error / report.mean_optimal_error
         n = data.test_idx.size
-        monkeypatch.setattr(evaluate, "conditional_optimal", lambda basis, u: (None, np.zeros(n)))
+        monkeypatch.setattr(evaluate, "conditional_optimal", lambda basis, u: np.zeros(n))
         assert evaluate_model(model, data).optimal_ratio is None
 
     def test_trace_of_orthonormalized_basis(self):
@@ -356,6 +352,14 @@ class TestSweep:
             generalization_sweep(settings, "K", [4, 5, 6], 3, max_workers=0)
         with pytest.raises(ValueError, match="^values must list at least one value"):
             generalization_sweep(settings, "K", [], 3)
+
+    def test_runs_in_table_order(self):
+        settings = SweepSettings(base_seed=7)
+        runs = evaluate.sweep_runs(settings, "N", [2, 5], 3)
+        assert [(run.n_width, seed) for run, seed in runs] == [
+            (2, 7), (2, 17), (2, 27), (5, 1007), (5, 1017), (5, 1027)
+        ]
+        assert all(replace(run, n_width=settings.n_width) == settings for run, _ in runs)
 
     @pytest.mark.parametrize(
         "field, settings, values",
