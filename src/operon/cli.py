@@ -12,10 +12,8 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import typing
-import uuid
 from pathlib import Path
 
 import numpy as np
@@ -307,21 +305,15 @@ def _cmd_certify(args) -> int:
     if args.n_width < 1:
         raise ConfigError(f"--N must be >= 1, got {args.n_width}")
     _check_seed(args.seed)
+    if args.out:
+        check_replaceable(args.out, "certificate.json")
     data = load_dataset(args.data)
     _check_width(args.n_width, data, "--N")
     cert = verify_zero_loss_pipeline(data, args.n_width, seed=args.seed)
     payload = json_text(cert.to_dict())
     sys.stdout.write(payload)
     if args.out:
-        # One file: a hidden sibling is written, then renamed into place.
-        out = Path(os.path.abspath(args.out))
-        out.parent.mkdir(parents=True, exist_ok=True)
-        tmp = out.with_name(f".{out.name}.{uuid.uuid4().hex}")
-        try:
-            tmp.write_text(payload)
-            os.replace(tmp, out)
-        finally:
-            tmp.unlink(missing_ok=True)
+        write_artifact(args.out, "certificate.json", {"certificate.json": payload})
     return 0 if cert.passed else RUNTIME_ERROR
 
 

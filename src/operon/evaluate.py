@@ -161,8 +161,6 @@ class SweepSettings:
     iters_trunk: int = 2000
     iters_branch: int = 2000
     lr: float = TrainConfig.lr
-    ls_refit_every: int = TrainConfig.ls_refit_every
-    a_init_scale: float = TrainConfig.a_init_scale
     m_y: int | None = None
     base_seed: int = 0
 
@@ -235,8 +233,6 @@ def _train_config(settings: SweepSettings, seed: int) -> TrainConfig:
         iters_branch=settings.iters_branch,
         lr=settings.lr,
         seed=seed,
-        a_init_scale=settings.a_init_scale,
-        ls_refit_every=settings.ls_refit_every,
     )
 
 

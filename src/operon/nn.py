@@ -197,35 +197,6 @@ def backward(net: Mlp, x, upstream, work: Workspace) -> np.ndarray:
     return work.grad
 
 
-# Central-difference step of gradcheck.
-GRADCHECK_STEP = 1e-6
-
-
-def gradcheck(net: Mlp, x) -> float:
-    """Max relative disagreement between backward() and central differences
-    of step GRADCHECK_STEP for the scalar loss 0.5 * ||forward(x)||^2."""
-    x = _check_input(net, x)
-    work = Workspace(net, x.shape[0])
-    grad = backward(net, x, forward(net, x, work), work)
-
-    def loss() -> float:
-        y = forward(net, x)
-        return 0.5 * float(np.sum(y * y))
-
-    worst = 0.0
-    theta = net.params
-    for i in range(theta.size):
-        orig = theta[i]
-        theta[i] = orig + GRADCHECK_STEP
-        up = loss()
-        theta[i] = orig - GRADCHECK_STEP
-        down = loss()
-        theta[i] = orig
-        fd = (up - down) / (2.0 * GRADCHECK_STEP)
-        worst = max(worst, abs(grad[i] - fd) / max(1.0, abs(grad[i])))
-    return worst
-
-
 def mlp_copy(net: Mlp) -> Mlp:
     return Mlp(net.arch, net.weights, net.biases, net.activation)
 

@@ -1,4 +1,4 @@
-"""Full-batch Adam with bias correction and an optional step-decay schedule."""
+"""Full-batch Adam with bias correction."""
 
 from __future__ import annotations
 
@@ -71,17 +71,3 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         step /= denom
         p -= step
 
-
-def step_decay(lr0: float, factor: float, every: int, t: int) -> float:
-    """Learning rate after t steps: lr0 / factor**floor(t / every), or 0.0,
-    its limit, once that power leaves the float range."""
-    if lr0 <= 0.0:
-        raise ValueError(f"lr0 must be > 0, got {lr0}")
-    if factor <= 1.0:
-        raise ValueError(f"decay factor must be > 1, got {factor}")
-    if every < 1:
-        raise ValueError(f"decay interval must be >= 1, got {every}")
-    try:
-        return lr0 / factor ** (t // every)
-    except OverflowError:
-        return 0.0

@@ -31,10 +31,12 @@ from .deeponet import (
 )
 from .errors import DuplicateSensorError, NonFiniteGradientError, RankDeficientError
 from .nn import Mlp
-from .optimize import AdamState, adam_step, step_decay
+from .optimize import AdamState, adam_step
 
 # Each TrainConfig.method and its name in `operon train --method` and report.json.
 METHODS = {"van": "van", "two_step": "2st", "two_step_no_qr": "2st-noqr"}
+# Standard deviation of the normal draws that start step 1's free matrix A.
+A_INIT_SCALE = 0.1
 
 
 @dataclass
@@ -47,7 +49,6 @@ class TrainConfig:
     schedule_factor: float | None = None
     schedule_every: int | None = None
     seed: int = 0
-    a_init_scale: float = 0.1
     ls_refit_every: int = 0
 
     def validate(self) -> None:
@@ -64,17 +65,21 @@ class TrainConfig:
             factor_ok = math.isfinite(self.schedule_factor) and self.schedule_factor > 1.0
             if not factor_ok or self.schedule_every < 1:
                 raise ValueError("schedule needs a finite factor > 1 and every >= 1")
-        if not (math.isfinite(self.a_init_scale) and self.a_init_scale >= 0.0):
-            raise ValueError(f"a_init_scale must be finite and >= 0, got {self.a_init_scale}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.ls_refit_every < 0:
             raise ValueError("ls_refit_every must be >= 0")
 
     def lr_at(self, t: int) -> float:
+        """Learning rate after t steps: lr / schedule_factor**floor(t /
+        schedule_every), or 0.0, its limit, once that power leaves the
+        float range; lr itself without a schedule."""
         if self.schedule_factor is None:
             return self.lr
-        return step_decay(self.lr, self.schedule_factor, self.schedule_every, t)
+        try:
+            return self.lr / self.schedule_factor ** (t // self.schedule_every)
+        except OverflowError:
+            return 0.0
 
 
 @dataclass
@@ -189,23 +194,27 @@ def train_trunk_step1(
     n_width = trunk.arch[-1]
     check_width(n_width, m_y)
     rng = np.random.default_rng(cfg.seed)
-    a = rng.normal(0.0, cfg.a_init_scale, size=(n_width + 1, k))
+    a = rng.normal(0.0, A_INIT_SCALE, size=(n_width + 1, k))
     a_g = np.empty_like(a)
     work = FitWork(trunk, k, m_y)
+
+    def refit(phi):
+        # A trunk pushed out of the float range gets no refit; its loss is not finite.
+        if np.all(np.isfinite(phi)):
+            a[...] = linalg.least_squares(phi, u_train)
 
     def step(t):
         nn.forward(trunk, data.y_sensors, work.trunk)
         if cfg.ls_refit_every > 0 and (t - 1) % cfg.ls_refit_every == 0:
-            a[...] = linalg.least_squares(work.phi, u_train)
+            refit(work.phi)
         return fit_loss_and_grads(trunk, data.y_sensors, a, u_train, a_g, work)
 
     trace = _adam_loop(step, [trunk.params, a], [work.trunk.grad, a_g], cfg.iters_trunk, cfg)
 
     def final():
         phi = assemble_phi(trunk, data.y_sensors)
-        # A trunk pushed out of the float range gets no refit; its loss is not finite.
-        if cfg.ls_refit_every > 0 and np.all(np.isfinite(phi)):
-            a[...] = linalg.least_squares(phi, u_train)
+        if cfg.ls_refit_every > 0:
+            refit(phi)
         resid = phi @ a - u_train
         return float(np.sum(resid * resid)) / (m_y * k)
 

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import gradcheck
 from operon.construct import build_interpolating_trunk, verify_zero_loss_pipeline
 from operon.data import (
     OperatorDataset,
@@ -32,7 +33,7 @@ from operon.deeponet import (
 )
 from operon.evaluate import SweepSettings, evaluate_model, generalization_sweep
 from operon.linalg import best_rank_k_error, householder_qr, jacobi_svd, least_squares
-from operon.nn import Workspace, forward, gradcheck, init_mlp, mlp_copy
+from operon.nn import Workspace, forward, init_mlp, mlp_copy
 from operon.train import (
     TrainConfig,
     check_two_step_equivalence,

@@ -84,8 +84,8 @@ def nine_sensor_dir(tmp_path_factory):
 def _bytes_under_caller_blas_threads(tmp_path, argv_for):
     """Run `python -m operon.cli` with argv_for(out) three times, with the
     caller's BLAS thread variables unset, OPENBLAS_NUM_THREADS=1 and =2,
-    each into its own out. Returns per run the files written, name ->
-    bytes; out may be a directory or a single file."""
+    each into its own out directory. Returns per run the files written,
+    name -> bytes."""
     runs = []
     for threads in (None, "1", "2"):
         # Without the "1"s that this process's `import operon` set.
@@ -96,7 +96,7 @@ def _bytes_under_caller_blas_threads(tmp_path, argv_for):
         run_python(
             ["-m", "operon.cli", *argv_for(out)], env, capture_output=True, timeout=300, check=True
         )
-        runs.append(_snapshot(out) if out.is_dir() else {out.name: out.read_bytes()})
+        runs.append(_snapshot(out))
     return runs
 
 
@@ -290,18 +290,30 @@ class TestTrain:
         assert err.endswith("(at iteration 1)\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("method", ["2st", "van"])
-    def test_overflowing_loss_writes_only_the_error_line(self, scaled_dirs, tmp_path, method):
+    @pytest.mark.parametrize("method", ["2st", "van", "2st-refit"])
+    def test_overflowing_loss_writes_only_the_error_line(self, scaled_dirs, dataset_dir, tmp_path, method):
         # pytest captures numpy's warnings; a fresh interpreter shows what
-        # the user sees on stderr.
+        # the user sees on stderr. In the refit run the first update leaves
+        # the float range, and the refit before the second step skips the
+        # trunk output that is no longer finite.
+        if method == "2st-refit":
+            method, data, expected = "2st", dataset_dir, "error: loss is nan (at iteration 2)\n"
+            config = _train_config(
+                tmp_path, trunk_arch=[2, 8, 8, 4], branch_arch=[1, 8, 5], activation="relu",
+                iters_trunk=2, iters_branch=1, lr=1e300, ls_refit_every=1,
+            )
+        else:
+            data, expected = scaled_dirs[1e160], "error: loss is inf (at iteration 1)\n"
+            config = _train_config(tmp_path)
+        out = tmp_path / "run"
         proc = run_python(
-            ["-m", "operon.cli", "train", "--method", method,
-             "--config", str(_train_config(tmp_path)), "--data", str(scaled_dirs[1e160]),
-             "--out", str(tmp_path / "run")],
+            ["-m", "operon.cli", "train", "--method", method, "--config", str(config),
+             "--data", str(data), "--out", str(out)],
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 1
-        assert proc.stderr == "error: loss is inf (at iteration 1)\n"
+        assert proc.stderr == expected
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "method, refit", [("van", 0), ("2st", 0), ("2st-noqr", 0), ("2st", 1)],
@@ -593,12 +605,12 @@ class TestCertify:
         from operon.linalg import jacobi_svd
 
         rank = jacobi_svd(load_dataset(dataset_dir).train_u()).rank
-        out = tmp_path / "cert.json"
+        out = tmp_path / "cert"
         code = main(
             ["certify", "--data", str(dataset_dir), "--N", str(rank), "--out", str(out)]
         )
         assert code == 0
-        cert = json.loads(out.read_text())
+        cert = json.loads((out / "certificate.json").read_text())
         assert cert["passed"] is True
         assert cert["rank"] == rank
 
@@ -618,37 +630,48 @@ class TestCertify:
         ) == 0
         rank = jacobi_svd(load_dataset(data).train_u()).rank
         for width in (rank, rank + 2):
-            out = tmp_path / f"cert_{width}.json"
+            out = tmp_path / f"cert_{width}"
             code = main(["certify", "--data", str(data), "--N", str(width), "--out", str(out)])
             assert code == 0, f"N={width}"
-            assert json.loads(out.read_text())["equivalence_applicable"] is True
+            assert json.loads((out / "certificate.json").read_text())["equivalence_applicable"] is True
 
     @pytest.mark.parametrize("width", ["1", "2", "3", "4"])
     def test_constant_in_output_space_certifies(self, ex2_dir, tmp_path, capsys, width):
         # ex2's kappa fields are 1 + (beta - 1) * disk: U has rank 2 and the
         # constant function in its column space.
-        out = tmp_path / "cert.json"
+        out = tmp_path / "cert"
         code = main(["certify", "--data", str(ex2_dir), "--N", width, "--out", str(out)])
         assert code == 0
-        cert = json.loads(out.read_text())
+        cert = json.loads((out / "certificate.json").read_text())
         assert cert["passed"] is True and cert["rank"] == 2
-        assert capsys.readouterr().out == out.read_text()
+        assert capsys.readouterr().out == (out / "certificate.json").read_text()
 
     def test_failed_write_keeps_previous_certificate(self, ex2_dir, tmp_path, monkeypatch, capsys):
-        out = tmp_path / "cert.json"
+        out = tmp_path / "cert"
         assert main(["certify", "--data", str(ex2_dir), "--N", "1", "--out", str(out)]) == 0
-        before = out.read_bytes()
-
-        def fail(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(os, "replace", fail)
+        before = _snapshot(out)
+        _fail_writing(monkeypatch, "certificate.json")
         capsys.readouterr()
         code = main(["certify", "--data", str(ex2_dir), "--N", "2", "--out", str(out)])
+        _assert_write_failed(code, capsys, out, before)
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [("", "holds no certificate.json"), ("manifest.json", "Not a directory")],
+        ids=["directory", "manifest"],
+    )
+    def test_dataset_as_out_exits_1(self, dataset_dir, tmp_path, monkeypatch, capsys, name, message):
+        # --out is a directory, and a dataset's holds no certificate.json:
+        # it is refused before any work, as is a file in it.
+        data = tmp_path / "ex1"
+        shutil.copytree(dataset_dir, data)
+        before = _snapshot(data)
+        _must_not_run(monkeypatch, cli, "verify_zero_loss_pipeline")
+        code = main(["certify", "--data", str(data), "--N", "4", "--out", str(data / name)])
         assert code == 1
-        assert capsys.readouterr().err == "error: disk full\n"
-        assert out.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert _snapshot(data) == before
 
     @pytest.mark.parametrize("width", ["0", "-3"])
     def test_width_below_one_exits_2(self, tmp_path, capsys, width):
@@ -661,7 +684,7 @@ class TestCertify:
     @pytest.mark.parametrize("scale", [1e160, 1e-160])
     def test_output_norm_outside_float64_exits_1(self, scaled_dirs, tmp_path, capsys, scale):
         # The checks compare squared norms, which overflow or underflow here.
-        out = tmp_path / "cert.json"
+        out = tmp_path / "cert"
         code = main(["certify", "--data", str(scaled_dirs[scale]), "--N", "2", "--out", str(out)])
         assert code == 1
         captured = capsys.readouterr()
@@ -886,7 +909,7 @@ class TestConfigBoundary:
             {"lr": float("nan")},
             {"lr": float("inf")},
             {"seed": -5},
-            {"a_init_scale": -1},
+            {"a_init_scale": -1},  # train.A_INIT_SCALE, not a config key
         ],
         ids=[
             "arch-string", "arch-float", "arch-nested", "arch-bool", "arch-zero",

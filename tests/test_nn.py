@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import run_python
+from conftest import gradcheck, run_python
 from operon.data import _blob
 from operon.errors import ShapeError
 from operon.nn import (
@@ -12,7 +12,6 @@ from operon.nn import (
     Workspace,
     backward,
     forward,
-    gradcheck,
     init_mlp,
     mlp_copy,
 )

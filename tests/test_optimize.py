@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from operon.errors import NonFiniteGradientError
-from operon.optimize import BETA1, AdamState, adam_step, step_decay
+from operon.optimize import BETA1, AdamState, adam_step
 
 
 def _scalar_state(lr=1e-3):
@@ -79,24 +79,3 @@ class TestAdamStep:
             runs.append(params[0][0])
         assert runs[0] == runs[1]
 
-
-class TestStepDecay:
-    def test_halving_schedule_values(self):
-        assert step_decay(1e-3, 2.0, 100_000, 0) == 1e-3
-        assert step_decay(1e-3, 2.0, 100_000, 100_000) == 5e-4
-        assert step_decay(1e-3, 2.0, 100_000, 250_000) == 2.5e-4
-
-    def test_rate_past_the_float_range_is_zero(self):
-        # 2.0 ** 1024 overflows; every rate before it keeps its value.
-        assert step_decay(1e-3, 2.0, 1, 1023) == 1e-3 / 2.0**1023
-        assert step_decay(1e-3, 2.0, 1, 1024) == 0.0
-        assert step_decay(1e-3, 1e308, 1, 1) == 1e-3 / 1e308
-        assert step_decay(1e-3, 1e308, 1, 2) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            step_decay(0.0, 2.0, 10, 0)
-        with pytest.raises(ValueError):
-            step_decay(1e-3, 1.0, 10, 0)
-        with pytest.raises(ValueError):
-            step_decay(1e-3, 2.0, 0, 0)

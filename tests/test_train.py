@@ -17,6 +17,7 @@ from operon.linalg import least_squares
 from operon import nn
 from operon.nn import init_mlp, mlp_copy
 from operon.train import (
+    A_INIT_SCALE,
     TrainConfig,
     check_two_step_equivalence,
     finish_two_step,
@@ -64,8 +65,8 @@ class TestConfig:
             {"lr": float("inf")},
             {"schedule_factor": float("nan"), "schedule_every": 10},
             {"schedule_factor": float("inf"), "schedule_every": 10},
-            {"a_init_scale": -1.0},
-            {"a_init_scale": float("nan")},
+            {"schedule_factor": 2.0, "schedule_every": 0},
+            {"ls_refit_every": -1},
             {"seed": -5},
         ],
     )
@@ -77,6 +78,21 @@ class TestConfig:
         cfg = TrainConfig(lr=1e-3, schedule_factor=2.0, schedule_every=100)
         assert cfg.lr_at(0) == 1e-3
         assert cfg.lr_at(100) == 5e-4
+
+    def test_halving_schedule_values(self):
+        cfg = TrainConfig(lr=1e-3, schedule_factor=2.0, schedule_every=100_000)
+        assert cfg.lr_at(0) == 1e-3
+        assert cfg.lr_at(100_000) == 5e-4
+        assert cfg.lr_at(250_000) == 2.5e-4
+
+    def test_lr_past_the_float_range_is_zero(self):
+        # 2.0 ** 1024 overflows; every rate before it keeps its value.
+        halving = TrainConfig(lr=1e-3, schedule_factor=2.0, schedule_every=1)
+        assert halving.lr_at(1023) == 1e-3 / 2.0**1023
+        assert halving.lr_at(1024) == 0.0
+        steep = TrainConfig(lr=1e-3, schedule_factor=1e308, schedule_every=1)
+        assert steep.lr_at(1) == 1e-3 / 1e308
+        assert steep.lr_at(2) == 0.0
 
 
 class TestTrunkStep1:
@@ -495,7 +511,7 @@ def _ref_step1(data, trunk, cfg):
     u = np.ascontiguousarray(data.train_u())
     m_y, k = u.shape
     y = data.y_sensors
-    a = np.random.default_rng(cfg.seed).normal(0.0, cfg.a_init_scale, size=(trunk.arch[-1] + 1, k))
+    a = np.random.default_rng(cfg.seed).normal(0.0, A_INIT_SCALE, size=(trunk.arch[-1] + 1, k))
     scale = 2.0 / (m_y * k)
 
     def step(t):
