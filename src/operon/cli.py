@@ -26,6 +26,7 @@ from .data import (
     TRIPLET_LATTICE_SIZE,
     OperatorDataset,
     _is_int,
+    _is_positive_int,
     check_replaceable,
     csv_text,
     gen_example1,
@@ -34,12 +35,13 @@ from .data import (
     json_text,
     load_dataset,
     save_dataset,
+    split_count,
     split_dataset,
     triplet_grid_sample,
     write_artifact,
 )
 from .deeponet import MODEL_MANIFEST, DeepONetModel, ModelSpec, check_width, load_model, model_files
-from .errors import OperonError
+from .errors import OperonError, ShapeError
 from .train import METHODS, TrainConfig, report_files, train_monolithic, train_two_step
 
 USAGE_ERROR = 2
@@ -87,7 +89,7 @@ def _parse_value(key: str, kind, value):
             return value
         raise ConfigError(f"config key {key} must be one of {', '.join(args)}, got {value!r}")
     if origin is tuple:
-        if isinstance(value, list) and all(_is_int(v) and v >= 1 for v in value):
+        if isinstance(value, list) and all(map(_is_positive_int, value)):
             return tuple(value)
         raise ConfigError(f"config key {key} must be a list of positive ints, got {value!r}")
     if kind is float and _is_int(value):
@@ -105,6 +107,8 @@ def _load_config(path: str, schema: dict) -> dict:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -131,8 +135,15 @@ def _from_config(cls, config: dict, **extra):
     return cls(**{f.name: config[f.name] for f in fields if f.name in config}, **extra)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one `error:` line and exit 2; subparsers share the class."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="operon",
         description="Operator-network training and verification toolkit",
     )
@@ -183,13 +194,13 @@ def _check_seed(seed: int, name: str = "--seed") -> None:
 def _cmd_generate(args) -> int:
     if args.grid_n < 3:
         raise ConfigError(f"--grid-n must be >= 3, got {args.grid_n}")
-    if args.k < 2:
-        raise ConfigError(f"--k must be >= 2, got {args.k}")
     if args.example == "ex3" and args.k > TRIPLET_LATTICE_SIZE:
         raise ConfigError(f"--k must be <= {TRIPLET_LATTICE_SIZE} for ex3, got {args.k}")
     _check_seed(args.seed)
-    if not 0.0 < args.train_fraction < 1.0:
-        raise ConfigError(f"--train-fraction must lie in (0, 1), got {args.train_fraction}")
+    try:
+        split_count(args.k, args.train_fraction)
+    except ValueError as exc:
+        raise ConfigError(f"--train-fraction {args.train_fraction} with --k {args.k}: {exc}") from exc
     check_replaceable(args.out, "manifest.json")
     if args.example == "ex1":
         betas = np.linspace(*BETA_RANGE_EX1, args.k)
@@ -200,10 +211,7 @@ def _cmd_generate(args) -> int:
     else:
         trips = triplet_grid_sample(args.k, seed=args.seed)
         data = gen_example3(trips, args.grid_n, seed=args.seed)
-    try:
-        data = split_dataset(data, args.train_fraction, seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError(f"--train-fraction {args.train_fraction} with --k {args.k}: {exc}") from exc
+    data = split_dataset(data, args.train_fraction, seed=args.seed)
     save_dataset(data, args.out)
     print(
         f"{args.example}: K={data.n_samples} m_x={data.m_x} m_y={data.m_y} "
@@ -213,21 +221,18 @@ def _cmd_generate(args) -> int:
 
 
 def _make_model(spec: ModelSpec, seed: int, data: OperatorDataset) -> DeepONetModel:
-    trunk_arch, branch_arch = spec.trunk_arch, spec.branch_arch
-    if len(trunk_arch) < 2 or len(branch_arch) < 2:
-        raise ConfigError("trunk_arch and branch_arch must each list at least 2 widths")
-    if branch_arch[-1] != trunk_arch[-1] + 1:
-        raise ConfigError(
-            f"branch output {branch_arch[-1]} must equal trunk output + 1 "
-            f"({trunk_arch[-1] + 1})"
-        )
-    if trunk_arch[0] != data.y_sensors.shape[1]:
-        raise ConfigError(
-            f"trunk input {trunk_arch[0]} != sensor dimension {data.y_sensors.shape[1]}"
-        )
-    if branch_arch[0] != data.m_x:
-        raise ConfigError(f"branch input {branch_arch[0]} != m_x {data.m_x}")
-    return spec.build(seed)
+    """The config's model; init_mlp checks each architecture, the model's
+    validate whether they agree, and here whether they fit the data."""
+    try:
+        model = spec.build(seed)
+        model.validate()
+    except (ValueError, ShapeError) as exc:
+        raise ConfigError(f"config keys trunk_arch, branch_arch: {exc}") from exc
+    if spec.trunk_arch[0] != data.d_y:
+        raise ConfigError(f"trunk input {spec.trunk_arch[0]} != sensor dimension {data.d_y}")
+    if spec.branch_arch[0] != data.m_x:
+        raise ConfigError(f"branch input {spec.branch_arch[0]} != m_x {data.m_x}")
+    return model
 
 
 def _check_width(n_width: int, data: OperatorDataset, name: str) -> None:

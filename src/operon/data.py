@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import shutil
 import uuid
 from dataclasses import dataclass, field
@@ -430,13 +431,22 @@ def triplet_grid_sample(k: int, seed: int = 0) -> np.ndarray:
     return np.column_stack([(i + 1) / 10.0, (j + 1) / 10.0, (l + 1) / 10.0])
 
 
-def split_dataset(data: OperatorDataset, train_fraction: float, seed: int = 0) -> OperatorDataset:
-    """Return a copy of the dataset with a seeded random train/test split."""
+def split_count(k: int, train_fraction: float) -> int:
+    """The training side's size in a split of k samples, round(k *
+    train_fraction). Raise ValueError unless the fraction lies in (0, 1)
+    and both sides are non-empty."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0,1), got {train_fraction}")
-    k = data.n_samples
-    perm = np.random.default_rng(seed).permutation(k)
     n_train = int(round(k * train_fraction))
+    if not 0 < n_train < k:
+        raise ValueError(f"split leaves the {'train' if n_train <= 0 else 'test'} side empty")
+    return n_train
+
+
+def split_dataset(data: OperatorDataset, train_fraction: float, seed: int = 0) -> OperatorDataset:
+    """Return a copy of the dataset with a seeded random train/test split."""
+    n_train = split_count(data.n_samples, train_fraction)
+    perm = np.random.default_rng(seed).permutation(data.n_samples)
     out = OperatorDataset(
         x_sensors=data.x_sensors,
         y_sensors=data.y_sensors,
@@ -560,33 +570,39 @@ def _is_positive_int(value) -> bool:
     return _is_int(value) and value >= 1
 
 
-def _check_manifest(manifest) -> None:
-    """Schema of manifest.json: positive int sizes, the blob dtype tag
-    f64le, an optional params object, and a split that is null or lists
-    int train and test indices (whether they partition 0..K-1 is
-    OperatorDataset.validate's check)."""
+def check_fields(manifest, name: str, rules: dict) -> None:
+    """Raise CorruptDatasetError unless manifest, the parsed file `name`, is
+    a JSON object that holds every key of rules with a value passing its
+    rule; rules maps a key to (test, what the value must be)."""
     if not isinstance(manifest, dict):
-        raise CorruptDatasetError("manifest.json must hold a JSON object")
-    for key in ("m_x", "m_y", "K", "d_x", "d_y"):
+        raise CorruptDatasetError(f"{name} must hold a JSON object")
+    for key, (test, what) in rules.items():
         if key not in manifest:
-            raise CorruptDatasetError(f"manifest missing key {key!r}")
-        if not _is_positive_int(manifest[key]):
-            raise CorruptDatasetError(
-                f"manifest {key} must be a positive int, got {manifest[key]!r}"
-            )
-    if manifest.get("dtype") != "f64le":
-        raise CorruptDatasetError(f"manifest dtype must be 'f64le', got {manifest.get('dtype')!r}")
+            raise CorruptDatasetError(f"{name} missing key {key!r}")
+        if not test(manifest[key]):
+            raise CorruptDatasetError(f"{name} {key} must be {what}, got {reprlib.repr(manifest[key])}")
+
+
+# The dtype tag of every artifact's blobs: little-endian float64.
+DTYPE_RULE = (lambda value: value == "f64le", "'f64le'")
+_DATASET_RULES = {
+    **dict.fromkeys(("m_x", "m_y", "K", "d_x", "d_y"), (_is_positive_int, "a positive int")),
+    "dtype": DTYPE_RULE,
+}
+_INT_LIST = (lambda value: isinstance(value, list) and all(map(_is_int, value)), "a list of ints")
+
+
+def _check_manifest(manifest) -> None:
+    """Schema of manifest.json: positive int sizes, the blob dtype tag, an
+    optional params object, and a split that is null or lists int train
+    and test indices (whether they partition 0..K-1 is
+    OperatorDataset.validate's check)."""
+    check_fields(manifest, "manifest.json", _DATASET_RULES)
     if not isinstance(manifest.get("params", {}), dict):
-        raise CorruptDatasetError("manifest params must be a JSON object")
+        raise CorruptDatasetError("manifest.json params must be a JSON object")
     split = manifest.get("split")
-    if split is None:
-        return
-    if not isinstance(split, dict):
-        raise CorruptDatasetError("manifest split must be null or a JSON object")
-    for key in ("train", "test"):
-        indices = split.get(key)
-        if not (isinstance(indices, list) and all(map(_is_int, indices))):
-            raise CorruptDatasetError(f"manifest split {key} must be a list of ints")
+    if split is not None:
+        check_fields(split, "manifest.json split", dict.fromkeys(("train", "test"), _INT_LIST))
 
 
 def save_dataset(data: OperatorDataset, directory) -> None:

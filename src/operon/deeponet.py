@@ -16,12 +16,13 @@ import numpy as np
 
 from . import nn
 from .data import (
+    DTYPE_RULE,
     OperatorDataset,
     _blob,
-    _is_int,
     _is_positive_int,
     _read_blob,
     _read_manifest,
+    check_fields,
     json_text,
     write_artifact,
 )
@@ -191,48 +192,30 @@ def monolithic_loss_and_grads(
 
 
 MODEL_MANIFEST = "model.json"
-MODEL_KEYS = ("trunk_arch", "branch_arch", "trunk_activation", "branch_activation",
-              "width", "has_t_matrix", "dtype")
+# The schema of model.json. Whether the widths agree with each other is
+# DeepONetModel.validate's check.
+_ARCH = (
+    lambda value: isinstance(value, list) and len(value) >= 2 and all(map(_is_positive_int, value)),
+    "a list of >= 2 positive ints",
+)
+_ACTIVATION = (lambda value: value in nn.ACTIVATIONS, f"one of {nn.ACTIVATIONS}")
+_MODEL_RULES = {
+    "trunk_arch": _ARCH,
+    "branch_arch": _ARCH,
+    "trunk_activation": _ACTIVATION,
+    "branch_activation": _ACTIVATION,
+    "width": (_is_positive_int, "a positive int"),
+    "has_t_matrix": (lambda value: isinstance(value, bool), "a bool"),
+    "dtype": DTYPE_RULE,
+}
+MODEL_KEYS = tuple(_MODEL_RULES)
 
 
-def _unpack_mlp(path: Path, arch: tuple[int, ...], activation: str) -> Mlp:
-    flat = _read_blob(path, (nn._param_size(arch),))
-    return Mlp(arch, *nn._layer_views(flat, arch), activation)
-
-
-def _check_model_manifest(manifest) -> None:
-    """Schema of model.json: archs of >= 2 positive ints, known
-    activations, an int width equal to the trunk output and a bool
-    has_t_matrix, and the blob dtype tag f64le."""
-    if not isinstance(manifest, dict):
-        raise CorruptDatasetError(f"{MODEL_MANIFEST} must hold a JSON object")
-    missing = [key for key in MODEL_KEYS if key not in manifest]
-    if missing:
-        raise CorruptDatasetError(f"{MODEL_MANIFEST} missing key {missing[0]!r}")
-    for key in ("trunk_arch", "branch_arch"):
-        arch = manifest[key]
-        if not (
-            isinstance(arch, list) and len(arch) >= 2 and all(map(_is_positive_int, arch))
-        ):
-            raise CorruptDatasetError(
-                f"{MODEL_MANIFEST} {key} must list >= 2 positive ints, got {arch!r}"
-            )
-    for key in ("trunk_activation", "branch_activation"):
-        if manifest[key] not in nn.ACTIVATIONS:
-            raise CorruptDatasetError(
-                f"{MODEL_MANIFEST} {key} must be one of {nn.ACTIVATIONS}, "
-                f"got {manifest[key]!r}"
-            )
-    width = manifest["width"]
-    if not (_is_int(width) and width == manifest["trunk_arch"][-1]):
-        raise CorruptDatasetError(
-            f"{MODEL_MANIFEST} width must be the int trunk output "
-            f"{manifest['trunk_arch'][-1]}, got {width!r}"
-        )
-    if not isinstance(manifest["has_t_matrix"], bool):
-        raise CorruptDatasetError(f"{MODEL_MANIFEST} has_t_matrix must be a bool")
-    if manifest["dtype"] != "f64le":
-        raise CorruptDatasetError(f"{MODEL_MANIFEST} dtype must be 'f64le', got {manifest['dtype']!r}")
+def _unpack_mlp(directory: Path, manifest: dict, name: str) -> Mlp:
+    """The sub-network `name` (trunk or branch) of a model directory."""
+    arch = tuple(manifest[f"{name}_arch"])
+    flat = _read_blob(directory / f"{name}.bin", (nn._param_size(arch),))
+    return Mlp(arch, *nn._layer_views(flat, arch), manifest[f"{name}_activation"])
 
 
 def model_files(model: DeepONetModel) -> dict:
@@ -267,30 +250,20 @@ def save_model(model: DeepONetModel, directory) -> None:
 def load_model(directory) -> DeepONetModel:
     directory = Path(directory)
     manifest = _read_manifest(directory, MODEL_MANIFEST)
-    _check_model_manifest(manifest)
-    trunk = _unpack_mlp(
-        directory / "trunk.bin",
-        tuple(manifest["trunk_arch"]),
-        manifest["trunk_activation"],
-    )
-    branch = _unpack_mlp(
-        directory / "branch.bin",
-        tuple(manifest["branch_arch"]),
-        manifest["branch_activation"],
-    )
-    t_matrix = None
-    if manifest["has_t_matrix"]:
-        n1 = manifest["width"] + 1
-        t_matrix = _read_blob(directory / "t_matrix.bin", (n1, n1))
-    elif (directory / "t_matrix.bin").exists():
-        raise CorruptDatasetError(
-            f"{MODEL_MANIFEST} has_t_matrix is false but t_matrix.bin exists"
-        )
-    model = DeepONetModel(
-        trunk=trunk, branch=branch, t_matrix=t_matrix, width=manifest["width"]
-    )
+    check_fields(manifest, MODEL_MANIFEST, _MODEL_RULES)
+    trunk = _unpack_mlp(directory, manifest, "trunk")
+    branch = _unpack_mlp(directory, manifest, "branch")
+    model = DeepONetModel(trunk, branch, None, manifest["width"])
     try:
         model.validate()
     except ShapeError as exc:
         raise CorruptDatasetError(f"model fails validation: {exc}") from exc
+    # The widths agree, so T is read at the size the networks need.
+    if manifest["has_t_matrix"]:
+        n1 = model.width + 1
+        model.t_matrix = _read_blob(directory / "t_matrix.bin", (n1, n1))
+    elif (directory / "t_matrix.bin").exists():
+        raise CorruptDatasetError(
+            f"{MODEL_MANIFEST} has_t_matrix is false but t_matrix.bin exists"
+        )
     return model

@@ -35,6 +35,7 @@ from .optimize import AdamState, adam_step
 
 # Each TrainConfig.method and its name in `operon train --method` and report.json.
 METHODS = {"van": "van", "two_step": "2st", "two_step_no_qr": "2st-noqr"}
+_TWO_STEP = ("two_step", "two_step_no_qr")
 # Standard deviation of the normal draws that start step 1's free matrix A.
 A_INIT_SCALE = 0.1
 
@@ -145,13 +146,21 @@ def _final_loss(loss, iters: int) -> float:
     return value
 
 
+def _check_start(model: DeepONetModel, cfg: TrainConfig, methods: tuple[str, ...]) -> None:
+    """Raise ValueError unless cfg is valid and names one of the methods
+    the calling trainer runs, and the model has no T yet."""
+    cfg.validate()
+    if cfg.method not in methods:
+        raise ValueError(f"method {cfg.method!r} is not one this trainer runs: {methods}")
+    if model.t_matrix is not None:
+        raise ValueError("training starts from a model without T")
+
+
 def train_monolithic(
     data: OperatorDataset, model: DeepONetModel, cfg: TrainConfig
 ) -> tuple[DeepONetModel, TrainReport]:
-    """Full-batch Adam on trunk and branch jointly."""
-    cfg.validate()
-    if model.t_matrix is not None:
-        raise ValueError("monolithic training starts from a model without T")
+    """Full-batch Adam on trunk and branch jointly (method van)."""
+    _check_start(model, cfg, ("van",))
     start = time.perf_counter()
     f_train, u_train = data.train_f(), np.ascontiguousarray(data.train_u())
     m_y, k = u_train.shape
@@ -166,7 +175,7 @@ def train_monolithic(
     )
     final = _final_loss(lambda: monolithic_loss(model, data), cfg.iters_mono)
     report = TrainReport(
-        method="van",
+        method=METHODS[cfg.method],
         loss_trace=trace,
         branch_trace=None,
         final_trunk_loss=None,
@@ -276,9 +285,7 @@ def train_two_step(
     data: OperatorDataset, model: DeepONetModel, cfg: TrainConfig
 ) -> tuple[DeepONetModel, TrainReport]:
     """Step 1 on model.trunk, then finish_two_step."""
-    cfg.validate()
-    if model.t_matrix is not None:
-        raise ValueError("two-step training starts from a model without T")
+    _check_start(model, cfg, _TWO_STEP)
     start = time.perf_counter()
     step1 = train_trunk_step1(data, model.trunk, cfg)
     model, report = finish_two_step(data, model, step1, cfg)
@@ -293,9 +300,7 @@ def finish_two_step(
     and T = I), then step 2 on model.branch. step1 is what train_trunk_step1
     returned; its trunk becomes model.trunk and none of it is modified, so
     one step 1 can be finished several ways."""
-    cfg.validate()
-    if model.t_matrix is not None:
-        raise ValueError("two-step training starts from a model without T")
+    _check_start(model, cfg, _TWO_STEP)
     start = time.perf_counter()
     trunk, a_star, trunk_loss, trunk_trace = step1
     if cfg.method == "two_step_no_qr":

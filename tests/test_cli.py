@@ -172,13 +172,16 @@ class TestGenerate:
         )
         assert code == 2
 
-    def test_bad_flag_exits_2(self, tmp_path):
+    def test_bad_flag_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--example", "nope", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --example: invalid choice: 'nope'") and err.count("\n") == 1
 
     @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.2", "nan"])
-    def test_train_fraction_out_of_range_exits_2(self, tmp_path, capsys, fraction):
+    def test_train_fraction_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch, fraction):
+        _must_not_run(monkeypatch, cli, "gen_example1")
         out = tmp_path / "x"
         code = main(
             ["generate", "--example", "ex1", "--grid-n", "5", "--k", "5", "--out", str(out),
@@ -505,6 +508,20 @@ class TestEval:
         code = main(["eval", "--model", str(broken), "--data", str(dataset_dir), "--out", str(tmp_path / "e")])
         assert code == 1
         assert f"error: model.json {key}" in capsys.readouterr().err
+
+    def test_model_width_disagrees_with_trunk_exits_1(self, trained, dataset_dir, tmp_path, capsys):
+        # Found by the model's validation, before the width sizes the T read.
+        broken = _broken_copy(trained, tmp_path / "model", "model.json", lambda m: {**m, "width": m["width"] + 1})
+        code = main(["eval", "--model", str(broken), "--data", str(dataset_dir), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: model fails validation: trunk output 4 != width 5\n"
+
+    @pytest.mark.parametrize("width", [0, -6])
+    def test_model_width_below_one_exits_1(self, trained, dataset_dir, tmp_path, capsys, width):
+        broken = _broken_copy(trained, tmp_path / "model", "model.json", lambda m: {**m, "width": width})
+        code = main(["eval", "--model", str(broken), "--data", str(dataset_dir), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: model.json width must be a positive int, got {width}\n"
 
     def test_model_blob_not_finite_exits_1(self, trained, dataset_dir, tmp_path, capsys):
         broken = _broken_copy(trained, tmp_path / "model", "trunk.bin", blob_value=np.nan)
@@ -952,6 +969,21 @@ class TestConfigBoundary:
         )
         assert message in self._assert_usage_error(code, capsys, out)
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_config_directory_exits_2(self, dataset_dir, tmp_path, capsys, monkeypatch, command):
+        _must_not_run(monkeypatch, cli, "train_two_step")
+        _must_not_run(monkeypatch, cli.ev, "generalization_sweep")
+        config = tmp_path / "config"
+        config.mkdir()
+        out = tmp_path / "run"
+        argv = {
+            "train": ["--method", "2st", "--data", str(dataset_dir)],
+            "sweep": ["--axis", "K", "--values", "4,6"],
+        }[command]
+        code = main([command, *argv, "--config", str(config), "--out", str(out)])
+        err = self._assert_usage_error(code, capsys, out)
+        assert err == f"error: cannot read config {config}: Is a directory\n"
+
     def test_config_nested_too_deep_exits_2(self, dataset_dir, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("[" * 100_000)
@@ -981,14 +1013,21 @@ class TestConfigBoundary:
         err = self._assert_usage_error(code, capsys, out)
         assert err.startswith(f"error: {argv[-2]} ")
 
-    @pytest.mark.parametrize("fraction", ["0.95", "0.04"], ids=["test-empty", "train-empty"])
-    def test_generate_empty_split_side_exits_2(self, tmp_path, capsys, fraction):
+    @pytest.mark.parametrize(
+        "fraction, k, side",
+        [("0.95", "10", "test"), ("0.04", "10", "train"), ("0.5", "1", "train"), ("0.5", "-4", "train")],
+        ids=["test-empty", "train-empty", "k-one", "k-negative"],
+    )
+    def test_generate_empty_split_side_exits_2(self, tmp_path, capsys, monkeypatch, fraction, k, side):
+        # Refused before the solves that a split of the generated data would waste.
+        _must_not_run(monkeypatch, cli, "gen_example1")
         out = tmp_path / "d"
         code = main(
-            ["generate", "--example", "ex1", "--grid-n", "5", "--k", "10", "--out", str(out),
+            ["generate", "--example", "ex1", "--grid-n", "5", "--k", k, "--out", str(out),
              "--train-fraction", fraction]
         )
-        self._assert_usage_error(code, capsys, out)
+        err = self._assert_usage_error(code, capsys, out)
+        assert err.endswith(f"split leaves the {side} side empty\n")
 
     def test_config_values_parse_to_dataclasses(self, tmp_path):
         path = _train_config(tmp_path, lr=1, schedule_factor=2, schedule_every=5)

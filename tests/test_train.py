@@ -13,8 +13,9 @@ from operon.deeponet import (
     save_model,
 )
 from operon.errors import DuplicateSensorError, NonFiniteGradientError
-from operon.linalg import least_squares
+from operon.linalg import householder_qr, least_squares, solve_upper_triangular
 from operon import nn
+from operon import train as train_module
 from operon.nn import init_mlp, mlp_copy
 from operon.train import (
     A_INIT_SCALE,
@@ -144,24 +145,16 @@ class TestTrunkStep1:
 
 
 class TestOrthonormalize:
-    def test_already_orthonormal_gives_identity(self):
-        # Build a trunk-free check: phi with orthonormal columns should give
-        # r = I, t = I and target = a_star.
+    def test_equals_qr_of_trunk_basis(self):
+        # T is R^-1 by triangular solves and the target is R A, for R the
+        # triangular factor of the trunk basis on the sensors.
         data = _tiny_dataset(seed=5, m_y=8)
         trunk = init_mlp((2, 8, 3), "tanh", "he", seed=5)
-        phi = assemble_phi(trunk, data.y_sensors)
-        from operon.linalg import householder_qr
-
-        q = householder_qr(phi).q
-
-        class FrozenTrunk:
-            arch = trunk.arch
-            activation = trunk.activation
-
-        # orthonormalize() recomputes phi from the trunk, so emulate an
-        # orthonormal basis by checking through the linear algebra directly.
-        qr2 = householder_qr(q)
-        assert np.allclose(qr2.r, np.eye(4), atol=1e-12)
+        a_star = np.random.default_rng(5).normal(size=(4, 4))
+        t_star, target = orthonormalize(trunk, a_star, data.y_sensors)
+        r = householder_qr(assemble_phi(trunk, data.y_sensors)).r
+        assert np.array_equal(target, r @ a_star)
+        assert np.array_equal(t_star, solve_upper_triangular(r, np.eye(4)))
 
     def test_phi_times_t_has_orthonormal_columns(self):
         data = _tiny_dataset(seed=6)
@@ -319,6 +312,31 @@ class TestFinishTwoStep:
         model.t_matrix = np.eye(4)
         with pytest.raises(ValueError, match="without T"):
             finish_two_step(data, model, step1, cfg)
+
+
+class TestStartCheck:
+    @pytest.mark.parametrize(
+        "trainer, method",
+        [
+            (train_monolithic, "two_step"),
+            (train_monolithic, "two_step_no_qr"),
+            (train_two_step, "van"),
+            (finish_two_step, "van"),
+        ],
+        ids=["van-two_step", "van-two_step_no_qr", "two_step-van", "finish-van"],
+    )
+    def test_foreign_method_refused_before_any_step(self, monkeypatch, trainer, method):
+        data = _tiny_dataset(seed=24)
+        cfg = TrainConfig(method=method, iters_trunk=3, iters_branch=3, iters_mono=3, seed=24)
+        step1 = train_trunk_step1(data, _tiny_model(seed=24).trunk, cfg)
+
+        def forbidden(*args):
+            pytest.fail("an Adam step ran")
+
+        monkeypatch.setattr(train_module, "adam_step", forbidden)
+        args = (step1, cfg) if trainer is finish_two_step else (cfg,)
+        with pytest.raises(ValueError, match=f"method {method!r} is not one"):
+            trainer(data, _tiny_model(seed=24), *args)
 
 
 class TestMonolithic:
