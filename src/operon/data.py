@@ -3,8 +3,11 @@
 Output fields are produced by a 5-point finite-difference Poisson solver.
 The nonlinear conductivity cases (kappa * p) are reduced to a linear solve
 through the substitution w = p^2, which is exact whenever p > 0. The
-linear systems go through one conjugate gradient that solves a stack of
-them in lockstep; ex2 solves its betas as such stacks.
+linear systems go through one Jacobi-preconditioned conjugate gradient
+that solves a stack of them in lockstep; ex2 solves its betas as such
+stacks. The diagonal preconditioner about halves ex2's iterations across
+its conductivity jump, and the Poisson solves of ex1 and ex3, whose
+diagonal is the constant 4, keep the iterates of plain CG.
 """
 
 from __future__ import annotations
@@ -86,9 +89,7 @@ class OperatorDataset:
             combined = np.concatenate([self.train_idx, self.test_idx])
             if combined.size != k or set(combined.tolist()) != set(range(k)):
                 raise ValueError("split must partition 0..K-1")
-            for side, idx in (("train", self.train_idx), ("test", self.test_idx)):
-                if idx.size == 0:
-                    raise ValueError(f"split leaves the {side} side empty")
+            check_split_sides(self.train_idx.size, self.test_idx.size)
 
     def _train_indices(self) -> np.ndarray:
         if self.train_idx is None:
@@ -168,7 +169,9 @@ def solve_poisson_fd(grid_n: int, f_values, g_boundary) -> np.ndarray:
         out[..., :, :-1] -= u[..., :, 1:]
         return out
 
-    w[inner, inner] = _conjugate_gradient(lambda systems: apply_op, rhs[None])[0]
+    # The diagonal is 4 throughout, and its exact inverse 1/4 leaves every
+    # iterate that of plain CG.
+    w[inner, inner] = _conjugate_gradient(lambda systems: (apply_op, 0.25), rhs[None])[0]
     return w
 
 
@@ -184,23 +187,29 @@ CG_RTOL = 1e-12
 
 
 def _conjugate_gradient(operator, rhs: np.ndarray) -> np.ndarray:
-    """Solve a stack of independent SPD systems A_b u_b = rhs[b] in lockstep.
+    """Solve a stack of independent SPD systems A_b u_b = rhs[b] in lockstep
+    by Jacobi-preconditioned conjugate gradients (Saad, Iterative Methods
+    for Sparse Linear Systems, 2nd ed., SIAM 2003, chapter 9).
 
-    operator(systems) returns the function that applies the operators of
-    the listed systems (indices into the stack) to a stack of vectors
-    shaped like theirs in rhs. Each system runs the scalar CG recurrence
-    on its own numbers and leaves the stack once it meets its tolerance;
-    operator is called again only then. A failing system raises
-    SolverError carrying its index.
+    operator(systems) returns (apply_op, inv_diag) for the listed systems
+    (indices into the stack): apply_op applies their operators to a stack
+    of vectors shaped like theirs in rhs, and inv_diag, which broadcasts
+    against that stack, holds the inverses of their diagonals. Each system
+    runs the preconditioned recurrence on its own numbers and leaves the
+    stack once its unpreconditioned residual meets its tolerance; operator
+    is called again only then. An inv_diag that is one power of two (1/4
+    for the 5-point Laplacian) gives the iterates of plain CG bit for bit.
+    A failing system raises SolverError carrying its index.
     """
     per_system = (slice(None),) + (None,) * (rhs.ndim - 1)
     systems = np.arange(rhs.shape[0])
-    apply_op = operator(systems)
+    apply_op, inv_diag = operator(systems)
     solution = np.zeros_like(rhs)
     u = np.zeros_like(rhs)
     r = rhs - apply_op(u)
-    p = r.copy()
+    p = r * inv_diag
     rr = _row_sums(r * r)
+    rz = _row_sums(r * p)
     target = CG_RTOL * np.maximum(1.0, np.sqrt(_row_sums(rhs * rhs)))
     max_iter = 20 * rhs[0].size + 100
     for iteration in range(max_iter + 1):
@@ -210,10 +219,10 @@ def _conjugate_gradient(operator, rhs: np.ndarray) -> np.ndarray:
             keep = ~done
             if not keep.any():
                 return solution
-            systems, u, r, p, rr, target = (
-                a[keep] for a in (systems, u, r, p, rr, target)
+            systems, u, r, p, rr, rz, target = (
+                a[keep] for a in (systems, u, r, p, rr, rz, target)
             )
-            apply_op = operator(systems)
+            apply_op, inv_diag = operator(systems)
         if iteration == max_iter:
             raise SolverError(
                 f"conjugate gradient stalled at residual {np.sqrt(rr[0]):.3e}",
@@ -227,12 +236,14 @@ def _conjugate_gradient(operator, rhs: np.ndarray) -> np.ndarray:
                 f"operator is not positive definite (p.Ap = {curvature[i]:.3e})",
                 system=int(systems[i]),
             )
-        alpha = rr / curvature
+        alpha = rz / curvature
         u += alpha[per_system] * p
         r -= alpha[per_system] * ap
-        rr_new = _row_sums(r * r)
-        p = r + (rr_new / rr)[per_system] * p
-        rr = rr_new
+        rr = _row_sums(r * r)
+        z = r * inv_diag
+        rz_new = _row_sums(r * z)
+        p = z + (rz_new / rz)[per_system] * p
+        rz = rz_new
 
 
 def _sqrt_substitution(w: np.ndarray, context: str) -> np.ndarray:
@@ -283,9 +294,11 @@ def _disk_kappa(x: np.ndarray, y: np.ndarray, beta: float | np.ndarray) -> np.nd
     return np.where(x * x + y * y <= 0.25, beta, 1.0)
 
 
-# Betas per stacked Darcy solve in gen_example2. For 100 betas on grid 33,
-# one stack of all of them ran slower than blocks of 32 and held about 14 MB
-# more at its peak; blocks of 16 ran no faster.
+# Betas per stacked Darcy solve in gen_example2. For 100 betas on grid 33
+# under the preconditioned CG, one stack of all of them ran about 14% slower
+# than blocks of 32, and blocks of 16 ran no faster (medians of 6
+# alternating rounds on a 2-core x86 host); a larger stack also holds more
+# memory at its peak.
 DARCY_BLOCK = 32
 
 
@@ -351,6 +364,7 @@ def _solve_mixed_darcy(n: int, axis: np.ndarray, betas: np.ndarray) -> np.ndarra
     k_w = np.pad(k_e[..., :-1], ((0, 0), (0, 0), (1, 0)))
     k_s = np.pad(k_n[:, :-1], ((0, 0), (1, 0), (0, 0)))
     diag = k_e + k_w + k_n + k_s
+    inv_diag = 1.0 / diag
 
     rhs = np.zeros_like(xx)
     rhs[0, :] += 1.0 / h  # inward unit flux across the bottom boundary
@@ -367,7 +381,7 @@ def _solve_mixed_darcy(n: int, axis: np.ndarray, betas: np.ndarray) -> np.ndarra
             out[..., :-1, :] -= kn * p[..., 1:, :]
             return out
 
-        return apply_op
+        return apply_op, inv_diag[systems]
 
     p_int = _conjugate_gradient(operator, np.repeat((rhs * h * h)[None], betas.size, axis=0))
 
@@ -438,9 +452,15 @@ def split_count(k: int, train_fraction: float) -> int:
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0,1), got {train_fraction}")
     n_train = int(round(k * train_fraction))
-    if not 0 < n_train < k:
-        raise ValueError(f"split leaves the {'train' if n_train <= 0 else 'test'} side empty")
+    check_split_sides(n_train, k - n_train)
     return n_train
+
+
+def check_split_sides(n_train: int, n_test: int) -> None:
+    """Raise ValueError unless both sides of a split hold a sample."""
+    for side, size in (("train", n_train), ("test", n_test)):
+        if size < 1:
+            raise ValueError(f"split leaves the {side} side empty")
 
 
 def split_dataset(data: OperatorDataset, train_fraction: float, seed: int = 0) -> OperatorDataset:

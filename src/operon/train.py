@@ -233,12 +233,17 @@ def train_trunk_step1(
 def orthonormalize(
     trunk: Mlp, a_star: np.ndarray, y_sensors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """QR-orthonormalize the trunk basis on the training sensors.
+    """QR-orthonormalize the trunk basis on the training sensors:
+    orthonormalize_phi on the trunk's value matrix there."""
+    return orthonormalize_phi(assemble_phi(trunk, y_sensors), a_star)
+
+
+def orthonormalize_phi(phi: np.ndarray, a_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QR-orthonormalize a trunk value matrix Phi (assemble_phi).
 
     Returns (t_star, target) where t_star is the inverse of the triangular
     factor (materialized by triangular solves) and target = R A is what
     the branch regresses on."""
-    phi = assemble_phi(trunk, y_sensors)
     try:
         qr = linalg.householder_qr(phi)
     except RankDeficientError as exc:
@@ -328,10 +333,11 @@ def finish_two_step(
 
 def fit_interpolating_branch(
     f_inputs: np.ndarray, target: np.ndarray, seed: int = 0
-) -> tuple[Mlp, float]:
+) -> tuple[Mlp, float, np.ndarray]:
     """Construct the deep ReLU branch whose output at training input k is
     column k of the step-2 target (nn.interpolating_relu), so the fit
-    interpolates up to rounding. Returns (branch, loss).
+    interpolates up to rounding. Returns (branch, loss, c) with c the
+    branch's coefficient matrix at the inputs (assemble_c).
 
     Duplicate inputs raise DuplicateSensorError: no function takes two
     different targets at one input."""
@@ -345,8 +351,9 @@ def fit_interpolating_branch(
         raise DuplicateSensorError(
             f"training inputs repeat, and no branch takes two targets at one input: {exc}"
         ) from exc
-    diff = assemble_c(branch, f_inputs) - target
-    return branch, float(np.sum(diff * diff)) / k
+    c = assemble_c(branch, f_inputs)
+    diff = c - target
+    return branch, float(np.sum(diff * diff)) / k, c
 
 
 @dataclass
@@ -364,13 +371,14 @@ class EquivalenceCheck:
 
 def check_two_step_equivalence(
     data: OperatorDataset,
-    model: DeepONetModel,
+    assembled: float,
     step1_loss: float,
     step2_loss: float,
     target: np.ndarray,
 ) -> EquivalenceCheck:
-    """The identity Phi T (R A) = Phi A makes the assembled loss equal the
-    step-1 loss whenever step 2 interpolates exactly.
+    """The identity Phi T (R A) = Phi A makes the assembled loss (the
+    finished model's monolithic_loss on data) equal the step-1 loss
+    whenever step 2 interpolates exactly.
 
     Applicability requires the relative step-2 residual below 1e-14. A
     branch residual E perturbs the assembled residual by Q E with Q
@@ -383,7 +391,6 @@ def check_two_step_equivalence(
     target_scale = float(np.sum(target * target))
     step2_resid_sq = step2_loss * k  # undo the 1/K normalization
     applicable = target_scale > 0.0 and step2_resid_sq <= 1e-14 * target_scale
-    assembled = monolithic_loss(model, data)
     gap = abs(assembled - step1_loss)
     induced = step2_resid_sq / (m_y * k)
     tolerance = (

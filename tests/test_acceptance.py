@@ -157,9 +157,10 @@ def refit_equivalence_run():
     cfg = TrainConfig(iters_trunk=2000, ls_refit_every=1, lr=3e-3, seed=3)
     trunk, a_star, step1_loss, _ = train_trunk_step1(data, trunk, cfg)
     t_star, target = orthonormalize(trunk, a_star, data.y_sensors)
-    branch, branch_loss = fit_interpolating_branch(data.train_f(), target, seed=3)
+    branch, branch_loss, _ = fit_interpolating_branch(data.train_f(), target, seed=3)
     model = DeepONetModel(trunk=trunk, branch=branch, t_matrix=t_star, width=8)
-    check = check_two_step_equivalence(data, model, step1_loss, branch_loss, target)
+    assembled = monolithic_loss(model, data)
+    check = check_two_step_equivalence(data, assembled, step1_loss, branch_loss, target)
     return {"model": model, "data": data, "check": check}
 
 

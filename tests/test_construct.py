@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from operon import construct, deeponet, nn, train
 from operon.construct import build_interpolating_trunk, verify_zero_loss_pipeline
 from operon.data import OperatorDataset, gen_example1, split_dataset
-from operon.deeponet import assemble_phi
+from operon.deeponet import DeepONetModel, assemble_phi, monolithic_loss
 from operon.errors import DuplicateSensorError, ZeroMatrixError
 from operon.linalg import best_rank_k_error, jacobi_svd
 from operon.nn import find_separating_direction, forward
@@ -237,3 +238,36 @@ def test_replica_certificate_around_rank(replica_train, offset):
     # equals ||Phi A|| = the reconstruction's.
     target_sq = cert.u_norm_sq - cert.trunk_residual_sq
     assert cert.branch_loss <= 1e-24 * target_sq / k
+
+
+def test_certificate_passes_each_network_once(replica_train, monkeypatch):
+    # One trunk pass at the sensors and one branch pass at the training
+    # inputs serve the whole certificate, and the assembled loss is the
+    # finished model's monolithic loss bit for bit.
+    width = jacobi_svd(replica_train.train_u()).rank
+    f_train = replica_train.train_f()
+    phi_calls, branch_passes = 0, 0
+
+    def count_phi(*args):
+        nonlocal phi_calls
+        phi_calls += 1
+        return real_phi(*args)
+
+    def count_forward(net, x, *args):
+        nonlocal branch_passes
+        branch_passes += np.shape(x) == f_train.shape
+        return real_forward(net, x, *args)
+
+    real_phi, real_forward = deeponet.assemble_phi, nn.forward
+    for module in (construct, deeponet, train):
+        monkeypatch.setattr(module, "assemble_phi", count_phi)
+    monkeypatch.setattr(nn, "forward", count_forward)
+    cert = verify_zero_loss_pipeline(replica_train, width)
+    assert (phi_calls, branch_passes) == (1, 1)
+    monkeypatch.undo()
+
+    trunk, a_star, _ = build_interpolating_trunk(replica_train.y_sensors, replica_train.train_u(), width)
+    t_star, target = train.orthonormalize(trunk, a_star, replica_train.y_sensors)
+    branch, _, _ = train.fit_interpolating_branch(f_train, target)
+    model = DeepONetModel(trunk=trunk, branch=branch, t_matrix=t_star, width=width)
+    assert cert.assembled_loss == monolithic_loss(model, replica_train)

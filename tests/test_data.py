@@ -6,6 +6,7 @@ import pytest
 
 from operon import data as data_module
 from operon.data import (
+    BETA_RANGE_EX2,
     OperatorDataset,
     gen_example1,
     gen_example2,
@@ -133,7 +134,7 @@ class TestExample2:
         operators = []
 
         def capture(operator, rhs):
-            operators.append((operator(np.arange(1)), rhs.shape))
+            operators.append((operator(np.arange(1))[0], rhs.shape))
             return cg(operator, rhs)
 
         cg = data_module._conjugate_gradient
@@ -160,6 +161,43 @@ class TestExample2:
             assert stacked.f_matrix[k].tobytes() == alone.f_matrix[0].tobytes()
             assert stacked.u_matrix[:, k].tobytes() == alone.u_matrix[:, 0].tobytes()
 
+    def test_jacobi_preconditioner_halves_iterations(self, monkeypatch):
+        # One block across the 100x conductivity contrast: the operators'
+        # inverse diagonals must at least halve the operator applications of
+        # plain CG (inv_diag 1.0) on the same systems, to the same fields.
+        captured = []
+
+        def capture(operator, rhs):
+            captured.append((operator, rhs))
+            return cg(operator, rhs)
+
+        cg = data_module._conjugate_gradient
+        monkeypatch.setattr(data_module, "_conjugate_gradient", capture)
+        betas = np.random.default_rng(0).uniform(*BETA_RANGE_EX2, 32)
+        _, axis = grid_coordinates(33)
+        data_module._solve_mixed_darcy(33, axis, betas)
+        [(operator, rhs)] = captured
+
+        def solve(precondition):
+            applications = 0
+
+            def counted(systems):
+                apply_op, inv_diag = operator(systems)
+
+                def apply_counted(p):
+                    nonlocal applications
+                    applications += 1
+                    return apply_op(p)
+
+                return apply_counted, inv_diag if precondition else 1.0
+
+            return cg(counted, rhs), applications
+
+        (jacobi, jacobi_count), (plain, plain_count) = solve(True), solve(False)
+        assert 2 * jacobi_count <= plain_count
+        scale = np.abs(plain).max(axis=(1, 2))
+        assert np.all(np.abs(jacobi - plain).max(axis=(1, 2)) <= 1e-12 * scale)
+
     def test_solver_error_names_beta(self, monkeypatch):
         # A failure in the second block names the beta, not its index there.
         betas = np.linspace(0.01, 10.0, data_module.DARCY_BLOCK + 5)
@@ -176,7 +214,8 @@ class TestExample2:
 
 
 def _scaled_laplacian(scales: np.ndarray):
-    """Operators x -> scales[b] * L x for the 5-point Laplacian L."""
+    """Operators x -> scales[b] * L x for the 5-point Laplacian L, with
+    their inverse diagonals 1 / (4 scales[b])."""
 
     def operator(systems):
         s = scales[systems][:, None, None]
@@ -189,33 +228,36 @@ def _scaled_laplacian(scales: np.ndarray):
             out[:, :, :-1] -= x[:, :, 1:]
             return s * out
 
-        return apply_op
+        return apply_op, 1.0 / (4.0 * s)
 
     return operator
 
 
-def _scalar_cg(apply_op, rhs, rtol=1e-12):
-    """Reference: CG on one system with Python-float scalars."""
+def _scalar_cg(apply_op, rhs, inv_diag, rtol=1e-12):
+    """Reference: Jacobi-preconditioned CG on one system with Python-float
+    scalars; inv_diag = 1.0 is plain CG."""
     u = np.zeros_like(rhs)
     r = rhs - apply_op(u)
-    p = r.copy()
-    rr = float(np.sum(r * r))
+    z = r * inv_diag
+    p = z.copy()
+    rz = float(np.sum(r * z))
     target = rtol * max(1.0, float(np.sqrt(np.sum(rhs * rhs))))
-    while np.sqrt(rr) > target:
+    while np.sqrt(float(np.sum(r * r))) > target:
         ap = apply_op(p)
-        alpha = rr / float(np.sum(p * ap))
+        alpha = rz / float(np.sum(p * ap))
         u += alpha * p
         r -= alpha * ap
-        rr_new = float(np.sum(r * r))
-        p = r + (rr_new / rr) * p
-        rr = rr_new
+        z = r * inv_diag
+        rz_new = float(np.sum(r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return u
 
 
 class TestConjugateGradient:
     def test_indefinite_operator_raises_solver_error(self):
         with pytest.raises(SolverError, match="not positive definite"):
-            data_module._conjugate_gradient(lambda systems: np.zeros_like, np.ones((1, 3, 3)))
+            data_module._conjugate_gradient(lambda systems: (np.zeros_like, 1.0), np.ones((1, 3, 3)))
 
     def test_failing_system_is_named(self):
         scales = np.array([1.0, 2.0, -1.0, 3.0])
@@ -232,7 +274,7 @@ class TestConjugateGradient:
         matrices = np.stack([np.eye(6), np.eye(6) + 3.0 * (skew - skew.T)])
 
         def operator(systems):
-            return lambda x: np.einsum("bij,bj->bi", matrices[systems], x)
+            return lambda x: np.einsum("bij,bj->bi", matrices[systems], x), 1.0
 
         with pytest.raises(SolverError, match="^system 1: conjugate gradient stalled") as info:
             data_module._conjugate_gradient(operator, np.ones((2, 6)))
@@ -240,6 +282,8 @@ class TestConjugateGradient:
 
     def test_stacked_solutions_equal_single_solves(self):
         # System 0 leaves at iteration 0; system 1 needs many iterations.
+        # The inverse diagonals 1/2.8 and 1/10 are not powers of two, so the
+        # preconditioned recurrence differs from plain CG here.
         rng = np.random.default_rng(0)
         scales = np.array([1.0, 0.7, 2.5])
         rhs = np.stack([np.zeros((15, 15)), rng.normal(size=(15, 15)), np.ones((15, 15))])
@@ -249,7 +293,8 @@ class TestConjugateGradient:
             operator = _scaled_laplacian(scales[b : b + 1])
             alone = data_module._conjugate_gradient(operator, rhs[b : b + 1])
             assert stacked[b].tobytes() == alone[0].tobytes()
-            reference = _scalar_cg(lambda x: operator([0])(x[None])[0], rhs[b])
+            apply_op, inv_diag = operator([0])
+            reference = _scalar_cg(lambda x: apply_op(x[None])[0], rhs[b], inv_diag[0])
             assert stacked[b].tobytes() == reference.tobytes()
 
 
@@ -319,6 +364,18 @@ class TestSplit:
         data = gen_example1(np.linspace(1, 10, 10), 5)
         with pytest.raises(ValueError, match=f"leaves the {side} side empty"):
             split_dataset(data, fraction)
+
+
+    def test_empty_side_message_shared(self):
+        # A fraction that rounds to all of K and stored indices that leave
+        # the test side empty break one rule, reported in one message.
+        data = gen_example1(np.linspace(1, 10, 10), 5)
+        with pytest.raises(ValueError) as by_fraction:
+            split_dataset(data, 0.999)
+        data.train_idx, data.test_idx = np.arange(10), np.arange(0)
+        with pytest.raises(ValueError) as by_indices:
+            data.validate()
+        assert str(by_fraction.value) == str(by_indices.value) == "split leaves the test side empty"
 
 
 class TestSensorSubsampling:

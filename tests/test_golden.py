@@ -8,7 +8,8 @@ A change that moves seeded bytes on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py --rewrite
 
-and records the old and new digests, with the reason, in CHANGES.md.
+which prints each moved name with its old and new digest (or `added`,
+`removed`); record those lines, with the reason, in CHANGES.md.
 """
 
 import operon  # noqa: F401  (before numpy: the one BLAS thread of every command)
@@ -122,7 +123,17 @@ def test_seeded_outputs_match_golden(tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--rewrite"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --rewrite")
+    old = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         record = {"fingerprint": fingerprint(), "digests": outputs(Path(tmp))}
     GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(record['digests'])} digests to {GOLDEN}")
+    new = record["digests"]
+    # One line per moved name, ready to paste into the CHANGES.md record.
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old:
+            print(f"{name}: added")
+        elif name not in new:
+            print(f"{name}: removed")
+        elif old[name] != new[name]:
+            print(f"{name}: {old[name]} → {new[name]}")
+    print(f"wrote {len(new)} digests to {GOLDEN}")

@@ -254,9 +254,10 @@ class TestTwoStep:
         cfg = TrainConfig(iters_trunk=50, ls_refit_every=1, seed=15)
         trunk, a_star, s1, _ = train_trunk_step1(data, trunk, cfg)
         t_star, target = orthonormalize(trunk, a_star, data.y_sensors)
-        branch, branch_loss = fit_interpolating_branch(data.train_f(), target, seed=15)
+        branch, branch_loss, _ = fit_interpolating_branch(data.train_f(), target, seed=15)
         model = DeepONetModel(trunk=trunk, branch=branch, t_matrix=t_star, width=3)
-        check = check_two_step_equivalence(data, model, s1, branch_loss, target)
+        assembled = monolithic_loss(model, data)
+        check = check_two_step_equivalence(data, assembled, s1, branch_loss, target)
         assert check.applicable
         assert check.passed
         assert abs(check.assembled_loss - s1) <= 1e-10 * s1 + 1e-20
@@ -416,7 +417,7 @@ class TestInterpolatingBranch:
         rng = np.random.default_rng(20)
         f = rng.normal(size=(6, 2))
         target = rng.normal(size=(4, 6))
-        branch, loss = fit_interpolating_branch(f, target, seed=20)
+        branch, loss, _ = fit_interpolating_branch(f, target, seed=20)
         rel = loss * 6 / np.sum(target * target)
         assert rel <= 1e-20
 
@@ -424,8 +425,9 @@ class TestInterpolatingBranch:
         rng = np.random.default_rng(21)
         f = rng.normal(size=(60, 3))
         target = rng.normal(size=(7, 60))
-        branch, loss = fit_interpolating_branch(f, target, seed=21)
+        branch, loss, c = fit_interpolating_branch(f, target, seed=21)
         assert branch.activation == "relu" and branch.arch[-1] == 7
+        assert c.tobytes() == assemble_c(branch, f).tobytes()
         assert loss * 60 <= 1e-24 * np.sum(target * target)
 
     def test_duplicate_inputs_rejected(self):
