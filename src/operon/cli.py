@@ -248,9 +248,8 @@ def _check_width(n_width: int, data: OperatorDataset, name: str) -> None:
 def _cmd_train(args) -> int:
     config = _load_config(args.config, _TRAIN_SCHEMA)
     method = {name: m for m, name in METHODS.items()}[args.method]
-    cfg = _from_config(TrainConfig, config, method=method)
     try:
-        cfg.validate()
+        cfg = _from_config(TrainConfig, config, method=method)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     spec = _from_config(ModelSpec, config)

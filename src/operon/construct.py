@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .data import OperatorDataset
-from .deeponet import assemble_phi, check_width
+from .deeponet import assemble_phi, assembled_loss, check_width
 from .nn import Mlp, interpolating_relu
 from .train import check_two_step_equivalence, fit_interpolating_branch, orthonormalize_phi
 
@@ -154,8 +154,7 @@ def verify_zero_loss_pipeline(
     t_star, target = orthonormalize_phi(phi, a_star)
     _, branch_loss, c = fit_interpolating_branch(f_train, target, seed=seed)
     # The finished model's monolithic_loss, from the two passes above.
-    resid = (phi @ t_star) @ c - u_train
-    assembled = float(np.sum(resid * resid)) / (m_y * k)
+    assembled = assembled_loss(phi @ t_star, c, u_train)
     equivalence = check_two_step_equivalence(data, assembled, step1_loss, branch_loss, target)
 
     zero_applicable = n_width >= rank

@@ -111,12 +111,17 @@ def predict(model: DeepONetModel, f, y_points) -> np.ndarray:
     return model_basis(model, y_points) @ nn.forward(model.branch, f[None, :])[0]
 
 
+def assembled_loss(basis: np.ndarray, c: np.ndarray, u: np.ndarray) -> float:
+    """Mean squared residual ||basis C - U||_F^2 / (K m_y) of an m_y x K U."""
+    resid = basis @ c - u
+    return float(np.sum(resid * resid)) / resid.size
+
+
 def monolithic_loss(model: DeepONetModel, data: OperatorDataset) -> float:
     """Mean squared residual over the training split:
     ||Phi [T] C - U||_F^2 / (K m_y)."""
     basis = model_basis(model, data.y_sensors)
-    resid = basis @ assemble_c(model.branch, data.train_f()) - data.train_u()
-    return float(np.sum(resid * resid)) / resid.size
+    return assembled_loss(basis, assemble_c(model.branch, data.train_f()), data.train_u())
 
 
 class FitWork:

@@ -194,7 +194,7 @@ class SweepSettings:
             raise ValueError(f"n_width {self.n_width}: {exc}") from exc
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
-        _train_config(self, self.base_seed).validate()
+        _train_config(self, self.base_seed)  # making the run's TrainConfig checks lr
 
 
 @dataclass

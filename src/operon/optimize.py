@@ -24,8 +24,6 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], lr: float) -> "AdamState":
-        if lr <= 0.0:
-            raise ValueError(f"learning rate must be > 0, got {lr}")
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],

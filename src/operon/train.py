@@ -24,6 +24,7 @@ from .deeponet import (
     MonolithicWork,
     assemble_c,
     assemble_phi,
+    assembled_loss,
     check_width,
     fit_loss_and_grads,
     monolithic_loss,
@@ -40,8 +41,10 @@ _TWO_STEP = ("two_step", "two_step_no_qr")
 A_INIT_SCALE = 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, checked when made (also by dataclasses.replace)."""
+
     method: str = "two_step"
     iters_trunk: int = 1000
     iters_branch: int = 1000
@@ -52,7 +55,7 @@ class TrainConfig:
     seed: int = 0
     ls_refit_every: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
         for name in ("iters_trunk", "iters_branch", "iters_mono"):
@@ -111,14 +114,14 @@ def report_files(report: TrainReport) -> dict:
 
 
 def _adam_loop(
-    step, params: list[np.ndarray], grads: list[np.ndarray], iters: int, cfg: TrainConfig
-) -> list[float]:
+    step, params: list[np.ndarray], grads: list[np.ndarray], iters: int, cfg: TrainConfig, final
+) -> tuple[list[float], float, object]:
     """Full-batch Adam on the arrays in params for iters iterations.
     step(t) writes the gradient at the current parameters into grads, one
     array per parameter array, and returns the loss, for iteration
-    t = 1..iters; the losses form the returned trace. A loss or gradient
-    that is not finite aborts the run with NonFiniteGradientError, so
-    numpy's overflow and invalid-value warnings are silenced inside."""
+    t = 1..iters; returns (trace, *_final_loss(final, iters)). A loss or
+    gradient that is not finite aborts the run with NonFiniteGradientError,
+    so numpy's overflow and invalid-value warnings are silenced inside."""
     state = AdamState.for_params(params, lr=cfg.lr)
     trace: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -132,24 +135,22 @@ def _adam_loop(
                 adam_step(params, grads, state)
             except NonFiniteGradientError as exc:
                 raise NonFiniteGradientError(f"{exc} (at iteration {t})") from exc
-    return trace
+    return trace, *_final_loss(final, iters)
 
 
-def _final_loss(loss, iters: int) -> float:
-    """loss(), the loss after the last of iters updates, with numpy's
-    warnings silenced as in _adam_loop; one that is not finite aborts the
-    run with NonFiniteGradientError."""
+def _final_loss(final, iters: int) -> tuple[float, object]:
+    """final(), the one evaluation (loss, value) after the last of iters
+    updates, with numpy's warnings silenced as in _adam_loop; a loss that
+    is not finite aborts the run with NonFiniteGradientError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value = loss()
-    if not math.isfinite(value):
-        raise NonFiniteGradientError(f"loss is {value} after the last update (iteration {iters})")
-    return value
+        loss, value = final()
+    if not math.isfinite(loss):
+        raise NonFiniteGradientError(f"loss is {loss} after the last update (iteration {iters})")
+    return loss, value
 
 
 def _check_start(model: DeepONetModel, cfg: TrainConfig, methods: tuple[str, ...]) -> None:
-    """Raise ValueError unless cfg is valid and names one of the methods
-    the calling trainer runs, and the model has no T yet."""
-    cfg.validate()
+    """Raise ValueError unless cfg.method is one of methods and the model has no T."""
     if cfg.method not in methods:
         raise ValueError(f"method {cfg.method!r} is not one this trainer runs: {methods}")
     if model.t_matrix is not None:
@@ -169,11 +170,11 @@ def train_monolithic(
     def step(t):
         return monolithic_loss_and_grads(model, f_train, u_train, data.y_sensors, work)
 
-    trace = _adam_loop(
+    trace, final, _ = _adam_loop(
         step, [model.trunk.params, model.branch.params],
         [work.fit.trunk.grad, work.branch.grad], cfg.iters_mono, cfg,
+        lambda: (monolithic_loss(model, data), None),
     )
-    final = _final_loss(lambda: monolithic_loss(model, data), cfg.iters_mono)
     report = TrainReport(
         method=METHODS[cfg.method],
         loss_trace=trace,
@@ -188,14 +189,14 @@ def train_monolithic(
 
 def train_trunk_step1(
     data: OperatorDataset, trunk: Mlp, cfg: TrainConfig
-) -> tuple[Mlp, np.ndarray, float, list[float]]:
+) -> tuple[Mlp, np.ndarray, np.ndarray, float, list[float]]:
     """Minimize ||Phi(mu) A - U||_F^2/(K m_y) over trunk parameters and the
-    free matrix A. Returns (trunk, a_star, final_loss, trace).
+    free matrix A. Returns (trunk, a_star, phi, final_loss, trace) with phi
+    the trained trunk's value matrix at the sensors (assemble_phi).
 
     With cfg.ls_refit_every = r > 0, A is replaced by the exact
     least-squares solution every r iterations (and once more after the
     final trunk update)."""
-    cfg.validate()
     # train_u() is an F-ordered fancy-index copy; the residual subtraction
     # in every step runs about 3x faster against a C-ordered one.
     u_train = np.ascontiguousarray(data.train_u())
@@ -218,23 +219,21 @@ def train_trunk_step1(
             refit(work.phi)
         return fit_loss_and_grads(trunk, data.y_sensors, a, u_train, a_g, work)
 
-    trace = _adam_loop(step, [trunk.params, a], [work.trunk.grad, a_g], cfg.iters_trunk, cfg)
-
     def final():
         phi = assemble_phi(trunk, data.y_sensors)
         if cfg.ls_refit_every > 0:
             refit(phi)
-        resid = phi @ a - u_train
-        return float(np.sum(resid * resid)) / (m_y * k)
+        return assembled_loss(phi, a, u_train), phi
 
-    return trunk, a, _final_loss(final, cfg.iters_trunk), trace
+    params, grads = [trunk.params, a], [work.trunk.grad, a_g]
+    trace, loss, phi = _adam_loop(step, params, grads, cfg.iters_trunk, cfg, final)
+    return trunk, a, phi, loss, trace
 
 
 def orthonormalize(
     trunk: Mlp, a_star: np.ndarray, y_sensors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """QR-orthonormalize the trunk basis on the training sensors:
-    orthonormalize_phi on the trunk's value matrix there."""
+    """orthonormalize_phi on the trunk's value matrix at the training sensors."""
     return orthonormalize_phi(assemble_phi(trunk, y_sensors), a_star)
 
 
@@ -259,10 +258,11 @@ def orthonormalize_phi(phi: np.ndarray, a_star: np.ndarray) -> tuple[np.ndarray,
 
 def train_branch_step2(
     f_inputs: np.ndarray, target: np.ndarray, branch: Mlp, cfg: TrainConfig
-) -> tuple[Mlp, float, list[float]]:
+) -> tuple[Mlp, float, np.ndarray, list[float]]:
     """Fit the branch to the step-1 coefficients:
-    minimize ||C(theta) - target||_F^2 / K by full-batch Adam."""
-    cfg.validate()
+    minimize ||C(theta) - target||_F^2 / K by full-batch Adam. Returns
+    (branch, final_loss, c, trace) with c the trained branch's coefficient
+    matrix at the inputs (assemble_c)."""
     n1, k = target.shape
     if branch.arch[-1] != n1:
         raise ValueError(f"branch output {branch.arch[-1]} != target rows {n1}")
@@ -277,13 +277,13 @@ def train_branch_step2(
         np.multiply(diff, diff, out=diff)
         return float(np.sum(diff)) / k
 
-    trace = _adam_loop(step, [branch.params], [work.grad], cfg.iters_branch, cfg)
-
     def final():
-        diff = assemble_c(branch, f_inputs) - target
-        return float(np.sum(diff * diff)) / k
+        c = assemble_c(branch, f_inputs)
+        diff = c - target
+        return float(np.sum(diff * diff)) / k, c
 
-    return branch, _final_loss(final, cfg.iters_branch), trace
+    trace, loss, c = _adam_loop(step, [branch.params], [work.grad], cfg.iters_branch, cfg, final)
+    return branch, loss, c, trace
 
 
 def train_two_step(
@@ -301,24 +301,23 @@ def train_two_step(
 def finish_two_step(
     data: OperatorDataset, model: DeepONetModel, step1: tuple, cfg: TrainConfig
 ) -> tuple[DeepONetModel, TrainReport]:
-    """Orthonormalization (skipped for the no-QR ablation, where target = A
-    and T = I), then step 2 on model.branch. step1 is what train_trunk_step1
+    """Orthonormalization of step 1's Phi (skipped for the no-QR ablation,
+    where target = A and T = I), then step 2 on model.branch; the final
+    loss assembles that Phi and step 2's C. step1 is what train_trunk_step1
     returned; its trunk becomes model.trunk and none of it is modified, so
     one step 1 can be finished several ways."""
     _check_start(model, cfg, _TWO_STEP)
     start = time.perf_counter()
-    trunk, a_star, trunk_loss, trunk_trace = step1
+    trunk, a_star, phi, trunk_loss, trunk_trace = step1
     if cfg.method == "two_step_no_qr":
-        t_star = np.eye(model.width + 1)
-        target = a_star
+        t_star, target = np.eye(model.width + 1), a_star
     else:
-        t_star, target = orthonormalize(trunk, a_star, data.y_sensors)
-    _, branch_loss, branch_trace = train_branch_step2(
-        data.train_f(), target, model.branch, cfg
+        t_star, target = orthonormalize_phi(phi, a_star)
+    _, branch_loss, c, branch_trace = train_branch_step2(data.train_f(), target, model.branch, cfg)
+    model.trunk, model.t_matrix = trunk, t_star
+    final, _ = _final_loss(
+        lambda: (assembled_loss(phi @ t_star, c, data.train_u()), None), cfg.iters_branch
     )
-    model.trunk = trunk
-    model.t_matrix = t_star
-    final = _final_loss(lambda: monolithic_loss(model, data), cfg.iters_branch)
     report = TrainReport(
         method=METHODS[cfg.method],
         loss_trace=trunk_trace,

@@ -155,7 +155,7 @@ def refit_equivalence_run():
     data = split_dataset(gen_example1(np.linspace(1, 100, 24), 9), 0.75, seed=2)
     trunk = init_mlp((2, 30, 30, 8), "tanh", "he", seed=3)
     cfg = TrainConfig(iters_trunk=2000, ls_refit_every=1, lr=3e-3, seed=3)
-    trunk, a_star, step1_loss, _ = train_trunk_step1(data, trunk, cfg)
+    trunk, a_star, _, step1_loss, _ = train_trunk_step1(data, trunk, cfg)
     t_star, target = orthonormalize(trunk, a_star, data.y_sensors)
     branch, branch_loss, _ = fit_interpolating_branch(data.train_f(), target, seed=3)
     model = DeepONetModel(trunk=trunk, branch=branch, t_matrix=t_star, width=8)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from operon.deeponet import (
 )
 from operon.errors import DuplicateSensorError, NonFiniteGradientError
 from operon.linalg import householder_qr, least_squares, solve_upper_triangular
-from operon import nn
+from operon import deeponet, nn
 from operon import train as train_module
 from operon.nn import init_mlp, mlp_copy
 from operon.train import (
@@ -51,13 +52,21 @@ def _tiny_model(seed=0, width=3, m_x=2, d_y=2, activation="tanh"):
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(method="nope").validate()
+            TrainConfig(method="nope")
         with pytest.raises(ValueError):
-            TrainConfig(iters_trunk=0).validate()
+            TrainConfig(iters_trunk=0)
         with pytest.raises(ValueError):
-            TrainConfig(lr=0.0).validate()
+            TrainConfig(lr=0.0)
         with pytest.raises(ValueError):
-            TrainConfig(schedule_factor=2.0).validate()
+            TrainConfig(schedule_factor=2.0)
+
+    def test_no_config_breaks_a_rule_after_it_is_made(self):
+        with pytest.raises(ValueError, match="lr must be finite and > 0"):
+            replace(TrainConfig(), lr=0.0)
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.lr = 0.0
+        assert cfg.lr == 1e-3
 
     @pytest.mark.parametrize(
         "field",
@@ -73,7 +82,7 @@ class TestConfig:
     )
     def test_value_ranges(self, field):
         with pytest.raises(ValueError):
-            TrainConfig(**field).validate()
+            TrainConfig(**field)
 
     def test_lr_schedule(self):
         cfg = TrainConfig(lr=1e-3, schedule_factor=2.0, schedule_every=100)
@@ -104,7 +113,7 @@ class TestTrunkStep1:
         a0 = rng.normal(size=(4, 4))
         data.u_matrix = assemble_phi(trunk, data.y_sensors) @ a0
         cfg = TrainConfig(iters_trunk=1, ls_refit_every=1, seed=0)
-        _, _, _, trace = train_trunk_step1(data, trunk, cfg)
+        _, _, _, _, trace = train_trunk_step1(data, trunk, cfg)
         assert trace[0] <= 1e-20
 
     def test_a_gradient_matches_finite_differences(self):
@@ -138,7 +147,7 @@ class TestTrunkStep1:
     def test_loss_decreases(self):
         data = _tiny_dataset(seed=4)
         trunk = init_mlp((2, 12, 3), "tanh", "he", seed=4)
-        _, _, final, trace = train_trunk_step1(
+        _, _, _, final, trace = train_trunk_step1(
             data, trunk, TrainConfig(iters_trunk=400, seed=4)
         )
         assert final < trace[0]
@@ -182,7 +191,7 @@ class TestBranchStep2:
         branch = init_mlp((2, 8, 4), "tanh", "he", seed=8)
         f = np.random.default_rng(8).normal(size=(5, 2))
         target = assemble_c(branch, f)
-        _, final, trace = train_branch_step2(
+        _, final, _, trace = train_branch_step2(
             f, target, branch, TrainConfig(iters_branch=1, seed=8)
         )
         assert trace[0] == 0.0
@@ -192,7 +201,7 @@ class TestBranchStep2:
         f = rng.normal(size=(4, 2))
         target = rng.normal(size=(5, 4))
         branch = init_mlp((2, 64, 5), "tanh", "he", seed=9)
-        _, final, _ = train_branch_step2(
+        _, final, _, _ = train_branch_step2(
             f, target, branch, TrainConfig(iters_branch=4000, lr=3e-3, seed=9)
         )
         assert final <= 1e-6
@@ -252,7 +261,7 @@ class TestTwoStep:
         data = _tiny_dataset(seed=15, m_y=12, k=5)
         trunk = init_mlp((2, 10, 3), "tanh", "he", seed=15)
         cfg = TrainConfig(iters_trunk=50, ls_refit_every=1, seed=15)
-        trunk, a_star, s1, _ = train_trunk_step1(data, trunk, cfg)
+        trunk, a_star, _, s1, _ = train_trunk_step1(data, trunk, cfg)
         t_star, target = orthonormalize(trunk, a_star, data.y_sensors)
         branch, branch_loss, _ = fit_interpolating_branch(data.train_f(), target, seed=15)
         model = DeepONetModel(trunk=trunk, branch=branch, t_matrix=t_star, width=3)
@@ -286,24 +295,62 @@ class TestFinishTwoStep:
         data = split_dataset(_tiny_dataset(seed=17, k=8), 0.75, seed=17)
         cfg = TrainConfig(iters_trunk=20, iters_branch=10, seed=17)
         step1 = train_trunk_step1(data, _tiny_model(seed=17).trunk, cfg)
-        trunk, a_star, loss, trace = step1
-        saved = (trunk.params.copy(), a_star.copy(), loss, list(trace))
+        trunk, a_star, phi, loss, trace = step1
+        saved = (trunk.params.copy(), a_star.copy(), phi.copy(), loss, list(trace))
         models = []
         for method in ("two_step", "two_step_no_qr", "two_step"):
             model, report = finish_two_step(
                 data, _tiny_model(seed=17), step1, replace(cfg, method=method)
             )
             models.append(model)
-            assert report.loss_trace == saved[3]
+            assert report.loss_trace == saved[4]
             assert report.final_trunk_loss == loss
         assert np.array_equal(trunk.params, saved[0])
         assert np.array_equal(a_star, saved[1])
-        assert trace == saved[3]
+        assert np.array_equal(phi, saved[2])
+        assert trace == saved[4]
         assert all(model.trunk is trunk for model in models)
         # Finishing the same step 1 the same way twice gives the same model.
         assert np.array_equal(models[0].t_matrix, models[2].t_matrix)
         assert np.array_equal(models[0].branch.params, models[2].branch.params)
         assert np.array_equal(models[1].t_matrix, np.eye(4))
+
+    @pytest.mark.parametrize("method", ["two_step", "two_step_no_qr"])
+    def test_each_trained_network_passes_once(self, monkeypatch, method):
+        # After training, one trunk pass at the sensors and one branch pass
+        # at the training inputs serve the final losses, the QR and the
+        # finished model's loss, which is its monolithic_loss bit for bit.
+        data = split_dataset(_tiny_dataset(seed=19, k=8), 0.75, seed=19)
+        cfg = TrainConfig(method=method, iters_trunk=10, iters_branch=10, ls_refit_every=4, seed=19)
+        calls = {"assemble_phi": 0, "assemble_c": 0}
+
+        def counted(name, real):
+            def count(*args):
+                calls[name] += 1
+                return real(*args)
+            return count
+
+        for name in calls:
+            wrapper = counted(name, getattr(deeponet, name))
+            for module in (train_module, deeponet):
+                monkeypatch.setattr(module, name, wrapper)
+        model, report = train_two_step(data, _tiny_model(seed=19), cfg)
+        assert calls == {"assemble_phi": 1, "assemble_c": 1}
+        monkeypatch.undo()
+        assert report.final_monolithic_loss == monolithic_loss(model, data)
+
+    def test_assembled_loss_past_the_float_range_is_refused(self):
+        # Both steps end with finite losses, but the no-QR model's basis is
+        # the raw Phi: trunk outputs near 1e200 against an A near 1e-200
+        # make Phi C overflow once C leaves A.
+        data = split_dataset(_tiny_dataset(seed=20, k=8), 0.75, seed=20)
+        cfg = TrainConfig(method="two_step_no_qr", iters_trunk=1, iters_branch=1, seed=20)
+        trunk, a_star, _, loss, trace = train_trunk_step1(data, _tiny_model(seed=20).trunk, cfg)
+        trunk.weights[-1][...] *= 1e200
+        trunk.biases[-1][...] *= 1e200
+        step1 = (trunk, a_star * 1e-200, assemble_phi(trunk, data.y_sensors), loss, trace)
+        with pytest.raises(NonFiniteGradientError, match=r"after the last update \(iteration 1\)"):
+            finish_two_step(data, _tiny_model(seed=20), step1, cfg)
 
     def test_rejects_model_with_t(self):
         data = _tiny_dataset(seed=18)
@@ -609,7 +656,7 @@ class TestMatchesAllocatingReference:
             method=method, iters_trunk=25, iters_branch=20, seed=31, ls_refit_every=refit, **_SCHEDULE
         )
         model, report = train_two_step(data, _ref_model(31, activation), cfg)
-        _, a_star, _, _ = train_trunk_step1(data, _ref_model(31, activation).trunk, cfg)
+        _, a_star, _, _, _ = train_trunk_step1(data, _ref_model(31, activation).trunk, cfg)
 
         ref = _ref_model(31, activation)
         a_ref, trunk_trace = _ref_step1(data, ref.trunk, cfg)
@@ -643,7 +690,7 @@ class TestMatchesAllocatingReference:
         van, _ = train_monolithic(data, _ref_model(33, "tanh"), cfg)
         cfg = TrainConfig(iters_trunk=3, iters_branch=3, seed=33)
         two_step, _ = train_two_step(data, _ref_model(33, "tanh"), cfg)
-        trunk, a_star, _, _ = train_trunk_step1(data, _ref_model(33, "tanh").trunk, cfg)
+        trunk, a_star, _, _, _ = train_trunk_step1(data, _ref_model(33, "tanh").trunk, cfg)
         for net in (van.trunk, van.branch, two_step.trunk, two_step.branch, trunk):
             assert net.params.flags.c_contiguous and net.params.flags.owndata
             for view in net.weights + net.biases:
