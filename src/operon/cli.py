@@ -186,9 +186,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_seed(seed: int, name: str = "--seed") -> None:
+def _check_seed(seed: int) -> None:
     if seed < 0:
-        raise ConfigError(f"{name} must be >= 0, got {seed}")
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
 
 
 def _cmd_generate(args) -> int:
@@ -327,10 +327,12 @@ def _cmd_sweep(args) -> int:
         values = [int(v) for v in args.values.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--values must be comma-separated ints: {exc}") from exc
-    settings = _from_config(ev.SweepSettings, config)
-    # Every run is checked before any starts. A bad setting's message starts
-    # with its field: the swept one is a --values entry, another a config key.
+    # Every run is checked before any starts. No run takes the config's
+    # value of the swept field, so the base carries the first swept value.
+    # A bad setting's message starts with its field: the swept one is a
+    # --values entry, another a config key.
     try:
+        settings = _from_config(ev.SweepSettings, {**config, ev.SWEEP_AXES[args.axis]: values[0]})
         ev.sweep_runs(settings, args.axis, values, args.replicates)
     except ValueError as exc:
         field, _, rest = str(exc).partition(" ")

@@ -20,7 +20,7 @@ import os
 import reprlib
 import shutil
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,14 +38,16 @@ BETA_RANGE_EX2 = (0.01, 10.0)
 TRIPLET_RANGE_EX3 = (0.1, 10.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorDataset:
     """Sensor locations plus paired input/output samples.
 
     f_matrix is K x m_x (one input representation per row) and u_matrix is
     m_y x K (one output column per sample). The train/test split is a pair
     of disjoint, non-empty index arrays covering 0..K-1; when absent,
-    everything is treated as training data.
+    everything is treated as training data. A dataset checks these rules
+    when it is made, also by dataclasses.replace, and raises ShapeError,
+    DuplicateSensorError or ValueError for one that breaks them.
     """
 
     x_sensors: np.ndarray
@@ -72,7 +74,7 @@ class OperatorDataset:
     def d_y(self) -> int:
         return self.y_sensors.shape[1]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         k = self.n_samples
         if self.f_matrix.shape != (k, self.m_x):
             raise ShapeError(
@@ -116,7 +118,10 @@ def check_distinct_sensors(points: np.ndarray) -> None:
 
 def grid_coordinates(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     """Node coordinates of the uniform grid_n x grid_n mesh on [-1,1]^2,
-    flattened row-major (y index outer), as (nodes x 2, axis)."""
+    flattened row-major (y index outer), as (nodes x 2, axis). Every
+    generator's finite-difference stencil needs grid_n >= 3."""
+    if grid_n < 3:
+        raise ValueError(f"grid_n must be >= 3, got {grid_n}")
     axis = np.linspace(-1.0, 1.0, grid_n)
     yy, xx = np.meshgrid(axis, axis, indexing="ij")
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
@@ -140,8 +145,6 @@ def solve_poisson_fd(grid_n: int, f_values, g_boundary) -> np.ndarray:
     conjugate gradients on the interior unknowns. Returns the full grid
     as an array indexed [iy, ix].
     """
-    if grid_n < 3:
-        raise ValueError(f"grid_n must be >= 3, got {grid_n}")
     _, axis = grid_coordinates(grid_n)
     h = axis[1] - axis[0]
     f = _as_grid_field(f_values, axis)
@@ -467,17 +470,12 @@ def split_dataset(data: OperatorDataset, train_fraction: float, seed: int = 0) -
     """Return a copy of the dataset with a seeded random train/test split."""
     n_train = split_count(data.n_samples, train_fraction)
     perm = np.random.default_rng(seed).permutation(data.n_samples)
-    out = OperatorDataset(
-        x_sensors=data.x_sensors,
-        y_sensors=data.y_sensors,
-        f_matrix=data.f_matrix,
-        u_matrix=data.u_matrix,
+    return replace(
+        data,
         train_idx=np.sort(perm[:n_train]),
         test_idx=np.sort(perm[n_train:]),
         meta={**data.meta, "split_seed": seed, "train_fraction": train_fraction},
     )
-    out.validate()
-    return out
 
 
 def subsample_output_sensors(data: OperatorDataset, m_y: int, seed: int = 0) -> OperatorDataset:
@@ -487,13 +485,10 @@ def subsample_output_sensors(data: OperatorDataset, m_y: int, seed: int = 0) -> 
         raise ValueError(f"m_y must lie in [1, {data.m_y}], got {m_y}")
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(data.m_y, size=m_y, replace=False))
-    return OperatorDataset(
-        x_sensors=data.x_sensors,
+    return replace(
+        data,
         y_sensors=data.y_sensors[rows],
-        f_matrix=data.f_matrix,
         u_matrix=data.u_matrix[rows],
-        train_idx=data.train_idx,
-        test_idx=data.test_idx,
         meta={**data.meta, "sensor_subsample": m_y, "sensor_seed": seed},
     )
 
@@ -615,8 +610,8 @@ _INT_LIST = (lambda value: isinstance(value, list) and all(map(_is_int, value)),
 def _check_manifest(manifest) -> None:
     """Schema of manifest.json: positive int sizes, the blob dtype tag, an
     optional params object, and a split that is null or lists int train
-    and test indices (whether they partition 0..K-1 is
-    OperatorDataset.validate's check)."""
+    and test indices (whether they partition 0..K-1 is OperatorDataset's
+    check)."""
     check_fields(manifest, "manifest.json", _DATASET_RULES)
     if not isinstance(manifest.get("params", {}), dict):
         raise CorruptDatasetError("manifest.json params must be a JSON object")
@@ -628,7 +623,6 @@ def _check_manifest(manifest) -> None:
 def save_dataset(data: OperatorDataset, directory) -> None:
     """Write manifest.json plus little-endian float64 blobs into a
     directory that is replaced as a whole (see write_artifact)."""
-    data.validate()
     manifest = {
         "name": data.meta.get("generator", "dataset"),
         "generator": data.meta.get("generator"),
@@ -681,19 +675,16 @@ def load_dataset(directory) -> OperatorDataset:
     m_x, m_y, k = manifest["m_x"], manifest["m_y"], manifest["K"]
     d_x, d_y = manifest["d_x"], manifest["d_y"]
 
-    data = OperatorDataset(
-        x_sensors=_read_blob(directory / "x_sensors.bin", (m_x, d_x)),
-        y_sensors=_read_blob(directory / "y_sensors.bin", (m_y, d_y)),
-        f_matrix=_read_blob(directory / "F.bin", (k, m_x)),
-        u_matrix=_read_blob(directory / "U.bin", (m_y, k)),
-        meta={"generator": manifest.get("generator"), **manifest.get("params", {})},
-    )
     split = manifest.get("split")
     try:
-        if split is not None:
-            data.train_idx = np.asarray(split["train"], dtype=np.int64)
-            data.test_idx = np.asarray(split["test"], dtype=np.int64)
-        data.validate()
+        return OperatorDataset(
+            x_sensors=_read_blob(directory / "x_sensors.bin", (m_x, d_x)),
+            y_sensors=_read_blob(directory / "y_sensors.bin", (m_y, d_y)),
+            f_matrix=_read_blob(directory / "F.bin", (k, m_x)),
+            u_matrix=_read_blob(directory / "U.bin", (m_y, k)),
+            train_idx=None if split is None else np.asarray(split["train"], dtype=np.int64),
+            test_idx=None if split is None else np.asarray(split["test"], dtype=np.int64),
+            meta={"generator": manifest.get("generator"), **manifest.get("params", {})},
+        )
     except (ShapeError, ValueError, OverflowError) as exc:
         raise CorruptDatasetError(f"dataset fails validation: {exc}") from exc
-    return data

@@ -213,7 +213,6 @@ _MODEL_RULES = {
     "has_t_matrix": (lambda value: isinstance(value, bool), "a bool"),
     "dtype": DTYPE_RULE,
 }
-MODEL_KEYS = tuple(_MODEL_RULES)
 
 
 def _unpack_mlp(directory: Path, manifest: dict, name: str) -> Mlp:

@@ -141,11 +141,13 @@ _FAMILY_EXAMPLES = ("ex1", "ex3")
 SWEEP_AXES = {"K": "k_train", "N": "n_width", "m_y": "m_y"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSettings:
     """Base configuration for one family of end-to-end two-step runs. The
     fields it shares with TrainConfig and ModelSpec default as there, but
-    for the iteration counts."""
+    for the iteration counts. Settings that no run can train with raise
+    ValueError when they are made, also by dataclasses.replace; each
+    message starts with the name of the offending field."""
 
     example: str = "ex1"
     k_train: int = 50
@@ -164,9 +166,7 @@ class SweepSettings:
     m_y: int | None = None
     base_seed: int = 0
 
-    def validate(self) -> None:
-        """Raise ValueError for settings no run can train with. Each message
-        starts with the name of the offending field."""
+    def __post_init__(self) -> None:
         if self.example not in _FAMILY_EXAMPLES:
             raise ValueError(f"example must be one of {_FAMILY_EXAMPLES}, got {self.example!r}")
         for name in ("k_train", "k_test", "n_width"):
@@ -246,18 +246,17 @@ def _family_dataset(settings: SweepSettings, seed: int) -> OperatorDataset:
         data = gen_example1(
             np.concatenate([train_inputs, test_inputs]), settings.grid_n, seed=seed
         )
-    elif settings.example == "ex3":
-        # The test section is drawn first, so it does not depend on k_train.
+    else:
+        # ex3. The test section is drawn first, so it does not depend on k_train.
         rng = np.random.default_rng(settings.base_seed)
         test = rng.uniform(*TRIPLET_RANGE_EX3, size=(settings.k_test, 3))
         train = rng.uniform(*TRIPLET_RANGE_EX3, size=(settings.k_train, 3))
         data = gen_example3(np.round(np.concatenate([train, test]), 6), settings.grid_n, seed=seed)
-    else:
-        raise ValueError(f"no sweep family wired for example {settings.example!r}")
-    data.train_idx = np.arange(settings.k_train)
-    data.test_idx = np.arange(settings.k_train, settings.k_train + settings.k_test)
-    data.validate()
-    return data
+    return replace(
+        data,
+        train_idx=np.arange(settings.k_train),
+        test_idx=np.arange(settings.k_train, settings.k_train + settings.k_test),
+    )
 
 
 def run_two_step_once(settings: SweepSettings, seed: int) -> float:
@@ -288,7 +287,8 @@ def sweep_runs(
     axis value, the settings with that value in the axis's field, then
     replicates fresh seeds. Raises ValueError, before any run, for a bad
     axis, values or replicate count, or for run settings that cannot
-    train; the message of a bad setting starts with its field's name."""
+    train (their replace checks them); the message of a bad setting starts
+    with its field's name."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     values = [int(v) for v in values]
@@ -301,7 +301,6 @@ def sweep_runs(
     runs = []
     for i, value in enumerate(values):
         run_settings = replace(settings, **{SWEEP_AXES[axis]: value})
-        run_settings.validate()
         for rep in range(replicates):
             runs.append((run_settings, settings.base_seed + 1000 * i + 10 * rep))
     return runs

@@ -114,14 +114,15 @@ def report_files(report: TrainReport) -> dict:
 
 
 def _adam_loop(
-    step, params: list[np.ndarray], grads: list[np.ndarray], iters: int, cfg: TrainConfig, final
-) -> tuple[list[float], float, object]:
+    step, params: list[np.ndarray], grads: list[np.ndarray], iters: int, cfg: TrainConfig
+) -> list[float]:
     """Full-batch Adam on the arrays in params for iters iterations.
     step(t) writes the gradient at the current parameters into grads, one
     array per parameter array, and returns the loss, for iteration
-    t = 1..iters; returns (trace, *_final_loss(final, iters)). A loss or
-    gradient that is not finite aborts the run with NonFiniteGradientError,
-    so numpy's overflow and invalid-value warnings are silenced inside."""
+    t = 1..iters; returns the trace of those losses. A loss or gradient
+    that is not finite aborts the run with NonFiniteGradientError, so
+    numpy's overflow and invalid-value warnings are silenced inside. The
+    optimizer state is freed on return, before the caller's _final_loss."""
     state = AdamState.for_params(params, lr=cfg.lr)
     trace: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -135,7 +136,7 @@ def _adam_loop(
                 adam_step(params, grads, state)
             except NonFiniteGradientError as exc:
                 raise NonFiniteGradientError(f"{exc} (at iteration {t})") from exc
-    return trace, *_final_loss(final, iters)
+    return trace
 
 
 def _final_loss(final, iters: int) -> tuple[float, object]:
@@ -170,11 +171,11 @@ def train_monolithic(
     def step(t):
         return monolithic_loss_and_grads(model, f_train, u_train, data.y_sensors, work)
 
-    trace, final, _ = _adam_loop(
+    trace = _adam_loop(
         step, [model.trunk.params, model.branch.params],
         [work.fit.trunk.grad, work.branch.grad], cfg.iters_mono, cfg,
-        lambda: (monolithic_loss(model, data), None),
     )
+    final, _ = _final_loss(lambda: (monolithic_loss(model, data), None), cfg.iters_mono)
     report = TrainReport(
         method=METHODS[cfg.method],
         loss_trace=trace,
@@ -226,7 +227,8 @@ def train_trunk_step1(
         return assembled_loss(phi, a, u_train), phi
 
     params, grads = [trunk.params, a], [work.trunk.grad, a_g]
-    trace, loss, phi = _adam_loop(step, params, grads, cfg.iters_trunk, cfg, final)
+    trace = _adam_loop(step, params, grads, cfg.iters_trunk, cfg)
+    loss, phi = _final_loss(final, cfg.iters_trunk)
     return trunk, a, phi, loss, trace
 
 
@@ -282,7 +284,8 @@ def train_branch_step2(
         diff = c - target
         return float(np.sum(diff * diff)) / k, c
 
-    trace, loss, c = _adam_loop(step, [branch.params], [work.grad], cfg.iters_branch, cfg, final)
+    trace = _adam_loop(step, [branch.params], [work.grad], cfg.iters_branch, cfg)
+    loss, c = _final_loss(final, cfg.iters_branch)
     return branch, loss, c, trace
 
 

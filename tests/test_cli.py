@@ -14,7 +14,7 @@ from conftest import recording_pools, run_python
 from operon import cli
 from operon.cli import _SWEEP_SCHEMA, _TRAIN_SCHEMA, _from_config, _load_config, main
 from operon.data import _is_int, load_dataset
-from operon.deeponet import MODEL_KEYS, ModelSpec
+from operon.deeponet import ModelSpec
 from operon.evaluate import SweepSettings
 from operon.train import TrainConfig
 
@@ -857,6 +857,27 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_config_value_of_the_swept_field_is_not_checked(self, tmp_path):
+        # On a 4 x 4 grid the default n_width 20 leaves too few sensors,
+        # but no run of an N sweep uses it.
+        settings = {
+            "example": "ex1", "k_train": 8, "k_test": 4, "grid_n": 4, "trunk_hidden": [6],
+            "branch_hidden": [6], "activation": "tanh", "iters_trunk": 5, "iters_branch": 5,
+        }
+        with pytest.raises(ValueError, match="^n_width 20: "):
+            SweepSettings(**settings)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(settings))
+        out = tmp_path / "x"
+        code = main(
+            ["sweep", "--axis", "N", "--values", "2,3", "--replicates", "3",
+             "--config", str(config), "--out", str(out)]
+        )
+        assert code == 0
+        base = SweepSettings(**{**settings, "n_width": 2, "trunk_hidden": (6,), "branch_hidden": (6,)})
+        table = cli.ev.generalization_sweep(base, "N", [2, 3], 3)
+        assert (out / "sweep.csv").read_bytes() == table.to_csv_text().encode()
+
     def test_pool_is_runs_capped_at_the_cores(self, tmp_path, monkeypatch):
         # Nine runs: as many workers as usable cores, and the same table
         # from one worker.
@@ -1143,7 +1164,7 @@ class TestLoaderFuzz:
     @FUZZ
     def test_model_manifest_types(self, workspace, data):
         manifest = self._manifest(workspace, "model/model.json")
-        key = data.draw(st.sampled_from(MODEL_KEYS))
+        key = data.draw(st.sampled_from(sorted(manifest)))
         value = data.draw(st.none() | _other_type(manifest[key]))
         edited = _apply(manifest, ("drop", key) if value is None else ("set", key, value))
         code, _ = self._eval(workspace, "model/model.json", edited)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -194,7 +196,7 @@ class TestZeroLossPipeline:
 
     def test_zero_output_matrix_error(self):
         data = self._dataset(seed=9)
-        data.u_matrix = np.zeros_like(data.u_matrix)
+        data = replace(data, u_matrix=np.zeros_like(data.u_matrix))
         with pytest.raises(ZeroMatrixError):
             verify_zero_loss_pipeline(data, 2)
 

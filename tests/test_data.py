@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -372,9 +374,8 @@ class TestSplit:
         data = gen_example1(np.linspace(1, 10, 10), 5)
         with pytest.raises(ValueError) as by_fraction:
             split_dataset(data, 0.999)
-        data.train_idx, data.test_idx = np.arange(10), np.arange(0)
         with pytest.raises(ValueError) as by_indices:
-            data.validate()
+            replace(data, train_idx=np.arange(10), test_idx=np.arange(0))
         assert str(by_fraction.value) == str(by_indices.value) == "split leaves the test side empty"
 
 
@@ -391,7 +392,7 @@ class TestSensorSubsampling:
     def test_distinct_sensors_preserved(self):
         data = gen_example1(np.linspace(1, 10, 4), 9)
         sub = subsample_output_sensors(data, 30, seed=1)
-        sub.validate()
+        assert np.unique(sub.y_sensors, axis=0).shape == (30, 2)
 
 
 class TestDatasetIo:
@@ -482,14 +483,20 @@ class TestDatasetIo:
             load_dataset(tmp_path / "d")
 
     def test_duplicate_sensor_rejected(self):
-        data = OperatorDataset(
-            x_sensors=np.zeros((1, 1)),
-            y_sensors=np.array([[0.0, 0.0], [0.0, 0.0]]),
-            f_matrix=np.zeros((2, 1)),
-            u_matrix=np.zeros((2, 2)),
-        )
         with pytest.raises(DuplicateSensorError, match="0 and 1"):
-            data.validate()
+            OperatorDataset(
+                x_sensors=np.zeros((1, 1)),
+                y_sensors=np.array([[0.0, 0.0], [0.0, 0.0]]),
+                f_matrix=np.zeros((2, 1)),
+                u_matrix=np.zeros((2, 2)),
+            )
+
+    def test_no_dataset_breaks_a_rule_after_it_is_made(self):
+        data = split_dataset(gen_example1(np.linspace(1, 10, 6), 5), 0.5, seed=0)
+        with pytest.raises(ValueError, match="^split must partition 0..K-1$"):
+            replace(data, test_idx=data.train_idx)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.u_matrix = np.zeros_like(data.u_matrix)
 
 
 class TestGridCoordinates:
@@ -499,3 +506,17 @@ class TestGridCoordinates:
         # y-major: first three nodes share y = -1
         assert np.array_equal(nodes[:3, 1], [-1.0, -1.0, -1.0])
         assert np.array_equal(nodes[:3, 0], [-1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("grid_n", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda n: gen_example1([1.0, 2.0], n),
+            lambda n: gen_example2([0.5, 2.0], n),
+            lambda n: gen_example3([[1.0, 1.0, 1.0]], n),
+        ],
+        ids=["ex1", "ex2", "ex3"],
+    )
+    def test_every_generator_refuses_a_grid_below_three(self, generate, grid_n):
+        with pytest.raises(ValueError, match=f"^grid_n must be >= 3, got {grid_n}$"):
+            generate(grid_n)

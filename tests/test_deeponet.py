@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +132,7 @@ class TestMonolithicLoss:
         data = _dataset(seed=8)
         phi = assemble_phi(model.trunk, data.y_sensors)
         c = assemble_c(model.branch, data.f_matrix)
-        data.u_matrix = phi @ c
+        data = replace(data, u_matrix=phi @ c)
         assert monolithic_loss(model, data) == pytest.approx(0.0, abs=1e-28)
 
     def test_zero_model_on_ones(self):

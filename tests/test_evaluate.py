@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -138,8 +139,7 @@ def _alive(pid):
 
 def _trained_model(seed=0, width=4, iters=300):
     data = gen_example1(np.linspace(1, 20, 12), 7, seed=seed)
-    data.train_idx = np.arange(9)
-    data.test_idx = np.arange(9, 12)
+    data = replace(data, train_idx=np.arange(9), test_idx=np.arange(9, 12))
     trunk = init_mlp((2, 16, width), "tanh", "he", seed=seed + 1)
     branch = init_mlp((1, 16, width + 1), "tanh", "he", seed=seed + 2)
     model = DeepONetModel(trunk=trunk, branch=branch, t_matrix=None, width=width)
@@ -362,28 +362,37 @@ class TestSweep:
         assert all(replace(run, n_width=settings.n_width) == settings for run, _ in runs)
 
     @pytest.mark.parametrize(
-        "field, settings, values",
+        "field, changes, values",
         [
-            ("base_seed", SweepSettings(base_seed=-5), [4, 5, 6]),
-            ("k_test", SweepSettings(k_test=0), [4, 5, 6]),
-            ("example", SweepSettings(example="ex2"), [4, 5, 6]),
-            ("lr", SweepSettings(lr=0.0), [4, 5, 6]),
-            ("m_y", SweepSettings(grid_n=3, m_y=10), [4, 5, 6]),
-            ("k_train", SweepSettings(), [0, 5, 6]),
-            ("n_width", SweepSettings(grid_n=3, n_width=9), [4, 5, 6]),
+            ("base_seed", {"base_seed": -5}, [4, 5, 6]),
+            ("k_test", {"k_test": 0}, [4, 5, 6]),
+            ("example", {"example": "ex2"}, [4, 5, 6]),
+            ("lr", {"lr": 0.0}, [4, 5, 6]),
+            ("m_y", {"grid_n": 3, "m_y": 10}, [4, 5, 6]),
+            ("k_train", {}, [0, 5, 6]),
+            ("n_width", {"grid_n": 3, "n_width": 9}, [4, 5, 6]),
         ],
         ids=[
             "seed-negative", "k-test-zero", "example-ex2", "lr-zero", "m-y-over-grid",
             "axis-value-zero", "width-over-sensors",
         ],
     )
-    def test_settings_refused_before_workers_start(self, monkeypatch, field, settings, values):
+    def test_settings_refused_before_workers_start(self, monkeypatch, field, changes, values):
+        # Broken base settings are refused when made; a broken swept value
+        # (k_train 0) when sweep_runs makes its run settings.
         def forbidden(*args, **kwargs):
             pytest.fail("a worker pool was made for settings that cannot run")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
         with pytest.raises(ValueError, match=f"^{field} "):
-            generalization_sweep(settings, "K", values, 3, max_workers=2)
+            generalization_sweep(SweepSettings(**changes), "K", values, 3, max_workers=2)
+
+    def test_no_settings_break_a_rule_after_they_are_made(self):
+        with pytest.raises(ValueError, match="^k_test must be >= 1, got 0$"):
+            replace(SweepSettings(), k_test=0)
+        settings = SweepSettings()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            settings.k_test = 0
 
     def test_tiny_sweep_deterministic(self):
         settings = SweepSettings(

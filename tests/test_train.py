@@ -111,7 +111,7 @@ class TestTrunkStep1:
         trunk = init_mlp((2, 8, 3), "tanh", "he", seed=1)
         rng = np.random.default_rng(0)
         a0 = rng.normal(size=(4, 4))
-        data.u_matrix = assemble_phi(trunk, data.y_sensors) @ a0
+        data = replace(data, u_matrix=assemble_phi(trunk, data.y_sensors) @ a0)
         cfg = TrainConfig(iters_trunk=1, ls_refit_every=1, seed=0)
         _, _, _, _, trace = train_trunk_step1(data, trunk, cfg)
         assert trace[0] <= 1e-20
@@ -401,7 +401,7 @@ class TestMonolithic:
 
     def test_zero_problem_stays_zero(self):
         data = _tiny_dataset(seed=17)
-        data.u_matrix = np.zeros_like(data.u_matrix)
+        data = replace(data, u_matrix=np.zeros_like(data.u_matrix))
         model = _tiny_model(seed=17)
         for net in (model.trunk, model.branch):
             net.weights[-1][...] = 0.0
