@@ -8,7 +8,7 @@ import sys
 # A process that loaded numpy before operon keeps the BLAS threads numpy
 # started with; evaluate.generalization_sweep then spawns its workers
 # instead of forking them.
-_NUMPY_LOADED_FIRST = "numpy" in sys.modules
+NUMPY_LOADED_FIRST = "numpy" in sys.modules
 
 # One BLAS thread, so seeded results are the same bytes on any core count.
 # OpenBLAS reads these when numpy loads, so they are set here, before any

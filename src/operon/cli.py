@@ -19,26 +19,21 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate as ev
+from .artifact import check_replaceable, csv_text, is_int, is_positive_int, json_text, write_artifact
 from .construct import verify_zero_loss_pipeline
 from .data import (
     BETA_RANGE_EX1,
     BETA_RANGE_EX2,
     TRIPLET_LATTICE_SIZE,
     OperatorDataset,
-    _is_int,
-    _is_positive_int,
-    check_replaceable,
-    csv_text,
     gen_example1,
     gen_example2,
     gen_example3,
-    json_text,
     load_dataset,
     save_dataset,
     split_count,
     split_dataset,
     triplet_grid_sample,
-    write_artifact,
 )
 from .deeponet import MODEL_MANIFEST, DeepONetModel, ModelSpec, check_width, load_model, model_files
 from .errors import OperonError, ShapeError
@@ -89,10 +84,10 @@ def _parse_value(key: str, kind, value):
             return value
         raise ConfigError(f"config key {key} must be one of {', '.join(args)}, got {value!r}")
     if origin is tuple:
-        if isinstance(value, list) and all(map(_is_positive_int, value)):
+        if isinstance(value, list) and all(map(is_positive_int, value)):
             return tuple(value)
         raise ConfigError(f"config key {key} must be a list of positive ints, got {value!r}")
-    if kind is float and _is_int(value):
+    if kind is float and is_int(value):
         value = float(value)
     if type(value) is not kind:
         raise ConfigError(f"config key {key} must be {kind.__name__}, got {value!r}")

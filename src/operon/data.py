@@ -12,19 +12,22 @@ diagonal is the constant 4, keep the iterates of plain CG.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-import math
-import os
-import reprlib
-import shutil
-import uuid
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .artifact import (
+    DTYPE,
+    blob,
+    check_fields,
+    is_int,
+    is_positive_int,
+    json_text,
+    read_blob,
+    read_manifest,
+    write_artifact,
+)
 from .errors import (
     CorruptDatasetError,
     DuplicateSensorError,
@@ -32,6 +35,7 @@ from .errors import (
     ShapeError,
     SolverError,
 )
+from .linalg import check_distinct_sensors
 
 BETA_RANGE_EX1 = (1.0, 1000.0)
 BETA_RANGE_EX2 = (0.01, 10.0)
@@ -103,17 +107,6 @@ class OperatorDataset:
 
     def train_u(self) -> np.ndarray:
         return self.u_matrix[:, self._train_indices()]
-
-
-def check_distinct_sensors(points: np.ndarray) -> None:
-    """Raise DuplicateSensorError (naming the indices) on exact row ties."""
-    order = np.lexsort(points.T)
-    sorted_pts = points[order]
-    same = np.all(sorted_pts[1:] == sorted_pts[:-1], axis=1)
-    if np.any(same):
-        where = int(np.argmax(same))
-        i, j = int(order[where]), int(order[where + 1])
-        raise DuplicateSensorError(f"sensors {min(i, j)} and {max(i, j)} coincide")
 
 
 def grid_coordinates(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -493,136 +486,17 @@ def subsample_output_sensors(data: OperatorDataset, m_y: int, seed: int = 0) -> 
     )
 
 
-def check_replaceable(directory, manifest: str) -> None:
-    """Raise FileExistsError unless `directory` is absent, empty or holds
-    an artifact of the same kind (its `manifest` file), so a mistyped path
-    cannot wipe unrelated files. Commands call it before their work too."""
-    directory = Path(directory)
-    if (
-        directory.exists()
-        and any(directory.iterdir())
-        and not (directory / manifest).is_file()
-    ):
-        raise FileExistsError(
-            f"{directory} is not empty and holds no {manifest}; not replacing it"
-        )
-
-
-def write_artifact(directory, manifest: str, files: dict) -> None:
-    """Write `files` (file name -> str or bytes-like content) as the whole
-    content of `directory`.
-
-    The files go into a fresh hidden sibling directory, which is then
-    renamed into the place of `directory`: a failure part-way leaves the
-    previous artifact whole and no temporary directory behind. An existing
-    `directory` is replaced only when check_replaceable allows it."""
-    directory = Path(os.path.abspath(directory))
-    check_replaceable(directory, manifest)
-    directory.parent.mkdir(parents=True, exist_ok=True)
-    tmp = directory.with_name(f".{directory.name}.{uuid.uuid4().hex}")
-    tmp.mkdir()
-    try:
-        for name, content in files.items():
-            (tmp / name).write_bytes(content.encode() if isinstance(content, str) else content)
-        if directory.exists():
-            # POSIX cannot swap two directories in one rename, so the old
-            # one steps aside first and comes back if the swap fails.
-            old = tmp.with_name(tmp.name + ".old")
-            os.rename(directory, old)
-            try:
-                os.rename(tmp, directory)
-            except OSError:
-                os.rename(old, directory)
-                raise
-            shutil.rmtree(old)
-        else:
-            os.rename(tmp, directory)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-def json_text(obj) -> str:
-    """The text of every JSON artifact: indented, keys sorted, one final
-    newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def csv_text(header, rows) -> str:
-    """The text of every CSV artifact (csv.writer defaults, CRLF lines)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _blob(arr: np.ndarray) -> np.ndarray:
-    """The bytes-like content of a blob file: arr as little-endian float64,
-    row-major; a view when arr already is."""
-    return np.ascontiguousarray(arr, dtype="<f8")
-
-
-def _read_blob(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    """A little-endian float64 blob of the given shape; its length must
-    match and every entry must be finite."""
-    expected = math.prod(shape) * 8
-    raw = path.read_bytes()
-    if len(raw) != expected:
-        raise CorruptDatasetError(
-            f"{path.name}: expected {expected} bytes for shape {shape}, got {len(raw)}"
-        )
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    if not np.all(np.isfinite(arr)):
-        raise CorruptDatasetError(f"{path.name} contains NaN or Inf")
-    return arr
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_positive_int(value) -> bool:
-    return _is_int(value) and value >= 1
-
-
-def check_fields(manifest, name: str, rules: dict) -> None:
-    """Raise CorruptDatasetError unless manifest, the parsed file `name`, is
-    a JSON object that holds every key of rules with a value passing its
-    rule; rules maps a key to (test, what the value must be)."""
-    if not isinstance(manifest, dict):
-        raise CorruptDatasetError(f"{name} must hold a JSON object")
-    for key, (test, what) in rules.items():
-        if key not in manifest:
-            raise CorruptDatasetError(f"{name} missing key {key!r}")
-        if not test(manifest[key]):
-            raise CorruptDatasetError(f"{name} {key} must be {what}, got {reprlib.repr(manifest[key])}")
-
-
-# The dtype tag of every artifact's blobs: little-endian float64.
-DTYPE_RULE = (lambda value: value == "f64le", "'f64le'")
-_DATASET_RULES = {
-    **dict.fromkeys(("m_x", "m_y", "K", "d_x", "d_y"), (_is_positive_int, "a positive int")),
-    "dtype": DTYPE_RULE,
-}
-_INT_LIST = (lambda value: isinstance(value, list) and all(map(_is_int, value)), "a list of ints")
-
-
-def _check_manifest(manifest) -> None:
-    """Schema of manifest.json: positive int sizes, the blob dtype tag, an
-    optional params object, and a split that is null or lists int train
-    and test indices (whether they partition 0..K-1 is OperatorDataset's
-    check)."""
-    check_fields(manifest, "manifest.json", _DATASET_RULES)
-    if not isinstance(manifest.get("params", {}), dict):
-        raise CorruptDatasetError("manifest.json params must be a JSON object")
-    split = manifest.get("split")
-    if split is not None:
-        check_fields(split, "manifest.json split", dict.fromkeys(("train", "test"), _INT_LIST))
+# The schema of manifest.json: positive int sizes (and the dtype tag that
+# read_manifest adds), an optional params object, and a split that is null
+# or lists int train and test indices; whether they partition 0..K-1 is
+# OperatorDataset's check.
+_DATASET_RULES = dict.fromkeys(("m_x", "m_y", "K", "d_x", "d_y"), (is_positive_int, "a positive int"))
+_INT_LIST = (lambda value: isinstance(value, list) and all(map(is_int, value)), "a list of ints")
 
 
 def save_dataset(data: OperatorDataset, directory) -> None:
     """Write manifest.json plus little-endian float64 blobs into a
-    directory that is replaced as a whole (see write_artifact)."""
+    directory that is replaced as a whole (see artifact.write_artifact)."""
     manifest = {
         "name": data.meta.get("generator", "dataset"),
         "generator": data.meta.get("generator"),
@@ -634,7 +508,7 @@ def save_dataset(data: OperatorDataset, directory) -> None:
         "m_x": int(data.m_x),
         "m_y": int(data.m_y),
         "K": int(data.n_samples),
-        "dtype": "f64le",
+        "dtype": DTYPE,
         "split": None
         if data.train_idx is None
         else {
@@ -647,44 +521,34 @@ def save_dataset(data: OperatorDataset, directory) -> None:
         "manifest.json",
         {
             "manifest.json": json_text(manifest),
-            "x_sensors.bin": _blob(data.x_sensors),
-            "y_sensors.bin": _blob(data.y_sensors),
-            "F.bin": _blob(data.f_matrix),
-            "U.bin": _blob(data.u_matrix),
+            "x_sensors.bin": blob(data.x_sensors),
+            "y_sensors.bin": blob(data.y_sensors),
+            "F.bin": blob(data.f_matrix),
+            "U.bin": blob(data.u_matrix),
         },
     )
 
 
-def _read_manifest(directory: Path, name: str):
-    """The parsed JSON file `name` in an artifact directory. A missing file,
-    bytes that are not UTF-8 and JSON that is malformed or nested too deeply
-    to parse all raise CorruptDatasetError."""
-    path = directory / name
-    if not path.exists():
-        raise CorruptDatasetError(f"missing {name} in {directory}")
-    try:
-        return json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise CorruptDatasetError(f"unreadable {name}: {exc}") from exc
-
-
 def load_dataset(directory) -> OperatorDataset:
     directory = Path(directory)
-    manifest = _read_manifest(directory, "manifest.json")
-    _check_manifest(manifest)
+    manifest = read_manifest(directory, "manifest.json", _DATASET_RULES)
+    if not isinstance(manifest.get("params", {}), dict):
+        raise CorruptDatasetError("manifest.json params must be a JSON object")
+    split = manifest.get("split")
+    if split is not None:
+        check_fields(split, "manifest.json split", dict.fromkeys(("train", "test"), _INT_LIST))
     m_x, m_y, k = manifest["m_x"], manifest["m_y"], manifest["K"]
     d_x, d_y = manifest["d_x"], manifest["d_y"]
 
-    split = manifest.get("split")
     try:
         return OperatorDataset(
-            x_sensors=_read_blob(directory / "x_sensors.bin", (m_x, d_x)),
-            y_sensors=_read_blob(directory / "y_sensors.bin", (m_y, d_y)),
-            f_matrix=_read_blob(directory / "F.bin", (k, m_x)),
-            u_matrix=_read_blob(directory / "U.bin", (m_y, k)),
+            x_sensors=read_blob(directory / "x_sensors.bin", (m_x, d_x)),
+            y_sensors=read_blob(directory / "y_sensors.bin", (m_y, d_y)),
+            f_matrix=read_blob(directory / "F.bin", (k, m_x)),
+            u_matrix=read_blob(directory / "U.bin", (m_y, k)),
             train_idx=None if split is None else np.asarray(split["train"], dtype=np.int64),
             test_idx=None if split is None else np.asarray(split["test"], dtype=np.int64),
             meta={"generator": manifest.get("generator"), **manifest.get("params", {})},
         )
-    except (ShapeError, ValueError, OverflowError) as exc:
+    except (ShapeError, DuplicateSensorError, ValueError, OverflowError) as exc:
         raise CorruptDatasetError(f"dataset fails validation: {exc}") from exc

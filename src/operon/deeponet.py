@@ -15,17 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import (
-    DTYPE_RULE,
-    OperatorDataset,
-    _blob,
-    _is_positive_int,
-    _read_blob,
-    _read_manifest,
-    check_fields,
-    json_text,
-    write_artifact,
-)
+from .artifact import DTYPE, blob, is_positive_int, json_text, read_blob, read_manifest, write_artifact
+from .data import OperatorDataset
 from .errors import CorruptDatasetError, ShapeError
 from .nn import Mlp
 
@@ -197,10 +188,10 @@ def monolithic_loss_and_grads(
 
 
 MODEL_MANIFEST = "model.json"
-# The schema of model.json. Whether the widths agree with each other is
-# DeepONetModel.validate's check.
+# The schema of model.json, less the dtype tag that read_manifest adds.
+# Whether the widths agree with each other is DeepONetModel.validate's check.
 _ARCH = (
-    lambda value: isinstance(value, list) and len(value) >= 2 and all(map(_is_positive_int, value)),
+    lambda value: isinstance(value, list) and len(value) >= 2 and all(map(is_positive_int, value)),
     "a list of >= 2 positive ints",
 )
 _ACTIVATION = (lambda value: value in nn.ACTIVATIONS, f"one of {nn.ACTIVATIONS}")
@@ -209,17 +200,16 @@ _MODEL_RULES = {
     "branch_arch": _ARCH,
     "trunk_activation": _ACTIVATION,
     "branch_activation": _ACTIVATION,
-    "width": (_is_positive_int, "a positive int"),
+    "width": (is_positive_int, "a positive int"),
     "has_t_matrix": (lambda value: isinstance(value, bool), "a bool"),
-    "dtype": DTYPE_RULE,
 }
 
 
 def _unpack_mlp(directory: Path, manifest: dict, name: str) -> Mlp:
     """The sub-network `name` (trunk or branch) of a model directory."""
     arch = tuple(manifest[f"{name}_arch"])
-    flat = _read_blob(directory / f"{name}.bin", (nn._param_size(arch),))
-    return Mlp(arch, *nn._layer_views(flat, arch), manifest[f"{name}_activation"])
+    flat = read_blob(directory / f"{name}.bin", (nn.param_size(arch),))
+    return Mlp(arch, *nn.layer_views(flat, arch), manifest[f"{name}_activation"])
 
 
 def model_files(model: DeepONetModel) -> dict:
@@ -233,28 +223,27 @@ def model_files(model: DeepONetModel) -> dict:
         "branch_activation": model.branch.activation,
         "width": model.width,
         "has_t_matrix": model.t_matrix is not None,
-        "dtype": "f64le",
+        "dtype": DTYPE,
     }
     files = {
         MODEL_MANIFEST: json_text(manifest),
-        "trunk.bin": _blob(model.trunk.params),
-        "branch.bin": _blob(model.branch.params),
+        "trunk.bin": blob(model.trunk.params),
+        "branch.bin": blob(model.branch.params),
     }
     if model.t_matrix is not None:
-        files["t_matrix.bin"] = _blob(model.t_matrix)
+        files["t_matrix.bin"] = blob(model.t_matrix)
     return files
 
 
 def save_model(model: DeepONetModel, directory) -> None:
     """Write model_files into a directory that is replaced as a whole (see
-    data.write_artifact)."""
+    artifact.write_artifact)."""
     write_artifact(directory, MODEL_MANIFEST, model_files(model))
 
 
 def load_model(directory) -> DeepONetModel:
     directory = Path(directory)
-    manifest = _read_manifest(directory, MODEL_MANIFEST)
-    check_fields(manifest, MODEL_MANIFEST, _MODEL_RULES)
+    manifest = read_manifest(directory, MODEL_MANIFEST, _MODEL_RULES)
     trunk = _unpack_mlp(directory, manifest, "trunk")
     branch = _unpack_mlp(directory, manifest, "branch")
     model = DeepONetModel(trunk, branch, None, manifest["width"])
@@ -265,7 +254,7 @@ def load_model(directory) -> DeepONetModel:
     # The widths agree, so T is read at the size the networks need.
     if manifest["has_t_matrix"]:
         n1 = model.width + 1
-        model.t_matrix = _read_blob(directory / "t_matrix.bin", (n1, n1))
+        model.t_matrix = read_blob(directory / "t_matrix.bin", (n1, n1))
     elif (directory / "t_matrix.bin").exists():
         raise CorruptDatasetError(
             f"{MODEL_MANIFEST} has_t_matrix is false but t_matrix.bin exists"

@@ -14,15 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _NUMPY_LOADED_FIRST, linalg, nn
-from .data import (
-    TRIPLET_RANGE_EX3,
-    OperatorDataset,
-    csv_text,
-    gen_example1,
-    gen_example3,
-    subsample_output_sensors,
-)
+from . import NUMPY_LOADED_FIRST, linalg, nn
+from .artifact import csv_text
+from .data import TRIPLET_RANGE_EX3, OperatorDataset, gen_example1, gen_example3, subsample_output_sensors
 from .deeponet import DeepONetModel, ModelSpec, assemble_c, check_width, model_basis, predict
 from .train import TrainConfig, train_two_step
 
@@ -321,10 +315,10 @@ def generalization_sweep(
     table is the same at any worker count and on any core count. The
     workers are forked for this sweep and exit with it, so sweeps need the
     fork start method (Linux); Python 3.12 and later warn when a process
-    forks while it holds other threads. A process that loaded numpy before operon spawns its workers
-    instead, so only such a script needs the `if __name__ == "__main__":`
-    guard. A failing sweep raises the error of its first failing run in
-    table order."""
+    forks while it holds other threads. A process that loaded numpy
+    before operon spawns its workers instead, so only such a script needs
+    the `if __name__ == "__main__":` guard. A failing sweep raises the
+    error of its first failing run in table order."""
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     jobs = sweep_runs(settings, axis, values, replicates)
@@ -336,7 +330,7 @@ def generalization_sweep(
     # Forked workers inherit the one BLAS thread of a process whose numpy
     # operon loaded; one that loaded numpy first has its own BLAS threads,
     # so its workers are spawned and load numpy under operon's pin.
-    method = "spawn" if _NUMPY_LOADED_FIRST else "fork"
+    method = "spawn" if NUMPY_LOADED_FIRST else "fork"
     # The pool starts every worker at the first submit; more than the cores add nothing.
     width = min(len(jobs), len(os.sched_getaffinity(0)), max_workers or len(jobs))
     with ProcessPoolExecutor(width, mp_context=get_context(method)) as pool:

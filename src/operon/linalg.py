@@ -1,6 +1,6 @@
 """Dense linear algebra kernels: Householder QR, one-sided Jacobi SVD
 (round-robin sweeps of disjoint column-pair rotations), triangular and
-least-squares solves.
+least-squares solves, and the exact row-tie check of point sets.
 
 Matrices are plain 2-D float64 numpy arrays (row-major). All routines here
 are written out explicitly rather than delegating to LAPACK so that the
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DuplicateSensorError,
     RankDeficientError,
     ShapeError,
     SingularTriangularError,
@@ -36,6 +37,17 @@ def as_matrix(a) -> np.ndarray:
 
 def frobenius(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(a * a)))
+
+
+def check_distinct_sensors(points: np.ndarray) -> None:
+    """Raise DuplicateSensorError (naming the indices) on exact row ties."""
+    order = np.lexsort(points.T)
+    sorted_pts = points[order]
+    same = np.all(sorted_pts[1:] == sorted_pts[:-1], axis=1)
+    if np.any(same):
+        where = int(np.argmax(same))
+        i, j = int(order[where]), int(order[where + 1])
+        raise DuplicateSensorError(f"sensors {min(i, j)} and {max(i, j)} coincide")
 
 
 def _require_finite(a: np.ndarray, what: str) -> np.ndarray:

@@ -25,8 +25,8 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .data import check_distinct_sensors
 from .errors import DuplicateSensorError, ShapeError
+from .linalg import check_distinct_sensors
 
 Activation = Literal["relu", "tanh"]
 InitScheme = Literal["he", "xavier"]
@@ -34,7 +34,7 @@ ACTIVATIONS = get_args(Activation)
 INIT_SCHEMES = get_args(InitScheme)
 
 
-def _layer_views(flat: np.ndarray, arch: tuple[int, ...]):
+def layer_views(flat: np.ndarray, arch: tuple[int, ...]):
     """Views (weights, biases) into a flat vector laid out as W1, b1, W2,
     b2, ... with each W row-major: the layout of params and trunk.bin."""
     weights, biases = [], []
@@ -47,7 +47,8 @@ def _layer_views(flat: np.ndarray, arch: tuple[int, ...]):
     return weights, biases
 
 
-def _param_size(arch) -> int:
+def param_size(arch) -> int:
+    """The length of a flat parameter vector of architecture arch."""
     return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(arch[:-1], arch[1:]))
 
 
@@ -63,8 +64,8 @@ class Mlp:
             raise ValueError(f"unknown activation {activation!r}")
         self.arch = tuple(int(w) for w in arch)
         self.activation = activation
-        self.params = np.empty(_param_size(self.arch))
-        self.weights, self.biases = _layer_views(self.params, self.arch)
+        self.params = np.empty(param_size(self.arch))
+        self.weights, self.biases = layer_views(self.params, self.arch)
         if len(weights) != len(self.weights) or len(biases) != len(self.biases):
             raise ShapeError(f"arch {self.arch} has {len(self.weights)} layers")
         for view, arr in zip(self.weights + self.biases, [*weights, *biases]):
@@ -177,7 +178,7 @@ def backward(net: Mlp, x, upstream, work: Workspace) -> np.ndarray:
             f"({x.shape[0]}, {net.arch[-1]})"
         )
     work.check(net, x.shape[0])
-    dweights, dbiases = _layer_views(work.grad, net.arch)
+    dweights, dbiases = layer_views(work.grad, net.arch)
     delta = upstream
     for l in range(len(net.weights) - 1, -1, -1):
         inp = x if l == 0 else work.acts[l - 1]

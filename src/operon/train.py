@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg, nn
-from .data import OperatorDataset, csv_text, json_text
+from .artifact import csv_text, json_text
+from .data import OperatorDataset
 from .deeponet import (
     DeepONetModel,
     FitWork,

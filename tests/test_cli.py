@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from conftest import recording_pools, run_python
 from operon import cli
 from operon.cli import _SWEEP_SCHEMA, _TRAIN_SCHEMA, _from_config, _load_config, main
-from operon.data import _is_int, load_dataset
+from operon.artifact import is_int
+from operon.data import load_dataset
 from operon.deeponet import ModelSpec
 from operon.evaluate import SweepSettings
 from operon.train import TrainConfig
@@ -726,6 +727,15 @@ class TestCertify:
         code = main(["certify", "--data", str(broken), "--N", "4"])
         assert code == 1
 
+    def test_repeated_sensor_in_stored_dataset_exits_1(self, nine_sensor_dir, tmp_path, capsys):
+        broken = shutil.copytree(nine_sensor_dir, tmp_path / "broken")
+        raw = (broken / "y_sensors.bin").read_bytes()
+        # Row 1 (bytes 16-31 of a 9 x 2 float64 blob) becomes row 0.
+        (broken / "y_sensors.bin").write_bytes(raw[:16] * 2 + raw[32:])
+        code = main(["certify", "--data", str(broken), "--N", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: dataset fails validation: sensors 0 and 1 coincide\n"
+
 
 class TestSweep:
     def _sweep_config(self, tmp_path):
@@ -1075,9 +1085,9 @@ _JSON = st.recursive(
 def _near(value):
     """Values close to a valid one: off-by-one and extreme ints, an int
     list with one entry changed or dropped, and the other JSON types."""
-    if _is_int(value):
+    if is_int(value):
         return st.sampled_from([value - 1, value + 1, 0, -value, 2**63]) | _JSON
-    if isinstance(value, list) and value and all(map(_is_int, value)):
+    if isinstance(value, list) and value and all(map(is_int, value)):
         edits = st.tuples(st.integers(0, len(value) - 1), st.integers(-3, 2**64))
         return edits.map(lambda e: value[: e[0]] + [e[1]] + value[e[0] + 1:]) | st.just(value[:-1]) | _JSON
     return _JSON
@@ -1102,7 +1112,7 @@ def _apply(manifest, mutation):
 def _other_type(value):
     """A JSON value whose JSON type differs from value's (bool and int count
     as different; null is left out because a null split is valid)."""
-    kind = lambda v: "int" if _is_int(v) else type(v).__name__
+    kind = lambda v: "int" if is_int(v) else type(v).__name__
     return _JSON.filter(lambda v: v is not None and kind(v) != kind(value))
 
 

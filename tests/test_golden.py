@@ -2,7 +2,8 @@
 golden.json, so a change that moves any seeded byte fails here.
 
 The digests hold for one numerical environment: the numpy version, its
-OpenBLAS build and the CPU features numpy dispatches on. Under another
+OpenBLAS build, the OpenBLAS kernel that OPENBLAS_CORETYPE forces and the
+CPU features numpy dispatches on. Under another
 fingerprint the test skips and names what differs; that is its only skip.
 A change that moves seeded bytes on purpose rewrites the file with
 
@@ -42,8 +43,9 @@ _SWEEP_CONFIG = {
 
 
 def fingerprint() -> dict:
-    """The numpy version, its OpenBLAS configuration and the CPU features
-    numpy reports: what the seeded bytes depend on besides operon."""
+    """The numpy version, its OpenBLAS configuration, the OpenBLAS kernel
+    forced at run time and the CPU features numpy reports: what the seeded
+    bytes depend on besides operon."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy < 2
@@ -52,8 +54,20 @@ def fingerprint() -> dict:
     return {
         "numpy": np.__version__,
         "openblas": blas.get("openblas configuration"),
+        "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
         "cpu_features": sorted(name for name, on in __cpu_features__.items() if on),
     }
+
+
+def differences(golden: dict) -> list[str]:
+    """Each entry of this fingerprint that differs from golden's; a key
+    that golden lacks reads as None, the value of an unset variable."""
+    here = fingerprint()
+    return [
+        f"{key}: golden {golden.get(key)!r}, here {here[key]!r}"
+        for key in here
+        if here[key] != golden.get(key)
+    ]
 
 
 def _digest(path: Path) -> str:
@@ -100,12 +114,7 @@ def outputs(root: Path) -> dict:
 
 def test_seeded_outputs_match_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    here = fingerprint()
-    differs = [
-        f"{key}: golden {golden['fingerprint'][key]!r}, here {here[key]!r}"
-        for key in here
-        if here[key] != golden["fingerprint"][key]
-    ]
+    differs = differences(golden["fingerprint"])
     if differs:
         pytest.skip("golden.json holds digests of another environment; " + "; ".join(differs))
     digests = outputs(tmp_path)
@@ -118,6 +127,16 @@ def test_seeded_outputs_match_golden(tmp_path):
         f"seeded bytes moved in {', '.join(moved)}; if on purpose, rewrite "
         f"with `PYTHONPATH=src python tests/test_golden.py --rewrite`"
     )
+
+
+def test_forced_openblas_kernel_is_another_environment(monkeypatch):
+    # The variable picks the kernel when numpy loads, and the kernel can
+    # move seeded bytes, so a set one is compared with golden's.
+    golden = json.loads(GOLDEN.read_text())["fingerprint"]
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    assert not [d for d in differences(golden) if d.startswith("openblas_coretype")]
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    assert "openblas_coretype: golden None, here 'Haswell'" in differences(golden)
 
 
 if __name__ == "__main__":

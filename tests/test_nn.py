@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import gradcheck, run_python
-from operon.data import _blob
+from operon.artifact import blob
 from operon.errors import ShapeError
 from operon.nn import (
     Mlp,
@@ -204,7 +204,7 @@ class TestParams:
         net.biases[0][1] = -2.0
         assert net.params[11] == -1.0 and net.params[7] == -2.0
         # The network blob is the bytes of params.
-        assert np.frombuffer(_blob(net.params), dtype="<f8")[11] == -1.0
+        assert np.frombuffer(blob(net.params), dtype="<f8")[11] == -1.0
         # The constructor copies: the caller's arrays are not aliased.
         assert w2[0, 2] == 11.0 and b1[1] == 7.0
         w1[0, 0] = 100.0
