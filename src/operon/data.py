@@ -3,11 +3,12 @@
 Output fields are produced by a 5-point finite-difference Poisson solver.
 The nonlinear conductivity cases (kappa * p) are reduced to a linear solve
 through the substitution w = p^2, which is exact whenever p > 0. The
-linear systems go through one Jacobi-preconditioned conjugate gradient
-that solves a stack of them in lockstep; ex2 solves its betas as such
-stacks. The diagonal preconditioner about halves ex2's iterations across
-its conductivity jump, and the Poisson solves of ex1 and ex3, whose
-diagonal is the constant 4, keep the iterates of plain CG.
+linear systems go through one preconditioned conjugate gradient that
+solves a stack of them in lockstep. ex2 solves its betas as such stacks,
+preconditioned by its operator at beta = 1, which fast diagonalization
+inverts exactly (Concus & Golub 1973; Lynch, Rice & Thomas 1964), so its
+iterations hardly grow with the grid; the Poisson solves of ex1 and ex3,
+whose diagonal is the constant 4, keep the iterates of plain CG.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def solve_poisson_fd(grid_n: int, f_values, g_boundary) -> np.ndarray:
 
     # The diagonal is 4 throughout, and its exact inverse 1/4 leaves every
     # iterate that of plain CG.
-    w[inner, inner] = _conjugate_gradient(lambda systems: (apply_op, 0.25), rhs[None])[0]
+    w[inner, inner] = _conjugate_gradient(lambda systems: (apply_op, lambda r: r * 0.25), rhs[None])[0]
     return w
 
 
@@ -184,26 +185,26 @@ CG_RTOL = 1e-12
 
 def _conjugate_gradient(operator, rhs: np.ndarray) -> np.ndarray:
     """Solve a stack of independent SPD systems A_b u_b = rhs[b] in lockstep
-    by Jacobi-preconditioned conjugate gradients (Saad, Iterative Methods
-    for Sparse Linear Systems, 2nd ed., SIAM 2003, chapter 9).
+    by preconditioned conjugate gradients (Saad, Iterative Methods for
+    Sparse Linear Systems, 2nd ed., SIAM 2003, chapter 9).
 
-    operator(systems) returns (apply_op, inv_diag) for the listed systems
-    (indices into the stack): apply_op applies their operators to a stack
-    of vectors shaped like theirs in rhs, and inv_diag, which broadcasts
-    against that stack, holds the inverses of their diagonals. Each system
-    runs the preconditioned recurrence on its own numbers and leaves the
-    stack once its unpreconditioned residual meets its tolerance; operator
-    is called again only then. An inv_diag that is one power of two (1/4
-    for the 5-point Laplacian) gives the iterates of plain CG bit for bit.
-    A failing system raises SolverError carrying its index.
+    operator(systems) returns (apply_op, precondition) for the listed
+    systems (indices into the stack): apply_op applies their operators, and
+    precondition the inverses of their SPD preconditioners, to a stack of
+    vectors shaped like theirs in rhs. Each system runs the preconditioned
+    recurrence on its own numbers and leaves the stack once its
+    unpreconditioned residual meets its tolerance; operator is called again
+    only then. A precondition that multiplies by one power of two (1/4 for
+    the 5-point Laplacian) gives the iterates of plain CG bit for bit. A
+    failing system raises SolverError carrying its index.
     """
     per_system = (slice(None),) + (None,) * (rhs.ndim - 1)
     systems = np.arange(rhs.shape[0])
-    apply_op, inv_diag = operator(systems)
+    apply_op, precondition = operator(systems)
     solution = np.zeros_like(rhs)
     u = np.zeros_like(rhs)
     r = rhs - apply_op(u)
-    p = r * inv_diag
+    p = precondition(r)
     rr = _row_sums(r * r)
     rz = _row_sums(r * p)
     target = CG_RTOL * np.maximum(1.0, np.sqrt(_row_sums(rhs * rhs)))
@@ -218,7 +219,7 @@ def _conjugate_gradient(operator, rhs: np.ndarray) -> np.ndarray:
             systems, u, r, p, rr, rz, target = (
                 a[keep] for a in (systems, u, r, p, rr, rz, target)
             )
-            apply_op, inv_diag = operator(systems)
+            apply_op, precondition = operator(systems)
         if iteration == max_iter:
             raise SolverError(
                 f"conjugate gradient stalled at residual {np.sqrt(rr[0]):.3e}",
@@ -236,7 +237,7 @@ def _conjugate_gradient(operator, rhs: np.ndarray) -> np.ndarray:
         u += alpha[per_system] * p
         r -= alpha[per_system] * ap
         rr = _row_sums(r * r)
-        z = r * inv_diag
+        z = precondition(r)
         rz_new = _row_sums(r * z)
         p = z + (rz_new / rz)[per_system] * p
         rz = rz_new
@@ -291,10 +292,11 @@ def _disk_kappa(x: np.ndarray, y: np.ndarray, beta: float | np.ndarray) -> np.nd
 
 
 # Betas per stacked Darcy solve in gen_example2. For 100 betas on grid 33
-# under the preconditioned CG, one stack of all of them ran about 14% slower
-# than blocks of 32, and blocks of 16 ran no faster (medians of 6
-# alternating rounds on a 2-core x86 host); a larger stack also holds more
-# memory at its peak.
+# under the beta = 1 preconditioner, blocks of 32 took 39-44 ms, blocks of
+# 16 about 3% longer and one stack of all 100 about 17% longer (medians of
+# 20-30 alternating rounds on a 2-core x86 host); on grid 65 blocks of 16
+# were about 13% faster than 32. A larger stack also holds more memory at
+# its peak.
 DARCY_BLOCK = 32
 
 
@@ -332,6 +334,23 @@ def gen_example2(betas, grid_n: int, seed: int = 0) -> OperatorDataset:
     )
 
 
+def _beta_one_eigenbases(q: int):
+    """Orthonormal eigenvectors (as columns) and eigenvalues of the two
+    1-D second differences whose Kronecker sum is _solve_mixed_darcy's
+    operator on q x q interior nodes at beta = 1, as ((Q_y, lam_y), (Q_x,
+    lam_x)). T_y is Neumann at the bottom and Dirichlet past the top
+    (diagonal 1, 2, ..., 2); T_x is Neumann at both sides (diagonal 1, 2,
+    ..., 2, 1). Both have the eigenvectors cos(theta_k (j + 1/2)) with
+    eigenvalues 2 - 2 cos(theta_k) (Lynch, Rice & Thomas 1964)."""
+    k = np.arange(q)
+    bases = []
+    for theta in (np.pi * (2 * k + 1) / (2 * q + 1), np.pi * k / q):
+        basis = np.cos(np.outer(k + 0.5, theta))
+        basis /= np.sqrt(np.sum(basis * basis, axis=0))
+        bases.append((basis, 2.0 - 2.0 * np.cos(theta)))
+    return bases
+
+
 def _solve_mixed_darcy(n: int, axis: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """Mixed-boundary Darcy solves for gen_example2, one per beta, returned
     as a stack of full n x n grids.
@@ -339,7 +358,8 @@ def _solve_mixed_darcy(n: int, axis: np.ndarray, betas: np.ndarray) -> np.ndarra
     Boundary handling: Dirichlet p=0 on the top row; one-sided flux
     stencils eliminate the bottom (unit inward flux) and side (no-flux)
     boundary nodes, leaving symmetric positive-definite interior systems
-    solved together by conjugate gradients.
+    solved together by conjugate gradients, preconditioned by the
+    operator at beta = 1.
     """
     h = axis[1] - axis[0]
 
@@ -360,7 +380,15 @@ def _solve_mixed_darcy(n: int, axis: np.ndarray, betas: np.ndarray) -> np.ndarra
     k_w = np.pad(k_e[..., :-1], ((0, 0), (0, 0), (1, 0)))
     k_s = np.pad(k_n[:, :-1], ((0, 0), (1, 0), (0, 0)))
     diag = k_e + k_w + k_n + k_s
-    inv_diag = 1.0 / diag
+    # At beta = 1 every face carries 1, and the operator is the Kronecker
+    # sum M = T_y (x) I + I (x) T_x, so M^-1 r = Q_y [(Q_y^T r Q_x) /
+    # (lam_y (+) lam_x)] Q_x^T: four q x q products per system.
+    (q_y, lam_y), (q_x, lam_x) = _beta_one_eigenbases(n - 2)
+    q_yt, q_xt = q_y.T.copy(), q_x.T.copy()
+    inv_lam = 1.0 / (lam_y[:, None] + lam_x)
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        return q_y @ ((q_yt @ r @ q_x) * inv_lam) @ q_xt
 
     rhs = np.zeros_like(xx)
     rhs[0, :] += 1.0 / h  # inward unit flux across the bottom boundary
@@ -377,7 +405,7 @@ def _solve_mixed_darcy(n: int, axis: np.ndarray, betas: np.ndarray) -> np.ndarra
             out[..., :-1, :] -= kn * p[..., 1:, :]
             return out
 
-        return apply_op, inv_diag[systems]
+        return apply_op, precondition
 
     p_int = _conjugate_gradient(operator, np.repeat((rhs * h * h)[None], betas.size, axis=0))
 

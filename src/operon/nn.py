@@ -240,8 +240,15 @@ def find_separating_direction(points, seed: int = 0) -> SeparatingDirection:
     dirs = rng.normal(size=(n_trials, d))
     dirs /= np.sqrt(np.sum(dirs * dirs, axis=1))[:, None]
     projections = y @ dirs.T  # n x n_trials
-    projections.sort(axis=0)
-    gaps = np.min(np.diff(projections, axis=0), axis=0)
+    # Sort each trial's projections within contiguous blocks of trials:
+    # sorting the strided columns of projections in place gives the same
+    # gaps in about twice the time.
+    gaps = np.empty(n_trials)
+    for start in range(0, n_trials, 64):
+        trials = slice(start, start + 64)
+        block = projections[:, trials].T.copy()
+        block.sort(axis=1)
+        gaps[trials] = np.min(block[:, 1:] - block[:, :-1], axis=1)
     best = int(np.argmax(gaps))
     if gaps[best] <= 0.0:
         raise DuplicateSensorError(

@@ -47,6 +47,22 @@ class TestSeparatingDirection:
         with pytest.raises(DuplicateSensorError, match="0 and 1"):
             find_separating_direction(y, seed=0)
 
+    @pytest.mark.parametrize("shape", [(289, 2), (180, 1), (50, 1089)])
+    def test_blocked_search_equals_one_shot_sort(self, shape):
+        # The search sorts its trials in blocks; sorting every trial's
+        # projections at once must give the same direction and scale, bit
+        # for bit.
+        y = np.random.default_rng(2).uniform(-1, 1, shape)
+        d = find_separating_direction(y, seed=3)
+        dirs = np.random.default_rng(3).normal(size=(1024, shape[1]))
+        dirs /= np.sqrt(np.sum(dirs * dirs, axis=1))[:, None]
+        projections = y @ dirs.T
+        projections.sort(axis=0)
+        gaps = np.min(np.diff(projections, axis=0), axis=0)
+        best = int(np.argmax(gaps))
+        assert d.v.tobytes() == dirs[best].tobytes()
+        assert d.scale == 2.0 / float(gaps[best])
+
 
 class TestBuildInterpolatingTrunk:
     def test_zero_loss_when_width_at_least_rank(self):

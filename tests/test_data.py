@@ -133,17 +133,9 @@ class TestExample2:
 
     @pytest.mark.parametrize("grid_n", [7, 11, 39])
     def test_operator_symmetric(self, monkeypatch, grid_n):
-        operators = []
-
-        def capture(operator, rhs):
-            operators.append((operator(np.arange(1))[0], rhs.shape))
-            return cg(operator, rhs)
-
-        cg = data_module._conjugate_gradient
-        monkeypatch.setattr(data_module, "_conjugate_gradient", capture)
-        gen_example2([3.0], grid_n)
-        apply_op, shape = operators[0]
-        unit = np.zeros(shape)
+        operator, rhs = _captured_darcy(monkeypatch, grid_n, [3.0])
+        apply_op, _ = operator(np.arange(1))
+        unit = np.zeros(rhs.shape)
         columns = []
         for j in range(unit.size):
             unit.flat[j] = 1.0
@@ -163,42 +155,46 @@ class TestExample2:
             assert stacked.f_matrix[k].tobytes() == alone.f_matrix[0].tobytes()
             assert stacked.u_matrix[:, k].tobytes() == alone.u_matrix[:, 0].tobytes()
 
-    def test_jacobi_preconditioner_halves_iterations(self, monkeypatch):
-        # One block across the 100x conductivity contrast: the operators'
-        # inverse diagonals must at least halve the operator applications of
-        # plain CG (inv_diag 1.0) on the same systems, to the same fields.
-        captured = []
+    @pytest.mark.parametrize("q", [1, 2, 31])
+    def test_beta_one_eigenbases(self, monkeypatch, q):
+        # The operator at beta = 1, applied column by column, is the
+        # Kronecker sum of the 1-D second differences D^T D over its faces,
+        # every face carrying 1. Grid 3 has one interior node and T_x = [0].
+        operator, rhs = _captured_darcy(monkeypatch, q + 2, [1.0])
+        apply_op, precondition = operator(np.arange(1))
+        eye = np.eye(q * q).reshape(q * q, q, q)
+        dense = apply_op(eye).reshape(q * q, q * q)
+        d_x = np.diff(np.eye(q), axis=0)  # faces between the columns
+        d_y = np.diff(np.vstack([np.eye(q), np.zeros(q)]), axis=0)  # and past the top
+        t_y, t_x = d_y.T @ d_y, d_x.T @ d_x
+        assert np.array_equal(dense, np.kron(t_y, np.eye(q)) + np.kron(np.eye(q), t_x))
+        for t, (basis, lam) in zip((t_y, t_x), data_module._beta_one_eigenbases(q)):
+            assert np.max(np.abs(basis.T @ basis - np.eye(q))) <= 1e-13
+            assert np.max(np.abs(t @ basis - basis * lam)) <= 1e-13
+        # So the preconditioner inverts the operator at beta = 1.
+        assert np.max(np.abs(precondition(apply_op(eye)) - eye)) <= 1e-12
 
-        def capture(operator, rhs):
-            captured.append((operator, rhs))
-            return cg(operator, rhs)
-
-        cg = data_module._conjugate_gradient
-        monkeypatch.setattr(data_module, "_conjugate_gradient", capture)
+    def test_beta_one_preconditioner_cuts_iterations_eightfold(self, monkeypatch):
+        # One block across the 100x conductivity contrast: the operator at
+        # beta = 1 as preconditioner must take at most 1/8 of the operator
+        # applications of plain CG on the same systems, to the same fields.
         betas = np.random.default_rng(0).uniform(*BETA_RANGE_EX2, 32)
-        _, axis = grid_coordinates(33)
-        data_module._solve_mixed_darcy(33, axis, betas)
-        [(operator, rhs)] = captured
-
-        def solve(precondition):
-            applications = 0
-
-            def counted(systems):
-                apply_op, inv_diag = operator(systems)
-
-                def apply_counted(p):
-                    nonlocal applications
-                    applications += 1
-                    return apply_op(p)
-
-                return apply_counted, inv_diag if precondition else 1.0
-
-            return cg(counted, rhs), applications
-
-        (jacobi, jacobi_count), (plain, plain_count) = solve(True), solve(False)
-        assert 2 * jacobi_count <= plain_count
+        operator, rhs = _captured_darcy(monkeypatch, 33, betas)
+        fast, fast_count = _counted_cg(operator, rhs)
+        plain, plain_count = _counted_cg(operator, rhs, plain=True)
+        assert 8 * fast_count <= plain_count
         scale = np.abs(plain).max(axis=(1, 2))
-        assert np.all(np.abs(jacobi - plain).max(axis=(1, 2)) <= 1e-12 * scale)
+        assert np.all(np.abs(fast - plain).max(axis=(1, 2)) <= 1e-12 * scale)
+
+    def test_iterations_hardly_grow_with_the_grid(self, monkeypatch):
+        # The preconditioned spectrum lies within the conductivity contrast
+        # on every grid, where plain and Jacobi CG need about 2x as many
+        # applications each time the grid is refined.
+        betas = np.random.default_rng(1).uniform(*BETA_RANGE_EX2, 16)
+        (_, coarse), (_, fine) = (
+            _counted_cg(*_captured_darcy(monkeypatch, grid_n, betas)) for grid_n in (33, 65)
+        )
+        assert fine <= 1.5 * coarse
 
     def test_solver_error_names_beta(self, monkeypatch):
         # A failure in the second block names the beta, not its index there.
@@ -215,12 +211,48 @@ class TestExample2:
             gen_example2(betas, 7)
 
 
+def _captured_darcy(monkeypatch, grid_n, betas):
+    """The (operator, rhs) that _solve_mixed_darcy hands the CG for betas."""
+    captured = []
+
+    def capture(operator, rhs):
+        captured.append((operator, rhs))
+        return cg(operator, rhs)
+
+    cg = data_module._conjugate_gradient
+    monkeypatch.setattr(data_module, "_conjugate_gradient", capture)
+    _, axis = grid_coordinates(grid_n)
+    data_module._solve_mixed_darcy(grid_n, axis, np.asarray(betas, dtype=np.float64))
+    monkeypatch.setattr(data_module, "_conjugate_gradient", cg)
+    [(operator, rhs)] = captured
+    return operator, rhs
+
+
+def _counted_cg(operator, rhs, plain=False):
+    """The CG solution and its number of operator applications; plain
+    swaps the operator's preconditioner for the identity."""
+    applications = 0
+
+    def counted(systems):
+        apply_op, precondition = operator(systems)
+
+        def apply_counted(p):
+            nonlocal applications
+            applications += 1
+            return apply_op(p)
+
+        return apply_counted, np.copy if plain else precondition
+
+    return data_module._conjugate_gradient(counted, rhs), applications
+
+
 def _scaled_laplacian(scales: np.ndarray):
-    """Operators x -> scales[b] * L x for the 5-point Laplacian L, with
-    their inverse diagonals 1 / (4 scales[b])."""
+    """Operators x -> scales[b] * L x for the 5-point Laplacian L, each
+    preconditioned by the inverse 1 / (4 scales[b]) of its diagonal."""
 
     def operator(systems):
         s = scales[systems][:, None, None]
+        inv = 1.0 / (4.0 * s)
 
         def apply_op(x):
             out = 4.0 * x
@@ -230,17 +262,17 @@ def _scaled_laplacian(scales: np.ndarray):
             out[:, :, :-1] -= x[:, :, 1:]
             return s * out
 
-        return apply_op, 1.0 / (4.0 * s)
+        return apply_op, lambda x: x * inv
 
     return operator
 
 
-def _scalar_cg(apply_op, rhs, inv_diag, rtol=1e-12):
-    """Reference: Jacobi-preconditioned CG on one system with Python-float
-    scalars; inv_diag = 1.0 is plain CG."""
+def _scalar_cg(apply_op, rhs, precondition, rtol=1e-12):
+    """Reference: preconditioned CG on one system with Python-float
+    scalars; precondition = np.copy is plain CG."""
     u = np.zeros_like(rhs)
     r = rhs - apply_op(u)
-    z = r * inv_diag
+    z = precondition(r)
     p = z.copy()
     rz = float(np.sum(r * z))
     target = rtol * max(1.0, float(np.sqrt(np.sum(rhs * rhs))))
@@ -249,7 +281,7 @@ def _scalar_cg(apply_op, rhs, inv_diag, rtol=1e-12):
         alpha = rz / float(np.sum(p * ap))
         u += alpha * p
         r -= alpha * ap
-        z = r * inv_diag
+        z = precondition(r)
         rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -259,7 +291,7 @@ def _scalar_cg(apply_op, rhs, inv_diag, rtol=1e-12):
 class TestConjugateGradient:
     def test_indefinite_operator_raises_solver_error(self):
         with pytest.raises(SolverError, match="not positive definite"):
-            data_module._conjugate_gradient(lambda systems: (np.zeros_like, 1.0), np.ones((1, 3, 3)))
+            data_module._conjugate_gradient(lambda systems: (np.zeros_like, np.copy), np.ones((1, 3, 3)))
 
     def test_failing_system_is_named(self):
         scales = np.array([1.0, 2.0, -1.0, 3.0])
@@ -276,7 +308,7 @@ class TestConjugateGradient:
         matrices = np.stack([np.eye(6), np.eye(6) + 3.0 * (skew - skew.T)])
 
         def operator(systems):
-            return lambda x: np.einsum("bij,bj->bi", matrices[systems], x), 1.0
+            return lambda x: np.einsum("bij,bj->bi", matrices[systems], x), np.copy
 
         with pytest.raises(SolverError, match="^system 1: conjugate gradient stalled") as info:
             data_module._conjugate_gradient(operator, np.ones((2, 6)))
@@ -295,8 +327,10 @@ class TestConjugateGradient:
             operator = _scaled_laplacian(scales[b : b + 1])
             alone = data_module._conjugate_gradient(operator, rhs[b : b + 1])
             assert stacked[b].tobytes() == alone[0].tobytes()
-            apply_op, inv_diag = operator([0])
-            reference = _scalar_cg(lambda x: apply_op(x[None])[0], rhs[b], inv_diag[0])
+            apply_op, precondition = operator([0])
+            reference = _scalar_cg(
+                lambda x: apply_op(x[None])[0], rhs[b], lambda x: precondition(x[None])[0]
+            )
             assert stacked[b].tobytes() == reference.tobytes()
 
 

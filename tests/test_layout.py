@@ -1,8 +1,9 @@
 """The package's module boundaries, read from its source: no private name
-crosses a module, nn loads without the dataset module, and artifact alone
-owns the on-disk format."""
+crosses a module, nn loads without the dataset module, artifact alone
+owns the on-disk format, and no kernel comes from LAPACK, an FFT or scipy."""
 
 import ast
+import re
 from pathlib import Path
 
 import operon
@@ -68,3 +69,27 @@ def test_dataset_module_leaves_file_handling_to_artifact():
         alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
     }
     assert imported.isdisjoint({"csv", "io", "json", "math", "os", "reprlib", "shutil", "uuid"})
+
+
+FOREIGN_KERNELS = re.compile(
+    r"\b(?:np|numpy)\.(?:linalg|fft)\b|\bfrom\s+numpy\s+import\b.*\b(?:linalg|fft)\b|\bscipy\b"
+)
+
+
+def _foreign_kernels(path: Path) -> list[str]:
+    """Each line of the file at path that names numpy's linalg or fft
+    module, or scipy."""
+    lines = path.read_text().splitlines()
+    return [f"{path.name}:{n}" for n, line in enumerate(lines, 1) if FOREIGN_KERNELS.search(line)]
+
+
+def test_kernels_stay_in_house(tmp_path):
+    # The probe shows the check can see each spelling, and that names
+    # which merely contain one (operon's own linalg module) pass.
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy.linalg\nx = np.fft.rfft(y)\nfrom numpy import fft\nimport scipy.sparse\n"
+        "from . import linalg\nlinalg.jacobi_svd(a)\nnp.linalg_free = 1\n"
+    )
+    assert _foreign_kernels(probe) == ["probe.py:1", "probe.py:2", "probe.py:3", "probe.py:4"]
+    assert [hit for path in SOURCES for hit in _foreign_kernels(path)] == []
