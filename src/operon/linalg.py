@@ -1,5 +1,7 @@
 """Dense linear algebra kernels: Householder QR, one-sided Jacobi SVD
-(round-robin sweeps of disjoint column-pair rotations), triangular and
+(a pivoted QR stopped at the sweeps' own negligible-column cut, then
+round-robin sweeps of disjoint column-pair rotations on the k rows of R
+it keeps: 9 of 180 for the rank-6 replica U), triangular and
 least-squares solves, and the exact row-tie check of point sets.
 
 Matrices are plain 2-D float64 numpy arrays (row-major). All routines here
@@ -78,6 +80,36 @@ class SvdFactors:
     rank: int
 
 
+def _reflect(r: np.ndarray, j: int, alpha: float) -> tuple[np.ndarray, float]:
+    """Reflect rows j: of r in place, from column j on, by the Householder
+    reflector I - beta v v^T that maps r[j:, j] (of norm alpha > 0) to
+    -sign(r[j, j]) alpha e_0. Returns (v, beta)."""
+    x = r[j:, j]
+    sign0 = 1.0 if x[0] >= 0.0 else -1.0
+    v = x.copy()
+    v[0] += sign0 * alpha
+    beta = 2.0 / float(np.sum(v * v))
+    if j + 1 < r.shape[1]:
+        w = beta * (v @ r[j:, j + 1 :])
+        r[j:, j + 1 :] -= np.outer(v, w)
+    r[j, j] = -sign0 * alpha
+    r[j + 1 :, j] = 0.0
+    return v, beta
+
+
+def _form_q(reflectors: list[tuple[np.ndarray, float]], m: int) -> np.ndarray:
+    """The thin m x k Q of the k reflectors (v, beta) that _reflect returned
+    (step j's v has length m - j), applied in reverse order to eye(m, k)."""
+    k = len(reflectors)
+    q = np.zeros((m, k))
+    q[:k, :k] = np.eye(k)
+    for v, beta in reversed(reflectors):
+        j = m - v.size
+        w = beta * (v @ q[j:, :])
+        q[j:, :] -= np.outer(v, w)
+    return q
+
+
 def householder_qr(a) -> QrFactors:
     """Thin QR of an m x n matrix (m >= n) by Householder reflections.
 
@@ -94,7 +126,7 @@ def householder_qr(a) -> QrFactors:
         raise RankDeficientError("matrix is identically zero (column 0)")
 
     r = a.copy()
-    reflectors: list[tuple[int, np.ndarray, float]] = []
+    reflectors = []
     for j in range(n):
         x = r[j:, j]
         alpha = float(np.sqrt(np.sum(x * x)))
@@ -103,25 +135,8 @@ def householder_qr(a) -> QrFactors:
                 f"column {j} is numerically dependent (|R_jj|={alpha:.3e} "
                 f"< {RANK_TOL:.0e} * ||a||_F={norm_a:.3e})"
             )
-        sign0 = 1.0 if x[0] >= 0.0 else -1.0
-        v = x.copy()
-        v[0] += sign0 * alpha
-        beta = 2.0 / float(np.sum(v * v))
-        # Apply I - beta v v^T to the trailing block.
-        if j + 1 < n:
-            w = beta * (v @ r[j:, j + 1 :])
-            r[j:, j + 1 :] -= np.outer(v, w)
-        r[j, j] = -sign0 * alpha
-        r[j + 1 :, j] = 0.0
-        reflectors.append((j, v, beta))
-
-    # Form the thin Q by applying the reflectors to the first n columns
-    # of the identity, in reverse order.
-    q = np.zeros((m, n))
-    q[:n, :n] = np.eye(n)
-    for j, v, beta in reversed(reflectors):
-        w = beta * (v @ q[j:, :])
-        q[j:, :] -= np.outer(v, w)
+        reflectors.append(_reflect(r, j, alpha))
+    q = _form_q(reflectors, m)
     r = r[:n, :n]
 
     # Flip signs so that diag(r) is strictly positive.
@@ -193,24 +208,50 @@ def _round_robin(n: int) -> list[np.ndarray]:
     return steps
 
 
+def _pivoted_qr(w: np.ndarray, cut_sq: float):
+    """Householder QR with column pivoting (Businger and Golub 1965) of an
+    m x n matrix w (m >= n), stopped at the first step whose largest
+    remaining squared column norm is at or below cut_sq.
+
+    Returns (q, r, perm) with w[:, perm] = q @ r to within sqrt(n * cut_sq):
+    q is m x k with orthonormal columns and r is k x n upper trapezoidal,
+    k being the number of steps taken.
+    """
+    r = w.copy()
+    perm = np.arange(r.shape[1])
+    reflectors = []
+    for j in range(perm.size):
+        # Recomputed, not downdated, so cancellation cannot misplace a pivot.
+        norms_sq = np.einsum("ij,ij->j", r[j:, j:], r[j:, j:])
+        p = j + int(np.argmax(norms_sq))
+        if norms_sq[p - j] <= cut_sq:
+            break
+        r[:, [j, p]] = r[:, [p, j]]
+        perm[[j, p]] = perm[[p, j]]
+        reflectors.append(_reflect(r, j, float(np.sqrt(norms_sq[p - j]))))
+    q = _form_q(reflectors, r.shape[0])
+    return q, r[: q.shape[1]], perm
+
+
 def jacobi_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
-    """Thin SVD by the one-sided Jacobi method with round-robin sweeps.
+    """Thin SVD by the one-sided Jacobi method with round-robin sweeps,
+    preconditioned by a truncated pivoted QR (Drmac and Veselic 2008).
+
+    _pivoted_qr factors the tall orientation w of a (a, or a.T when a is
+    wide) as w P = q r, stopping at the 1e-15 ||a||_F cut under which
+    Jacobi leaves a column alone. The sweeps then orthogonalize the k
+    columns of r^T, of length n: k = 9 for the rank-6 289 x 180 replica U,
+    not 180 columns of length 289. When the rotations V take r^T to B,
+    whose columns are orthogonal, u = q V and v = P B / sigma.
 
     Each sweep visits every column pair once in the Brent-Luk round-robin
-    order (see _round_robin): a step gathers the columns of its n/2
+    order (see _round_robin): a step gathers the columns of its k/2
     disjoint pairs and rotates them all with one batched 2 x 2 product.
     Singular values not exceeding rank_tol * sigma_max are dropped; the
     retained count is reported as the numerical rank. Left singular
-    vectors are sign-normalized so their largest-magnitude entry is
+    vectors of w are sign-normalized so their largest-magnitude entry is
     positive, which makes the factorization deterministic. Scaling a by
     a power of two scales sigma by it and leaves the other bits alone.
-
-    A pair is rotated only when both its columns' squared norms exceed
-    negligible_sq, so a column once measured at or below it is never
-    written again: it stays dead. Once a column has died, each step drops
-    the pairs holding a dead column before it gathers, and a step left
-    with none is skipped. Those pairs could not rotate and add nothing to
-    the convergence test, so the factors keep every bit.
     """
     if rank_tol < 0.0:
         raise ValueError(f"rank_tol must be >= 0, got {rank_tol}")
@@ -224,46 +265,33 @@ def jacobi_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
     exponent = int(np.frexp(np.max(np.abs(a)))[1])
     a = np.ldexp(a, -exponent)
 
-    # Row j of bt is column j of the working matrix (a, or a.T when a is
-    # wide), row j of vt column j of v: a step gathers and scatters whole
-    # contiguous rows.
-    transposed = a.shape[0] < a.shape[1]
-    bt = (a if transposed else a.T).copy()
-    n, m = bt.shape
-    vt = np.eye(n)
-
-    # Sweep over column pairs, rotating until every pair is orthogonal
-    # relative to machine precision. Columns whose norm has collapsed to
-    # rounding noise are left alone: they lie far below any singular value
-    # the rank tolerance could retain.
+    # Columns whose norm has collapsed to rounding noise are left alone:
+    # they lie far below any singular value the rank tolerance could retain.
     eps = 1e-15
     negligible_sq = (1e-15 * frobenius(a)) ** 2
-    steps = _round_robin(n)
-    # alive is False for the columns a step has measured at or below
-    # negligible_sq; full-rank inputs never prune and keep the plain path.
-    alive = np.ones(n, dtype=bool)
-    pruning = False
+    transposed = a.shape[0] < a.shape[1]
+    q, bt, perm = _pivoted_qr(a.T if transposed else a, negligible_sq)
+    # Row j of bt is column j of r^T, row j of vt column j of its right
+    # factor: a step gathers and scatters whole contiguous rows.
+    k, n = bt.shape
+    vt = np.eye(k)
+
+    # Sweep over column pairs, rotating until every pair is orthogonal
+    # relative to machine precision.
+    steps = _round_robin(k)
     for _ in range(100):
         off = 0.0
         for pairs in steps:
-            if pruning:
-                pairs = pairs[alive[pairs[:, 0]] & alive[pairs[:, 1]]]
-                if not pairs.size:
-                    continue
-            x = bt[pairs]  # (k, 2, m): columns p and q of each pair
+            x = bt[pairs]  # (k/2, 2, n): columns p and q of each pair
             app = np.einsum("ij,ij->i", x[:, 0], x[:, 0])
             aqq = np.einsum("ij,ij->i", x[:, 1], x[:, 1])
             apq = np.einsum("ij,ij->i", x[:, 0], x[:, 1])
             # sqrt separately: the product can underflow for tiny columns
             norms = np.sqrt(app) * np.sqrt(aqq)
-            # count_nonzero: per step it costs less than np.any or np.all.
             live = (app > negligible_sq) & (aqq > negligible_sq)
-            if np.count_nonzero(live) < live.size:
-                alive[pairs[app <= negligible_sq, 0]] = False
-                alive[pairs[aqq <= negligible_sq, 1]] = False
-                pruning = True
             # |apq| > eps * norms also skips every pair with apq == 0.
             act = live & (np.abs(apq) > eps * norms)
+            # count_nonzero: per step it costs less than np.any or np.all.
             active = np.count_nonzero(act)
             if not active:
                 continue
@@ -292,8 +320,9 @@ def jacobi_svd(a, rank_tol: float = RANK_TOL) -> SvdFactors:
     keep = sigma > rank_tol * sigma[0]
     rank = int(np.count_nonzero(keep))
     sigma = sigma[:rank]
-    u = np.ascontiguousarray(bt[order[:rank]].T) / sigma
-    v = np.ascontiguousarray(vt[order[:rank]].T)
+    u = q @ vt[order[:rank]].T
+    v = np.empty((n, rank))
+    v[perm] = bt[order[:rank]].T / sigma
 
     # Canonical signs: largest-magnitude entry of each left vector positive.
     for j in range(rank):
