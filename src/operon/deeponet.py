@@ -209,7 +209,7 @@ def _unpack_mlp(directory: Path, manifest: dict, name: str) -> Mlp:
     """The sub-network `name` (trunk or branch) of a model directory."""
     arch = tuple(manifest[f"{name}_arch"])
     flat = read_blob(directory / f"{name}.bin", (nn.param_size(arch),))
-    return Mlp(arch, *nn.layer_views(flat, arch), manifest[f"{name}_activation"])
+    return Mlp.from_params(arch, flat, manifest[f"{name}_activation"])
 
 
 def model_files(model: DeepONetModel) -> dict:

@@ -15,7 +15,9 @@ hat-bump block per point. Each block is a 3-layer ReLU unit carrying the
 running output vector through paired relu(t) - relu(-t) channels, so
 composing n blocks (the first one also performs the projection) yields a
 network of exactly 2 n + 1 layers with hidden widths (4, 4, 2 r + 4, ...,
-2 r + 4) for r output values, whose output at point i is values[i].
+2 r + 4) for r output values, whose output at point i is values[i]. The
+network is written into its parameter vector in one pass, blocks 2 to n - 1
+through one reshaped view of it, with no Python loop per block.
 """
 
 from __future__ import annotations
@@ -57,15 +59,11 @@ class Mlp:
 
     weights[l] (shape (n_{l+1}, n_l)) and biases[l] (shape (n_{l+1},)) are
     views into params, so in-place edits of either show in both. The arrays
-    passed in are copied, never aliased."""
+    passed in are copied, never aliased; from_params instead takes a flat
+    vector as the network's own params."""
 
     def __init__(self, arch, weights, biases, activation: str):
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        self.arch = tuple(int(w) for w in arch)
-        self.activation = activation
-        self.params = np.empty(param_size(self.arch))
-        self.weights, self.biases = layer_views(self.params, self.arch)
+        self._adopt(arch, np.empty(param_size(arch)), activation)
         if len(weights) != len(self.weights) or len(biases) != len(self.biases):
             raise ShapeError(f"arch {self.arch} has {len(self.weights)} layers")
         for view, arr in zip(self.weights + self.biases, [*weights, *biases]):
@@ -73,10 +71,30 @@ class Mlp:
                 raise ShapeError(f"array shape {np.shape(arr)} != {view.shape} in arch {self.arch}")
             view[...] = arr
 
+    @classmethod
+    def from_params(cls, arch, params, activation: str) -> Mlp:
+        """The network that owns the flat vector params: a contiguous
+        float64 vector is taken as is, not copied, so the caller hands it
+        over. ShapeError unless its length is param_size(arch)."""
+        net = cls.__new__(cls)
+        net._adopt(arch, params, activation)
+        return net
+
+    def _adopt(self, arch, params, activation: str) -> None:
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
+        self.arch = tuple(int(w) for w in arch)
+        self.activation = activation
+        self.params = np.ascontiguousarray(params, dtype=np.float64)
+        size = param_size(self.arch)
+        if self.params.shape != (size,):
+            raise ShapeError(f"params shape {self.params.shape} != ({size},) for arch {self.arch}")
+        self.weights, self.biases = layer_views(self.params, self.arch)
+
     def __reduce__(self):
-        # Copies and unpickled networks are rebuilt by the constructor, so
+        # Copies and unpickled networks own a fresh copy of params, so
         # their weights and biases are views of their own params.
-        return Mlp, (self.arch, self.weights, self.biases, self.activation)
+        return Mlp.from_params, (self.arch, self.params, self.activation)
 
 
 def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
@@ -199,18 +217,18 @@ def backward(net: Mlp, x, upstream, work: Workspace) -> np.ndarray:
 
 
 def mlp_copy(net: Mlp) -> Mlp:
-    return Mlp(net.arch, net.weights, net.biases, net.activation)
+    return Mlp.from_params(net.arch, net.params.copy(), net.activation)
 
 
 # Hat-bump building blocks: N(t) = A3 relu(A2 relu(A1 t + b1(a,b)) + b2) + b3
-# equals 1 on [a, b], 0 outside [a - 1/2, b + 1/2], linear in between.
+# with A1 = (-2, 2)^T, b1 = (2a, -2b), A2 = -I, b2 = (1, 1), A3 = (1, 1) and
+# b3 = -1 equals 1 on [a, b], 0 outside [a - 1/2, b + 1/2], linear in between.
 _A1 = np.array([[-2.0], [2.0]])
-_A2 = -np.eye(2)
-_B2 = np.ones(2)
-_A3 = np.array([[1.0, 1.0]])
-_B3 = -1.0
+_A2 = -np.eye(2)  # its off-diagonal zeros are -0
 # Paired +/- channels pass a signed value through ReLU: relu(t) - relu(-t) = t.
 _P = np.array([1.0, -1.0])
+# A block's first four rows read the carried t = h2 - h3: A1 t, then +-t.
+_T_ROWS = np.array([[-2.0, 2.0], [2.0, -2.0], [1.0, -1.0], [-1.0, 1.0]])
 
 
 @dataclass
@@ -236,9 +254,13 @@ def find_separating_direction(points, seed: int = 0) -> SeparatingDirection:
         return SeparatingDirection(v=v, scale=1.0)
 
     rng = np.random.default_rng(seed)
-    n_trials = 1024
-    dirs = rng.normal(size=(n_trials, d))
+    dirs = rng.normal(size=(1024, d))
     dirs /= np.sqrt(np.sum(dirs * dirs, axis=1))[:, None]
+    if d == 1:
+        # Every direction is exactly +-1 (sqrt(x * x) == |x|), so all trials
+        # tie and argmax would pick trial 0.
+        dirs = dirs[:1]
+    n_trials = dirs.shape[0]
     projections = y @ dirs.T  # n x n_trials
     # Sort each trial's projections within contiguous blocks of trials:
     # sorting the strided columns of projections in place gives the same
@@ -258,55 +280,39 @@ def find_separating_direction(points, seed: int = 0) -> SeparatingDirection:
     return SeparatingDirection(v=dirs[best], scale=2.0 / float(gaps[best]))
 
 
-def _entry_block(v_scaled: np.ndarray, a: float, b: float):
-    """First block: project, start the hat stack, pass the projection on."""
-    w1 = np.vstack([_A1 @ v_scaled[None, :], np.outer(_P, v_scaled)])
-    b1 = np.array([2.0 * a, -2.0 * b, 0.0, 0.0])
-    w2 = np.zeros((4, 4))
-    w2[:2, :2] = _A2
-    w2[2:, 2:] = np.eye(2)
-    b2 = np.concatenate([_B2, np.zeros(2)])
-    return (w1, b1), (w2, b2)
+def _write_mixing(w: np.ndarray, b: np.ndarray) -> None:
+    """A block's mixing layer: A2 and b2 on the hat pair, the identity on
+    the carried channels."""
+    diag = np.arange(w.shape[-1])
+    w[..., diag, diag] = 1.0
+    w[..., :2, :2] = _A2
+    b[..., :2] = 1.0
 
 
-def _middle_block(r: int, a: float, b: float):
-    """Inner block input map (takes (t, z) in R^{1+r}) and its mixing layer."""
-    width = 2 * r + 4
-    w_in = np.zeros((width, r + 1))
-    w_in[:2, 0] = _A1[:, 0]
-    w_in[2:4, 0] = _P
-    for k in range(r):
-        w_in[4 + 2 * k : 6 + 2 * k, 1 + k] = _P
-    b_in = np.zeros(width)
-    b_in[0] = 2.0 * a
-    b_in[1] = -2.0 * b
-    w_mid = np.eye(width)
-    w_mid[:2, :2] = _A2
-    b_mid = np.zeros(width)
-    b_mid[:2] = _B2
-    return (w_in, b_in), (w_mid, b_mid)
-
-
-def _output_map(r: int, width: int, coeff: np.ndarray):
-    """Map a block's second hidden layer to (t, z + coeff * hat).
-
-    The entry block (width 4) carries no z channels yet, so its output is
-    (t, coeff * hat) and the passthrough columns are absent."""
-    w = np.zeros((r + 1, width))
-    w[0, 2] = 1.0
-    w[0, 3] = -1.0
-    w[1:, :2] = np.outer(coeff, _A3)
-    if width > 4:
-        for k in range(r):
-            w[1 + k, 4 + 2 * k] = 1.0
-            w[1 + k, 5 + 2 * k] = -1.0
-    b = np.concatenate([[0.0], _B3 * coeff])
-    return w, b
+def _write_blocks(fused, fused_b, mix, mix_b, prev, lo, hi) -> None:
+    """Write the zeroed layers of hat-stack blocks, one block per leading
+    index. The fused layer is the previous block's output map (t, z +
+    prev * hat) followed by this block's input map (A1 t + b1(lo, hi), +-t,
+    +-z), so each of its rows is a signed copy of one output row; entries
+    are written as a matrix product sums them, onto +0."""
+    fused[..., :4, 2:4] = _T_ROWS
+    fused[..., 4::2, :2] = (prev + 0.0)[..., None]
+    fused[..., 5::2, :2] = (0.0 - prev)[..., None]
+    z = np.arange(4, fused.shape[-1], 2)  # none when the previous is the entry block
+    fused[..., z, z] = fused[..., z + 1, z + 1] = 1.0
+    fused[..., z, z + 1] = fused[..., z + 1, z] = -1.0
+    fused_b[..., 0] = 2.0 * lo + 0.0
+    fused_b[..., 1] = 0.0 - 2.0 * hi
+    fused_b[..., 4::2] = 0.0 - prev
+    fused_b[..., 5::2] = prev + 0.0
+    _write_mixing(mix, mix_b)
 
 
 def interpolating_relu(points, values, seed: int = 0) -> Mlp:
     """The deep ReLU network of hat-bump blocks whose output at points[i]
-    is values[i], exact up to rounding (see the module docstring).
+    is values[i], exact up to rounding (see the module docstring). It is
+    written into its parameter vector in one pass: the entry block, block
+    1, blocks 2 to n - 1 as one stacked view, and the last output map.
 
     points is n x d with distinct rows (DuplicateSensorError otherwise),
     values is n x r; seed drives the search for the separating direction."""
@@ -321,27 +327,32 @@ def interpolating_relu(points, values, seed: int = 0) -> Mlp:
     # Center each hat's plateau on its point so evaluation is insensitive
     # to last-ulp differences in the projection.
     centers = projected[order]
+    lo, hi = centers - 0.25, centers + 0.25
     coeffs = values[order]
-    r = values.shape[1]
-
-    (w1, b1), (w2, b2) = _entry_block(v_scaled, centers[0] - 0.25, centers[0] + 0.25)
-    weights = [w1, w2]
-    biases = [b1, b2]
-    out_w, out_b = _output_map(r, 4, coeffs[0])
-
+    (n, d), r = y.shape, values.shape[1]
     width = 2 * r + 4
-    for j in range(1, y.shape[0]):
-        (w_in, b_in), (w_mid, b_mid) = _middle_block(
-            r, centers[j] - 0.25, centers[j] + 0.25
-        )
-        # The previous block's affine output fuses with this block's affine
-        # input: no activation sits between them.
-        weights += [w_in @ out_w, w_mid]
-        biases += [w_in @ out_b + b_in, b_mid]
-        out_w, out_b = _output_map(r, width, coeffs[j])
+    arch = (d, 4, 4) + (width, width) * (n - 1) + (r,)
+    net = Mlp.from_params(arch, np.zeros(param_size(arch)), "relu")
+    w, b = net.weights, net.biases
 
-    # The last block's output drops the carried projection t.
-    weights.append(out_w[1:])
-    biases.append(out_b[1:])
-    arch = tuple(w.shape[1] for w in weights) + (r,)
-    return Mlp(arch=arch, weights=weights, biases=biases, activation="relu")
+    # The entry block projects, starts the hat stack and passes t on.
+    w[0][:2] = _A1 @ v_scaled[None, :]
+    w[0][2:] = np.outer(_P, v_scaled)
+    b[0][:2] = 2.0 * lo[0], -2.0 * hi[0]
+    _write_mixing(w[1], b[1])
+    if n > 1:
+        _write_blocks(w[2][None], b[2][None], w[3][None], b[3][None], coeffs[:1], lo[1:2], hi[1:2])
+        # Blocks 2..n-1: each is two (width + 1) x width layers, W then b.
+        blocks = net.params[param_size(arch[:5]) : -param_size(arch[-2:])]
+        blocks = blocks.reshape(n - 2, 2, width + 1, width)
+        _write_blocks(
+            blocks[:, 0, :width], blocks[:, 0, width], blocks[:, 1, :width], blocks[:, 1, width],
+            coeffs[1:-1], lo[2:], hi[2:],
+        )
+        z = np.arange(r)
+        w[-1][z, 4 + 2 * z] = 1.0
+        w[-1][z, 5 + 2 * z] = -1.0
+    # The last block's output map drops the carried projection t.
+    w[-1][:, :2] = coeffs[-1][:, None]
+    b[-1][:] = -coeffs[-1]
+    return net

@@ -2,14 +2,28 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operon import construct, deeponet, nn, train
 from operon.construct import build_interpolating_trunk, verify_zero_loss_pipeline
 from operon.data import OperatorDataset, gen_example1, split_dataset
 from operon.deeponet import DeepONetModel, assemble_phi, monolithic_loss
-from operon.errors import DuplicateSensorError, ZeroMatrixError
+from operon.errors import DuplicateSensorError, ShapeError, ZeroMatrixError
 from operon.linalg import best_rank_k_error, jacobi_svd
-from operon.nn import find_separating_direction, forward
+from operon.nn import Mlp, find_separating_direction, forward, interpolating_relu
+
+
+def _one_shot_search(y, seed):
+    """The direction search over all 1024 trials, each trial's projections
+    sorted at once: (direction, 2 / its minimum gap)."""
+    dirs = np.random.default_rng(seed).normal(size=(1024, y.shape[1]))
+    dirs /= np.sqrt(np.sum(dirs * dirs, axis=1))[:, None]
+    projections = y @ dirs.T
+    projections.sort(axis=0)
+    gaps = np.min(np.diff(projections, axis=0), axis=0)
+    best = int(np.argmax(gaps))
+    return dirs[best], 2.0 / float(gaps[best])
 
 
 def _power_iteration_rank1(u, iters=500):
@@ -54,14 +68,29 @@ class TestSeparatingDirection:
         # for bit.
         y = np.random.default_rng(2).uniform(-1, 1, shape)
         d = find_separating_direction(y, seed=3)
-        dirs = np.random.default_rng(3).normal(size=(1024, shape[1]))
-        dirs /= np.sqrt(np.sum(dirs * dirs, axis=1))[:, None]
-        projections = y @ dirs.T
-        projections.sort(axis=0)
-        gaps = np.min(np.diff(projections, axis=0), axis=0)
-        best = int(np.argmax(gaps))
-        assert d.v.tobytes() == dirs[best].tobytes()
-        assert d.scale == 2.0 / float(gaps[best])
+        v, scale = _one_shot_search(y, seed=3)
+        assert d.v.tobytes() == v.tobytes()
+        assert d.scale == scale
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_dimensional_search_evaluates_trial_zero(self, seed):
+        # For d = 1 every trial is +-1 and all gaps tie, so the search that
+        # evaluates trial 0 alone gives the full search's direction and scale.
+        y = np.random.default_rng(seed).uniform(-1, 1, (20 + 40 * seed, 1))
+        d = find_separating_direction(y, seed=seed)
+        v, scale = _one_shot_search(y, seed=seed)
+        assert d.v.tobytes() == v.tobytes() and d.scale == scale
+
+    def test_one_dimensional_replica_inputs(self, replica_train):
+        f_train = replica_train.train_f()
+        assert f_train.shape[1] == 1
+        d = find_separating_direction(f_train, seed=0)
+        v, scale = _one_shot_search(f_train, seed=0)
+        assert d.v.tobytes() == v.tobytes() and d.scale == scale
+
+    def test_one_dimensional_repeated_input(self):
+        with pytest.raises(DuplicateSensorError, match="0 and 2"):
+            find_separating_direction(np.array([[0.5], [0.2], [0.5]]), seed=0)
 
 
 class TestBuildInterpolatingTrunk:
@@ -289,3 +318,183 @@ def test_certificate_passes_each_network_once(replica_train, monkeypatch):
     branch, _, _ = train.fit_interpolating_branch(f_train, target)
     model = DeepONetModel(trunk=trunk, branch=branch, t_matrix=t_star, width=width)
     assert cert.assembled_loss == monolithic_loss(model, replica_train)
+
+
+# interpolating_relu as it was built block by block, kept verbatim as an
+# independent second implementation: the library writes the same network
+# straight into its parameter vector and must match it byte for byte,
+# signed zeros included.
+
+# Hat-bump building blocks: N(t) = A3 relu(A2 relu(A1 t + b1(a,b)) + b2) + b3
+# equals 1 on [a, b], 0 outside [a - 1/2, b + 1/2], linear in between.
+_A1 = np.array([[-2.0], [2.0]])
+_A2 = -np.eye(2)
+_B2 = np.ones(2)
+_A3 = np.array([[1.0, 1.0]])
+_B3 = -1.0
+# Paired +/- channels pass a signed value through ReLU: relu(t) - relu(-t) = t.
+_P = np.array([1.0, -1.0])
+
+
+def _entry_block(v_scaled: np.ndarray, a: float, b: float):
+    """First block: project, start the hat stack, pass the projection on."""
+    w1 = np.vstack([_A1 @ v_scaled[None, :], np.outer(_P, v_scaled)])
+    b1 = np.array([2.0 * a, -2.0 * b, 0.0, 0.0])
+    w2 = np.zeros((4, 4))
+    w2[:2, :2] = _A2
+    w2[2:, 2:] = np.eye(2)
+    b2 = np.concatenate([_B2, np.zeros(2)])
+    return (w1, b1), (w2, b2)
+
+
+def _middle_block(r: int, a: float, b: float):
+    """Inner block input map (takes (t, z) in R^{1+r}) and its mixing layer."""
+    width = 2 * r + 4
+    w_in = np.zeros((width, r + 1))
+    w_in[:2, 0] = _A1[:, 0]
+    w_in[2:4, 0] = _P
+    for k in range(r):
+        w_in[4 + 2 * k : 6 + 2 * k, 1 + k] = _P
+    b_in = np.zeros(width)
+    b_in[0] = 2.0 * a
+    b_in[1] = -2.0 * b
+    w_mid = np.eye(width)
+    w_mid[:2, :2] = _A2
+    b_mid = np.zeros(width)
+    b_mid[:2] = _B2
+    return (w_in, b_in), (w_mid, b_mid)
+
+
+def _output_map(r: int, width: int, coeff: np.ndarray):
+    """Map a block's second hidden layer to (t, z + coeff * hat).
+
+    The entry block (width 4) carries no z channels yet, so its output is
+    (t, coeff * hat) and the passthrough columns are absent."""
+    w = np.zeros((r + 1, width))
+    w[0, 2] = 1.0
+    w[0, 3] = -1.0
+    w[1:, :2] = np.outer(coeff, _A3)
+    if width > 4:
+        for k in range(r):
+            w[1 + k, 4 + 2 * k] = 1.0
+            w[1 + k, 5 + 2 * k] = -1.0
+    b = np.concatenate([[0.0], _B3 * coeff])
+    return w, b
+
+
+def _ref_interpolating_relu(points, values, seed: int = 0) -> Mlp:
+    """The deep ReLU network of hat-bump blocks whose output at points[i]
+    is values[i], exact up to rounding (see the module docstring).
+
+    points is n x d with distinct rows (DuplicateSensorError otherwise),
+    values is n x r; seed drives the search for the separating direction."""
+    y = np.ascontiguousarray(points, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != y.shape[0]:
+        raise ShapeError(f"values shape {values.shape} != ({y.shape[0]}, r)")
+    direction = find_separating_direction(y, seed=seed)
+    v_scaled = direction.scale * direction.v
+    projected = y @ v_scaled
+    order = np.argsort(projected, kind="stable")
+    # Center each hat's plateau on its point so evaluation is insensitive
+    # to last-ulp differences in the projection.
+    centers = projected[order]
+    coeffs = values[order]
+    r = values.shape[1]
+
+    (w1, b1), (w2, b2) = _entry_block(v_scaled, centers[0] - 0.25, centers[0] + 0.25)
+    weights = [w1, w2]
+    biases = [b1, b2]
+    out_w, out_b = _output_map(r, 4, coeffs[0])
+
+    width = 2 * r + 4
+    for j in range(1, y.shape[0]):
+        (w_in, b_in), (w_mid, b_mid) = _middle_block(
+            r, centers[j] - 0.25, centers[j] + 0.25
+        )
+        # The previous block's affine output fuses with this block's affine
+        # input: no activation sits between them.
+        weights += [w_in @ out_w, w_mid]
+        biases += [w_in @ out_b + b_in, b_mid]
+        out_w, out_b = _output_map(r, width, coeffs[j])
+
+    # The last block's output drops the carried projection t.
+    weights.append(out_w[1:])
+    biases.append(out_b[1:])
+    arch = tuple(w.shape[1] for w in weights) + (r,)
+    return Mlp(arch=arch, weights=weights, biases=biases, activation="relu")
+
+
+def _values_with_signed_zeros(rng, n, r):
+    values = rng.normal(size=(n, r))
+    share = rng.uniform(size=values.shape)
+    values[share < 0.15] = 0.0
+    values[share > 0.85] = -0.0
+    return values
+
+
+def _assert_same_network(got, ref):
+    assert got.arch == ref.arch and got.activation == ref.activation
+    assert got.params.tobytes() == ref.params.tobytes()
+
+
+class TestInterpolatingReluMatchesReference:
+    @pytest.mark.parametrize(
+        "n, d, r",
+        [
+            (1, 1, 1), (2, 2, 3), (3, 3, 2), (7, 1, 9),
+            (40, 2, 5), (50, 3, 4), (180, 1, 8), (289, 2, 8),
+        ],
+    )
+    def test_shapes(self, n, d, r):
+        rng = np.random.default_rng(n + d + r)
+        y = rng.uniform(-1, 1, (n, d))
+        values = _values_with_signed_zeros(rng, n, r)
+        got = interpolating_relu(y, values, seed=n)
+        _assert_same_network(got, _ref_interpolating_relu(y, values, seed=n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        d=st.integers(1, 3),
+        r=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.booleans(),
+    )
+    def test_property(self, n, d, r, seed, grid):
+        rng = np.random.default_rng(seed)
+        if grid:
+            # Points on a quarter grid: exact binary fractions, some of them 0.
+            cells = rng.choice(9**d, size=min(n, 9**d), replace=False)
+            y = np.stack(np.unravel_index(cells, (9,) * d), axis=1) / 4.0 - 1.0
+        else:
+            y = rng.uniform(-1, 1, (n, d))
+        values = _values_with_signed_zeros(rng, y.shape[0], r)
+        got = interpolating_relu(y, values, seed=seed % 7)
+        _assert_same_network(got, _ref_interpolating_relu(y, values, seed=seed % 7))
+
+
+@pytest.mark.parametrize("offset", [-2, 0, 2])
+def test_replica_networks_match_reference(replica_train, monkeypatch, offset):
+    # The replica's trunk (289 sensors) and branch (180 scalar inputs),
+    # built by each builder: same bytes, same certificate.
+    def certify(builder):
+        built = []
+
+        def record(points, values, seed=0):
+            built.append(builder(points, values, seed=seed))
+            return built[-1]
+
+        monkeypatch.setattr(construct, "interpolating_relu", record)
+        monkeypatch.setattr(nn, "interpolating_relu", record)
+        width = jacobi_svd(replica_train.train_u()).rank + offset
+        cert = verify_zero_loss_pipeline(replica_train, width)
+        monkeypatch.undo()
+        return cert.to_dict(), built
+
+    got, got_nets = certify(interpolating_relu)
+    ref, ref_nets = certify(_ref_interpolating_relu)
+    assert got == ref
+    assert [net.arch[0] for net in got_nets] == [2, 1]
+    for net, ref_net in zip(got_nets, ref_nets, strict=True):
+        _assert_same_network(net, ref_net)

@@ -219,6 +219,43 @@ class TestParams:
             Mlp((2, 3), [np.zeros((3, 2))], [np.zeros(3)], "bogus")
 
 
+class TestFromParams:
+    def test_wrong_size_rejected(self):
+        with pytest.raises(ShapeError, match=r"params shape \(12,\) != \(13,\)"):
+            Mlp.from_params((2, 3, 1), np.zeros(12), "tanh")
+        with pytest.raises(ShapeError):
+            Mlp.from_params((2, 3, 1), np.zeros((13, 1)), "tanh")
+
+    def test_owns_the_vector_it_is_given(self):
+        # The stated contract: a float64 vector is taken over, not copied,
+        # and the layers are views of it in blob order.
+        flat = np.arange(13.0)
+        net = Mlp.from_params((2, 3, 1), flat, "tanh")
+        assert net.params is flat
+        assert all(np.shares_memory(net.params, a) for a in net.weights + net.biases)
+        assert net.weights[1][0, 2] == 11.0 and net.biases[0][1] == 7.0
+        net.weights[1][0, 2] = -1.0
+        assert flat[11] == -1.0
+
+    def test_other_dtypes_are_copied(self):
+        flat = np.arange(13, dtype=np.float32)
+        net = Mlp.from_params((2, 3, 1), flat, "tanh")
+        assert net.params.dtype == np.float64 and not np.shares_memory(net.params, flat)
+        assert all(np.shares_memory(net.params, a) for a in net.weights + net.biases)
+
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="unknown activation 'bogus'"):
+            Mlp.from_params((2, 3), np.zeros(9), "bogus")
+
+    def test_pickle_round_trip(self):
+        net = Mlp.from_params((3, 4, 2), np.random.default_rng(0).normal(size=26), "relu")
+        dup = pickle.loads(pickle.dumps(net))
+        assert (dup.arch, dup.activation) == (net.arch, net.activation)
+        assert dup.params.tobytes() == net.params.tobytes()
+        assert not np.shares_memory(dup.params, net.params)
+        assert all(np.shares_memory(dup.params, a) for a in dup.weights + dup.biases)
+
+
 class TestCopy:
     def test_copy_is_deep(self):
         net = init_mlp((2, 4, 1), "relu", "he", seed=0)
