@@ -10,7 +10,10 @@ an orthonormal set. So the trunk basis [1, W, P] spans Z_r and keeps full
 column rank at every width N < m_y, also when the constant function lies
 in U's output space, as it does for the Darcy data. The certificate's
 branch is the same kind of network at the training inputs
-(train.fit_interpolating_branch).
+(train.fit_interpolating_branch). Both are evaluated by
+nn.hat_stack_forward, which refuses a network whose params are not the
+hat stack they encode and equals nn.forward byte for byte at the
+construction points, the only points a certificate evaluates.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import numpy as np
 
 from . import linalg
 from .data import OperatorDataset
-from .deeponet import assemble_phi, assembled_loss, check_width
-from .nn import Mlp, interpolating_relu
+from .deeponet import assembled_loss, check_width, phi_from_values
+from .nn import Mlp, hat_stack_forward, interpolating_relu
 from .train import check_two_step_equivalence, fit_interpolating_branch, orthonormalize_phi
 
 
@@ -144,15 +147,17 @@ def verify_zero_loss_pipeline(
     m_y, k = u_train.shape
 
     # The trunk's values at the sensors and the branch's at the training
-    # inputs are formed once each and serve every check below.
-    phi = assemble_phi(trunk, data.y_sensors)
+    # inputs are formed once each and serve every check below, so neither
+    # network is kept once evaluated.
+    phi = phi_from_values(hat_stack_forward(trunk, data.y_sensors))
+    del trunk
     resid = phi @ a_star - u_train
     resid_sq = float(np.sum(resid * resid))
     ey = float(np.sum(svd.sigma[n_width:] ** 2))
     step1_loss = resid_sq / (m_y * k)
 
     t_star, target = orthonormalize_phi(phi, a_star)
-    _, branch_loss, c = fit_interpolating_branch(f_train, target, seed=seed)
+    branch_loss, c = fit_interpolating_branch(f_train, target, seed=seed)[1:]
     # The finished model's monolithic_loss, from the two passes above.
     assembled = assembled_loss(phi @ t_star, c, u_train)
     equivalence = check_two_step_equivalence(data, assembled, step1_loss, branch_loss, target)

@@ -75,13 +75,14 @@ def check_width(n_width: int, m_y: int) -> None:
         )
 
 
-def _phi_from_values(values: np.ndarray) -> np.ndarray:
+def phi_from_values(values: np.ndarray) -> np.ndarray:
+    """Phi = [1, values] from a trunk's m x N output values."""
     return np.hstack([np.ones((values.shape[0], 1)), values])
 
 
 def assemble_phi(trunk: Mlp, y_sensors) -> np.ndarray:
     """Trunk value matrix: row i is (1, phi_1(y_i), ..., phi_N(y_i))."""
-    return _phi_from_values(nn.forward(trunk, y_sensors))
+    return phi_from_values(nn.forward(trunk, y_sensors))
 
 
 def assemble_c(branch: Mlp, f_inputs) -> np.ndarray:

@@ -18,6 +18,11 @@ network of exactly 2 n + 1 layers with hidden widths (4, 4, 2 r + 4, ...,
 2 r + 4) for r output values, whose output at point i is values[i]. The
 network is written into its parameter vector in one pass, blocks 2 to n - 1
 through one reshaped view of it, with no Python loop per block.
+
+A hat stack's dense rows hold at most four nonzeros. hat_stack_forward
+evaluates one block-parallel from its own params, once it has checked
+that they are the hat stack they encode. At the construction points it
+equals forward byte for byte. forward evaluates every trained network.
 """
 
 from __future__ import annotations
@@ -289,6 +294,15 @@ def _write_mixing(w: np.ndarray, b: np.ndarray) -> None:
     b[..., :2] = 1.0
 
 
+def _write_entry(w0, b0, w1, b1, v_scaled, lo, hi) -> None:
+    """Write the zeroed entry block: it projects, starts the hat stack and
+    passes t on."""
+    w0[:2] = _A1 @ v_scaled[None, :]
+    w0[2:] = np.outer(_P, v_scaled)
+    b0[:2] = 2.0 * lo, -2.0 * hi
+    _write_mixing(w1, b1)
+
+
 def _write_blocks(fused, fused_b, mix, mix_b, prev, lo, hi) -> None:
     """Write the zeroed layers of hat-stack blocks, one block per leading
     index. The fused layer is the previous block's output map (t, z +
@@ -306,6 +320,56 @@ def _write_blocks(fused, fused_b, mix, mix_b, prev, lo, hi) -> None:
     fused_b[..., 4::2] = 0.0 - prev
     fused_b[..., 5::2] = prev + 0.0
     _write_mixing(mix, mix_b)
+
+
+def _write_last(w, b, coeff) -> None:
+    """Write the zeroed last output map: z + coeff * hat, without the
+    carried projection t."""
+    if w.shape[1] > 4:  # the entry block carries no z channels
+        z = np.arange(w.shape[0])
+        w[z, 4 + 2 * z] = 1.0
+        w[z, 5 + 2 * z] = -1.0
+    w[:, :2] = coeff[:, None]
+    b[:] = -coeff
+
+
+def _hat_stack_layout(net: Mlp):
+    """The views of a hat stack's params: (entry, blocks, last). entry is
+    the entry block's (W1, b1, W2, b2) and last the last output map's (W,
+    b). blocks holds the (fused W, fused b, mixing W, mixing b) fields of
+    block 1, each with a block axis of length 1, and those of blocks 2 to
+    n - 1, views of one (n - 2, 2, w + 1, w) array in which each layer is
+    its weight rows followed by its bias row. blocks is empty for n = 1."""
+    w, b = net.weights, net.biases
+    entry, last = (w[0], b[0], w[1], b[1]), (w[-1], b[-1])
+    n, width = len(w) // 2, net.arch[-2]
+    if n == 1:
+        return entry, [], last
+    middle = net.params[param_size(net.arch[:5]) : -param_size(net.arch[-2:])]
+    middle = middle.reshape(n - 2, 2, width + 1, width)
+    blocks = [
+        (w[2][None], b[2][None], w[3][None], b[3][None]),
+        (middle[:, 0, :width], middle[:, 0, width], middle[:, 1, :width], middle[:, 1, width]),
+    ]
+    return entry, blocks, last
+
+
+def _hat_stack_parts(layout, v_scaled, lo, hi, coeffs, chunk: int):
+    """Each part of a hat stack's params in layout order, as (views,
+    writer, arguments): the entry block, then at most chunk blocks at a
+    time, then the last output map. Block j's fused layer adds the
+    coefficients coeffs[j - 1] of the block before it."""
+    entry, blocks, last = layout
+    yield entry, _write_entry, (v_scaled, lo[0], hi[0])
+    start = 1
+    for fields in blocks:
+        for first in range(start, start + len(fields[0]), chunk):
+            stop = min(first + chunk, start + len(fields[0]))
+            views = [f[first - start : stop - start] for f in fields]
+            args = (coeffs[first - 1 : stop - 1], lo[first:stop], hi[first:stop])
+            yield views, _write_blocks, args
+        start += len(fields[0])
+    yield last, _write_last, (coeffs[-1],)
 
 
 def interpolating_relu(points, values, seed: int = 0) -> Mlp:
@@ -333,26 +397,72 @@ def interpolating_relu(points, values, seed: int = 0) -> Mlp:
     width = 2 * r + 4
     arch = (d, 4, 4) + (width, width) * (n - 1) + (r,)
     net = Mlp.from_params(arch, np.zeros(param_size(arch)), "relu")
-    w, b = net.weights, net.biases
-
-    # The entry block projects, starts the hat stack and passes t on.
-    w[0][:2] = _A1 @ v_scaled[None, :]
-    w[0][2:] = np.outer(_P, v_scaled)
-    b[0][:2] = 2.0 * lo[0], -2.0 * hi[0]
-    _write_mixing(w[1], b[1])
-    if n > 1:
-        _write_blocks(w[2][None], b[2][None], w[3][None], b[3][None], coeffs[:1], lo[1:2], hi[1:2])
-        # Blocks 2..n-1: each is two (width + 1) x width layers, W then b.
-        blocks = net.params[param_size(arch[:5]) : -param_size(arch[-2:])]
-        blocks = blocks.reshape(n - 2, 2, width + 1, width)
-        _write_blocks(
-            blocks[:, 0, :width], blocks[:, 0, width], blocks[:, 1, :width], blocks[:, 1, width],
-            coeffs[1:-1], lo[2:], hi[2:],
-        )
-        z = np.arange(r)
-        w[-1][z, 4 + 2 * z] = 1.0
-        w[-1][z, 5 + 2 * z] = -1.0
-    # The last block's output map drops the carried projection t.
-    w[-1][:, :2] = coeffs[-1][:, None]
-    b[-1][:] = -coeffs[-1]
+    for views, write, args in _hat_stack_parts(_hat_stack_layout(net), v_scaled, lo, hi, coeffs, n):
+        write(*views, *args)
     return net
+
+
+# Blocks that hat_stack_forward writes again at a time to check a network.
+_CHECK_BLOCKS = 32
+
+
+def hat_stack_forward(net: Mlp, x) -> np.ndarray:
+    """forward(net, x) for a network that interpolating_relu built,
+    computed block-parallel from net.params alone.
+
+    ShapeError unless net is a relu network of widths (d, 4, 4) + (2 r +
+    4, 2 r + 4) * (n - 1) + (r,). The direction, the hat bounds and the
+    coefficients are read out of net.params and written again, a few
+    blocks at a time, by interpolating_relu's writers; ValueError unless
+    every byte matches, signed zeros included. So the result is that of
+    the network itself, not of a formula.
+
+    The entry layer is computed as forward computes it, every block's hat
+    pair (m0, m1) at once from the carried projection t, and each output
+    map, z + c (m0 + m1) - c, in one loop over the blocks in the order
+    forward's dense rows sum it. Wherever every hat is exactly 0 or 1, as
+    at the construction points, every product is by 0, 1 or 2 and each
+    dense row sums at most two nonzero terms, so the result equals
+    forward's byte for byte; elsewhere the two agree to rounding."""
+    arch, r = net.arch, net.arch[-1]
+    n = (len(arch) - 2) // 2
+    if net.activation != "relu" or arch != arch[:1] + (4, 4) + (2 * r + 4,) * (2 * n - 2) + (r,):
+        raise ShapeError(f"{net.activation} network of widths {arch} is not a hat stack")
+    h = _check_input(net, x)
+    layout = _hat_stack_layout(net)
+    entry, blocks, last = layout
+    # Row j: block j's hat biases (2 lo_j, -2 hi_j) and the coefficients
+    # that its output map adds.
+    bias = np.concatenate([entry[1][None, :2]] + [fields[1][:, :2] for fields in blocks])
+    coeffs = np.concatenate([fields[0][:, 4::2, 0] for fields in blocks] + [last[0][None, :, 0]])
+    v_scaled, lo, hi = entry[0][2], bias[:, 0] / 2.0, bias[:, 1] / -2.0
+    for views, write, args in _hat_stack_parts(layout, v_scaled, lo, hi, coeffs, _CHECK_BLOCKS):
+        fresh = [np.zeros(view.shape) for view in views]
+        write(*fresh, *args)
+        if any(a.tobytes() != b.tobytes() for a, b in zip(fresh, views)):
+            raise ValueError("the network's params are not the hat stack that they encode")
+
+    h = np.matmul(h, entry[0].T)
+    h += entry[1]
+    _act(h, "relu", out=h)
+    # A fused layer's rows 0 and 1 read only the carried pair (relu(t),
+    # relu(-t)): relu(2 lo - 2 t) and relu(2 t - 2 hi). The entry block's
+    # pair is the entry layer's. The mixing rows are relu(1 - h).
+    two_t = 2.0 * (h[:, 2] - h[:, 3])
+    m0, m1 = np.empty((2, n, h.shape[0]))
+    np.subtract(bias[:, :1], two_t, out=m0)
+    np.add(bias[:, 1:], two_t, out=m1)
+    m0[0], m1[0] = h[:, 0], h[:, 1]
+    for m in (m0, m1):
+        np.maximum(m, 0.0, out=m)
+        np.subtract(1.0, m, out=m)
+        np.maximum(m, 0.0, out=m)
+    m0 += m1  # hat + 1
+    # Each output map as forward's dense rows sum it: z + c (m0 + m1), then - c.
+    z = np.zeros((r, h.shape[0]))
+    step = np.empty_like(z)
+    for c, pair in zip(coeffs[:, :, None], m0):
+        np.multiply(c, pair, out=step)
+        z += step
+        z -= c
+    return np.ascontiguousarray(z.T)

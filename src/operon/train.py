@@ -340,7 +340,8 @@ def fit_interpolating_branch(
     """Construct the deep ReLU branch whose output at training input k is
     column k of the step-2 target (nn.interpolating_relu), so the fit
     interpolates up to rounding. Returns (branch, loss, c) with c the
-    branch's coefficient matrix at the inputs (assemble_c).
+    branch's coefficient matrix at the inputs, evaluated by
+    nn.hat_stack_forward.
 
     Duplicate inputs raise DuplicateSensorError: no function takes two
     different targets at one input."""
@@ -354,7 +355,7 @@ def fit_interpolating_branch(
         raise DuplicateSensorError(
             f"training inputs repeat, and no branch takes two targets at one input: {exc}"
         ) from exc
-    c = assemble_c(branch, f_inputs)
+    c = nn.hat_stack_forward(branch, f_inputs).T
     diff = c - target
     return branch, float(np.sum(diff * diff)) / k, c
 

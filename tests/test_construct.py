@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from operon import construct, deeponet, nn, train
+from operon import construct, nn, train
 from operon.construct import build_interpolating_trunk, verify_zero_loss_pipeline
 from operon.data import OperatorDataset, gen_example1, split_dataset
 from operon.deeponet import DeepONetModel, assemble_phi, monolithic_loss
 from operon.errors import DuplicateSensorError, ShapeError, ZeroMatrixError
 from operon.linalg import best_rank_k_error, jacobi_svd
-from operon.nn import Mlp, find_separating_direction, forward, interpolating_relu
+from operon.nn import (
+    Mlp,
+    find_separating_direction,
+    forward,
+    hat_stack_forward,
+    init_mlp,
+    interpolating_relu,
+)
 
 
 def _one_shot_search(y, seed):
@@ -288,29 +295,30 @@ def test_replica_certificate_around_rank(replica_train, offset):
 
 
 def test_certificate_passes_each_network_once(replica_train, monkeypatch):
-    # One trunk pass at the sensors and one branch pass at the training
-    # inputs serve the whole certificate, and the assembled loss is the
-    # finished model's monolithic loss bit for bit.
+    # One hat_stack_forward pass of the trunk at the sensors and one of the
+    # branch at the training inputs serve the whole certificate, and no
+    # dense forward runs over a hat stack. The assembled loss is the
+    # finished model's monolithic loss bit for bit, so on the replica both
+    # passes also equal forward's.
     width = jacobi_svd(replica_train.train_u()).rank
     f_train = replica_train.train_f()
-    phi_calls, branch_passes = 0, 0
+    passes, dense_passes = [], []
 
-    def count_phi(*args):
-        nonlocal phi_calls
-        phi_calls += 1
-        return real_phi(*args)
+    def count_passes(net, x):
+        passes.append(np.shape(x))
+        return real_hat_stack_forward(net, x)
 
     def count_forward(net, x, *args):
-        nonlocal branch_passes
-        branch_passes += np.shape(x) == f_train.shape
+        dense_passes.append(net.arch)
         return real_forward(net, x, *args)
 
-    real_phi, real_forward = deeponet.assemble_phi, nn.forward
-    for module in (construct, deeponet, train):
-        monkeypatch.setattr(module, "assemble_phi", count_phi)
+    real_hat_stack_forward, real_forward = nn.hat_stack_forward, nn.forward
+    for module in (construct, nn):
+        monkeypatch.setattr(module, "hat_stack_forward", count_passes)
     monkeypatch.setattr(nn, "forward", count_forward)
     cert = verify_zero_loss_pipeline(replica_train, width)
-    assert (phi_calls, branch_passes) == (1, 1)
+    assert passes == [replica_train.y_sensors.shape, f_train.shape]
+    assert dense_passes == []
     monkeypatch.undo()
 
     trunk, a_star, _ = build_interpolating_trunk(replica_train.y_sensors, replica_train.train_u(), width)
@@ -438,20 +446,33 @@ def _assert_same_network(got, ref):
     assert got.params.tobytes() == ref.params.tobytes()
 
 
+def _assert_evaluates_as_forward(net, points):
+    assert hat_stack_forward(net, points).tobytes() == forward(net, points).tobytes()
+
+
+# (n, d, r): n points in R^d with r values each.
+SHAPES = [
+    (1, 1, 1), (2, 2, 3), (3, 3, 2), (7, 1, 9),
+    (40, 2, 5), (50, 3, 4), (180, 1, 8), (289, 2, 8),
+]
+
+
+def _shape_case(n, d, r):
+    """Points, values (signed zeros mixed in) and seed of one SHAPES case."""
+    rng = np.random.default_rng(n + d + r)
+    y = rng.uniform(-1, 1, (n, d))
+    return y, _values_with_signed_zeros(rng, n, r), n
+
+
 class TestInterpolatingReluMatchesReference:
-    @pytest.mark.parametrize(
-        "n, d, r",
-        [
-            (1, 1, 1), (2, 2, 3), (3, 3, 2), (7, 1, 9),
-            (40, 2, 5), (50, 3, 4), (180, 1, 8), (289, 2, 8),
-        ],
-    )
+    # Each network is also evaluated at its construction points, where
+    # hat_stack_forward must equal forward byte for byte.
+    @pytest.mark.parametrize("n, d, r", SHAPES)
     def test_shapes(self, n, d, r):
-        rng = np.random.default_rng(n + d + r)
-        y = rng.uniform(-1, 1, (n, d))
-        values = _values_with_signed_zeros(rng, n, r)
-        got = interpolating_relu(y, values, seed=n)
-        _assert_same_network(got, _ref_interpolating_relu(y, values, seed=n))
+        y, values, seed = _shape_case(n, d, r)
+        got = interpolating_relu(y, values, seed=seed)
+        _assert_same_network(got, _ref_interpolating_relu(y, values, seed=seed))
+        _assert_evaluates_as_forward(got, y)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -472,6 +493,54 @@ class TestInterpolatingReluMatchesReference:
         values = _values_with_signed_zeros(rng, y.shape[0], r)
         got = interpolating_relu(y, values, seed=seed % 7)
         _assert_same_network(got, _ref_interpolating_relu(y, values, seed=seed % 7))
+        _assert_evaluates_as_forward(got, y)
+
+
+class TestHatStackForward:
+    @pytest.mark.parametrize("n, d, r", SHAPES)
+    def test_agrees_with_forward_between_construction_points(self, n, d, r):
+        y, values, seed = _shape_case(n, d, r)
+        net = interpolating_relu(y, values, seed=seed)
+        x = np.random.default_rng(seed).uniform(-1.5, 1.5, (200, d))
+        gap = np.max(np.abs(hat_stack_forward(net, x) - forward(net, x)))
+        assert gap <= 1e-15 * np.max(np.abs(values))
+
+    @staticmethod
+    def _network():
+        y, values, seed = _shape_case(7, 2, 3)
+        return interpolating_relu(y, values, seed=seed), y
+
+    @pytest.mark.parametrize(
+        "part, layer, index, value",
+        [
+            ("weights", 0, (1, 0), None),  # the entry block's projection
+            ("weights", 2, (4, 0), None),  # block 1's first coefficient
+            ("biases", 3, (0,), None),  # block 1's mixing bias
+            ("weights", 4, (0, 0), 1e-300),  # a structural zero of block 2
+            ("weights", 4, (0, 0), -0.0),  # the same +0 turned to -0
+            ("weights", -1, (0, 0), None),  # the last output map's coefficient
+        ],
+    )
+    def test_refuses_a_changed_entry(self, part, layer, index, value):
+        # None moves the entry to the next float up; a value replaces a +0.
+        net, y = self._network()
+        array = getattr(net, part)[layer]
+        if value is not None:
+            assert array[index].tobytes() == np.float64(0.0).tobytes()
+        array[index] = np.nextafter(array[index], np.inf) if value is None else value
+        with pytest.raises(ValueError, match="not the hat stack"):
+            hat_stack_forward(net, y)
+
+    def test_refuses_other_networks(self):
+        net, y = self._network()
+        with pytest.raises(ShapeError):
+            hat_stack_forward(Mlp.from_params(net.arch, net.params, "tanh"), y)
+        for arch in [(2, 4, 3, 3), (2, 4, 4, 10, 10, 4), (2, 4, 5, 10, 10, 3), (2, 4, 4, 10, 3)]:
+            with pytest.raises(ShapeError):
+                hat_stack_forward(init_mlp(arch, "relu"), y)
+        # A zero network of a hat stack's widths fails the byte check.
+        with pytest.raises(ValueError, match="not the hat stack"):
+            hat_stack_forward(Mlp.from_params(net.arch, np.zeros_like(net.params), "relu"), y)
 
 
 @pytest.mark.parametrize("offset", [-2, 0, 2])
