@@ -91,8 +91,10 @@ def blob(arr: np.ndarray) -> np.ndarray:
 
 
 def read_blob(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    """A little-endian float64 blob of the given shape; its length must
-    match and every entry must be finite."""
+    """A little-endian float64 blob of the given shape; the file must
+    exist, its length must match and every entry must be finite."""
+    if not path.exists():
+        raise CorruptDatasetError(f"missing {path.name} in {path.parent}")
     expected = math.prod(shape) * 8
     raw = path.read_bytes()
     if len(raw) != expected:

@@ -216,11 +216,10 @@ def _cmd_generate(args) -> int:
 
 
 def _make_model(spec: ModelSpec, seed: int, data: OperatorDataset) -> DeepONetModel:
-    """The config's model; init_mlp checks each architecture, the model's
-    validate whether they agree, and here whether they fit the data."""
+    """The config's model; init_mlp checks each architecture, the model
+    whether they agree, and here whether they fit the data."""
     try:
         model = spec.build(seed)
-        model.validate()
     except (ValueError, ShapeError) as exc:
         raise ConfigError(f"config keys trunk_arch, branch_arch: {exc}") from exc
     if spec.trunk_arch[0] != data.d_y:

@@ -23,24 +23,24 @@ from .nn import Mlp
 
 @dataclass
 class DeepONetModel:
+    """Checked when made, also by dataclasses.replace: ShapeError unless the
+    trunk gives width values, the branch width + 1 and T, when given, is
+    (width + 1) x (width + 1); ValueError unless T is finite."""
+
     trunk: Mlp
     branch: Mlp
     t_matrix: np.ndarray | None
     width: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         n = self.width
         if self.trunk.arch[-1] != n:
             raise ShapeError(f"trunk output {self.trunk.arch[-1]} != width {n}")
         if self.branch.arch[-1] != n + 1:
-            raise ShapeError(
-                f"branch output {self.branch.arch[-1]} != width+1 {n + 1}"
-            )
+            raise ShapeError(f"branch output {self.branch.arch[-1]} != width+1 {n + 1}")
         if self.t_matrix is not None:
             if self.t_matrix.shape != (n + 1, n + 1):
-                raise ShapeError(
-                    f"t_matrix shape {self.t_matrix.shape} != ({n + 1}, {n + 1})"
-                )
+                raise ShapeError(f"t_matrix shape {self.t_matrix.shape} != ({n + 1}, {n + 1})")
             if not np.all(np.isfinite(self.t_matrix)):
                 raise ValueError("t_matrix contains NaN or Inf")
 
@@ -190,7 +190,7 @@ def monolithic_loss_and_grads(
 
 MODEL_MANIFEST = "model.json"
 # The schema of model.json, less the dtype tag that read_manifest adds.
-# Whether the widths agree with each other is DeepONetModel.validate's check.
+# Whether the widths agree with each other is DeepONetModel's own check.
 _ARCH = (
     lambda value: isinstance(value, list) and len(value) >= 2 and all(map(is_positive_int, value)),
     "a list of >= 2 positive ints",
@@ -210,13 +210,12 @@ def _unpack_mlp(directory: Path, manifest: dict, name: str) -> Mlp:
     """The sub-network `name` (trunk or branch) of a model directory."""
     arch = tuple(manifest[f"{name}_arch"])
     flat = read_blob(directory / f"{name}.bin", (nn.param_size(arch),))
-    return Mlp.from_params(arch, flat, manifest[f"{name}_activation"])
+    return Mlp(arch, flat, manifest[f"{name}_activation"])
 
 
 def model_files(model: DeepONetModel) -> dict:
     """The files of a model directory: model.json plus little-endian
     float64 blobs; a network's blob holds the bytes of its params."""
-    model.validate()
     manifest = {
         "trunk_arch": list(model.trunk.arch),
         "branch_arch": list(model.branch.arch),
@@ -247,17 +246,16 @@ def load_model(directory) -> DeepONetModel:
     manifest = read_manifest(directory, MODEL_MANIFEST, _MODEL_RULES)
     trunk = _unpack_mlp(directory, manifest, "trunk")
     branch = _unpack_mlp(directory, manifest, "branch")
-    model = DeepONetModel(trunk, branch, None, manifest["width"])
-    try:
-        model.validate()
-    except ShapeError as exc:
-        raise CorruptDatasetError(f"model fails validation: {exc}") from exc
-    # The widths agree, so T is read at the size the networks need.
+    t_matrix = None
     if manifest["has_t_matrix"]:
-        n1 = model.width + 1
-        model.t_matrix = read_blob(directory / "t_matrix.bin", (n1, n1))
+        # Read at the trunk's size: a width that disagrees is the model's to refuse.
+        n1 = trunk.arch[-1] + 1
+        t_matrix = read_blob(directory / "t_matrix.bin", (n1, n1))
     elif (directory / "t_matrix.bin").exists():
         raise CorruptDatasetError(
             f"{MODEL_MANIFEST} has_t_matrix is false but t_matrix.bin exists"
         )
-    return model
+    try:
+        return DeepONetModel(trunk, branch, t_matrix, manifest["width"])
+    except ShapeError as exc:
+        raise CorruptDatasetError(f"model fails validation: {exc}") from exc

@@ -63,29 +63,12 @@ class Mlp:
     """An MLP whose parameters live in one float64 vector, params.
 
     weights[l] (shape (n_{l+1}, n_l)) and biases[l] (shape (n_{l+1},)) are
-    views into params, so in-place edits of either show in both. The arrays
-    passed in are copied, never aliased; from_params instead takes a flat
-    vector as the network's own params."""
+    views into params in the layout of layer_views, so in-place edits of
+    either show in both. A contiguous float64 vector is taken as is, not
+    copied, so the caller hands it over; any other array is copied.
+    ShapeError unless its length is param_size(arch)."""
 
-    def __init__(self, arch, weights, biases, activation: str):
-        self._adopt(arch, np.empty(param_size(arch)), activation)
-        if len(weights) != len(self.weights) or len(biases) != len(self.biases):
-            raise ShapeError(f"arch {self.arch} has {len(self.weights)} layers")
-        for view, arr in zip(self.weights + self.biases, [*weights, *biases]):
-            if np.shape(arr) != view.shape:
-                raise ShapeError(f"array shape {np.shape(arr)} != {view.shape} in arch {self.arch}")
-            view[...] = arr
-
-    @classmethod
-    def from_params(cls, arch, params, activation: str) -> Mlp:
-        """The network that owns the flat vector params: a contiguous
-        float64 vector is taken as is, not copied, so the caller hands it
-        over. ShapeError unless its length is param_size(arch)."""
-        net = cls.__new__(cls)
-        net._adopt(arch, params, activation)
-        return net
-
-    def _adopt(self, arch, params, activation: str) -> None:
+    def __init__(self, arch, params, activation: str):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.arch = tuple(int(w) for w in arch)
@@ -99,7 +82,7 @@ class Mlp:
     def __reduce__(self):
         # Copies and unpickled networks own a fresh copy of params, so
         # their weights and biases are views of their own params.
-        return Mlp.from_params, (self.arch, self.params, self.activation)
+        return Mlp, (self.arch, self.params, self.activation)
 
 
 def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
@@ -144,18 +127,16 @@ def init_mlp(arch, activation: str, scheme: str = "he", seed: int = 0) -> Mlp:
         raise ValueError(f"architecture must list >= 2 positive widths, got {arch}")
     if scheme not in INIT_SCHEMES:
         raise ValueError(f"unknown init scheme {scheme!r}")
+    net = Mlp(arch, np.zeros(param_size(arch)), activation)
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(arch[:-1], arch[1:]):
+    for w in net.weights:
+        fan_out, fan_in = w.shape
         if scheme == "he":
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=w.shape)
         else:
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        weights.append(w)
-        biases.append(np.zeros(fan_out))
-    return Mlp(arch=arch, weights=weights, biases=biases, activation=activation)
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 def _check_input(net: Mlp, x: np.ndarray) -> np.ndarray:
@@ -222,7 +203,7 @@ def backward(net: Mlp, x, upstream, work: Workspace) -> np.ndarray:
 
 
 def mlp_copy(net: Mlp) -> Mlp:
-    return Mlp.from_params(net.arch, net.params.copy(), net.activation)
+    return Mlp(net.arch, net.params.copy(), net.activation)
 
 
 # Hat-bump building blocks: N(t) = A3 relu(A2 relu(A1 t + b1(a,b)) + b2) + b3
@@ -396,7 +377,7 @@ def interpolating_relu(points, values, seed: int = 0) -> Mlp:
     (n, d), r = y.shape, values.shape[1]
     width = 2 * r + 4
     arch = (d, 4, 4) + (width, width) * (n - 1) + (r,)
-    net = Mlp.from_params(arch, np.zeros(param_size(arch)), "relu")
+    net = Mlp(arch, np.zeros(param_size(arch)), "relu")
     for views, write, args in _hat_stack_parts(_hat_stack_layout(net), v_scaled, lo, hi, coeffs, n):
         write(*views, *args)
     return net

@@ -19,24 +19,24 @@ class AdamState:
     # Per parameter array, two arrays of its shape that every step reuses
     # for the update's temporaries.
     scratch: list[tuple[np.ndarray, np.ndarray]]
-    lr: float
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float) -> "AdamState":
+    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
             scratch=[(np.empty_like(p), np.empty_like(p)) for p in params],
-            lr=lr,
         )
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
-    """One Adam update of the arrays in params, in place, with grads[i] the
-    gradient of params[i]; state advances by one step. NaN/Inf gradients
-    abort the run. The update allocates nothing: its temporaries go to
-    state's scratch arrays."""
+def adam_step(
+    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState, lr: float
+) -> None:
+    """One Adam update of step size lr of the arrays in params, in place,
+    with grads[i] the gradient of params[i]; state advances by one step.
+    NaN/Inf gradients abort the run. The update allocates nothing: its
+    temporaries go to state's scratch arrays."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("params, grads and state buffers must align")
     for i, g in enumerate(grads):
@@ -62,7 +62,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         denom *= 1.0 - b2
         v += denom
         np.divide(m, bias1, out=step)
-        step *= state.lr
+        step *= lr
         np.divide(v, bias2, out=denom)
         np.sqrt(denom, out=denom)
         denom += EPSILON

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -124,17 +124,16 @@ def _adam_loop(
     that is not finite aborts the run with NonFiniteGradientError, so
     numpy's overflow and invalid-value warnings are silenced inside. The
     optimizer state is freed on return, before the caller's _final_loss."""
-    state = AdamState.for_params(params, lr=cfg.lr)
+    state = AdamState.for_params(params)
     trace: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, iters + 1):
             loss = step(t)
             trace.append(loss)
-            state.lr = cfg.lr_at(state.t)
             try:
                 if not math.isfinite(loss):
                     raise NonFiniteGradientError(f"loss is {loss}")
-                adam_step(params, grads, state)
+                adam_step(params, grads, state, cfg.lr_at(state.t))
             except NonFiniteGradientError as exc:
                 raise NonFiniteGradientError(f"{exc} (at iteration {t})") from exc
     return trace
@@ -298,8 +297,7 @@ def train_two_step(
     start = time.perf_counter()
     step1 = train_trunk_step1(data, model.trunk, cfg)
     model, report = finish_two_step(data, model, step1, cfg)
-    report.wall_seconds = time.perf_counter() - start
-    return model, report
+    return model, replace(report, wall_seconds=time.perf_counter() - start)
 
 
 def finish_two_step(
@@ -308,8 +306,8 @@ def finish_two_step(
     """Orthonormalization of step 1's Phi (skipped for the no-QR ablation,
     where target = A and T = I), then step 2 on model.branch; the final
     loss assembles that Phi and step 2's C. step1 is what train_trunk_step1
-    returned; its trunk becomes model.trunk and none of it is modified, so
-    one step 1 can be finished several ways."""
+    returned. None of it is modified, so one step 1 can be finished several
+    ways, and model keeps its trunk and no T: the result is a new record."""
     _check_start(model, cfg, _TWO_STEP)
     start = time.perf_counter()
     trunk, a_star, phi, trunk_loss, trunk_trace = step1
@@ -318,7 +316,6 @@ def finish_two_step(
     else:
         t_star, target = orthonormalize_phi(phi, a_star)
     _, branch_loss, c, branch_trace = train_branch_step2(data.train_f(), target, model.branch, cfg)
-    model.trunk, model.t_matrix = trunk, t_star
     final, _ = _final_loss(
         lambda: (assembled_loss(phi @ t_star, c, data.train_u()), None), cfg.iters_branch
     )
@@ -331,7 +328,7 @@ def finish_two_step(
         final_monolithic_loss=final,
         wall_seconds=time.perf_counter() - start,
     )
-    return model, report
+    return replace(model, trunk=trunk, t_matrix=t_star), report
 
 
 def fit_interpolating_branch(

@@ -430,7 +430,8 @@ def _ref_interpolating_relu(points, values, seed: int = 0) -> Mlp:
     weights.append(out_w[1:])
     biases.append(out_b[1:])
     arch = tuple(w.shape[1] for w in weights) + (r,)
-    return Mlp(arch=arch, weights=weights, biases=biases, activation="relu")
+    params = np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer])
+    return Mlp(arch, params, "relu")
 
 
 def _values_with_signed_zeros(rng, n, r):
@@ -534,13 +535,13 @@ class TestHatStackForward:
     def test_refuses_other_networks(self):
         net, y = self._network()
         with pytest.raises(ShapeError):
-            hat_stack_forward(Mlp.from_params(net.arch, net.params, "tanh"), y)
+            hat_stack_forward(Mlp(net.arch, net.params, "tanh"), y)
         for arch in [(2, 4, 3, 3), (2, 4, 4, 10, 10, 4), (2, 4, 5, 10, 10, 3), (2, 4, 4, 10, 3)]:
             with pytest.raises(ShapeError):
                 hat_stack_forward(init_mlp(arch, "relu"), y)
         # A zero network of a hat stack's widths fails the byte check.
         with pytest.raises(ValueError, match="not the hat stack"):
-            hat_stack_forward(Mlp.from_params(net.arch, np.zeros_like(net.params), "relu"), y)
+            hat_stack_forward(Mlp(net.arch, np.zeros_like(net.params), "relu"), y)
 
 
 @pytest.mark.parametrize("offset", [-2, 0, 2])

@@ -477,6 +477,13 @@ class TestDatasetIo:
         with pytest.raises(CorruptDatasetError):
             load_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize("name", ["x_sensors.bin", "y_sensors.bin", "F.bin", "U.bin"])
+    def test_missing_blob(self, tmp_path, name):
+        save_dataset(gen_example1(np.linspace(1, 50, 5), 9), tmp_path / "d")
+        (tmp_path / "d" / name).unlink()
+        with pytest.raises(CorruptDatasetError, match=f"^missing {name} in {tmp_path / 'd'}$"):
+            load_dataset(tmp_path / "d")
+
     def test_manifest_shape_mismatch(self, tmp_path):
         data = gen_example1(np.linspace(1, 50, 5), 9)
         save_dataset(data, tmp_path / "d")

@@ -16,7 +16,8 @@ from operon.deeponet import (
     predict,
     save_model,
 )
-from operon.errors import CorruptDatasetError
+from operon.cli import main
+from operon.errors import CorruptDatasetError, ShapeError
 from operon.nn import forward, init_mlp
 
 
@@ -42,6 +43,32 @@ def _dataset(seed=0, m_y=7, k=5, m_x=3, d_y=2):
         f_matrix=rng.normal(size=(k, m_x)),
         u_matrix=rng.normal(size=(m_y, k)),
     )
+
+
+# Each change to a width-4 model that breaks one of its rules, with the error.
+_BROKEN = {
+    "trunk_width": (
+        lambda: {"trunk": init_mlp((2, 8, 5), "tanh", "he", seed=0)}, ShapeError, "trunk output 5 != width 4"
+    ),
+    "branch_width": (
+        lambda: {"branch": init_mlp((3, 8, 4), "tanh", "he", seed=1)}, ShapeError, "branch output 4 != width"
+    ),
+    "t_shape": (lambda: {"t_matrix": np.eye(4)}, ShapeError, r"t_matrix shape \(4, 4\) != \(5, 5\)"),
+    "t_not_finite": (lambda: {"t_matrix": np.diag([1.0, 1.0, np.nan, 1.0, 1.0])}, ValueError, "NaN or Inf"),
+}
+
+
+class TestModelChecksItself:
+    @pytest.mark.parametrize("how", ["made", "replaced"])
+    @pytest.mark.parametrize("rule", list(_BROKEN))
+    def test_broken_rule_is_refused(self, rule, how):
+        changes, error, message = _BROKEN[rule]
+        model = _small_model()
+        with pytest.raises(error, match=message):
+            if how == "made":
+                DeepONetModel(**{**vars(model), **changes()})
+            else:
+                replace(model, **changes())
 
 
 class TestAssemblePhi:
@@ -232,3 +259,25 @@ class TestModelSerialization:
         model = _small_model(seed=15)
         save_model(model, tmp_path / "m")
         assert load_model(tmp_path / "m").t_matrix is None
+
+    @pytest.mark.parametrize("name", ["trunk.bin", "branch.bin", "t_matrix.bin"])
+    def test_missing_blob_is_corrupt(self, tmp_path, name):
+        model = replace(_small_model(seed=18), t_matrix=np.eye(5))
+        save_model(model, tmp_path / "m")
+        (tmp_path / "m" / name).unlink()
+        with pytest.raises(CorruptDatasetError, match=f"^missing {name} in {tmp_path / 'm'}$"):
+            load_model(tmp_path / "m")
+
+
+@pytest.mark.parametrize("name", ["trunk.bin", "branch.bin", "t_matrix.bin", "F.bin", "U.bin"])
+def test_eval_reports_a_missing_blob(tmp_path, capsys, name):
+    # A missing model or dataset blob is one error line and exit 1.
+    data_dir, model_dir = tmp_path / "d", tmp_path / "m"
+    assert main(["generate", "--example", "ex1", "--grid-n", "5", "--k", "8", "--out", str(data_dir)]) == 0
+    model = replace(_small_model(seed=19, width=4, m_x=25, d_y=2), t_matrix=np.eye(5))
+    save_model(model, model_dir)
+    blob_dir = model_dir if (model_dir / name).exists() else data_dir
+    (blob_dir / name).unlink()
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model_dir), "--data", str(data_dir), "--out", str(tmp_path / "e")]) == 1
+    assert capsys.readouterr().err == f"error: missing {name} in {blob_dir}\n"

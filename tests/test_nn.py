@@ -25,12 +25,8 @@ def _backward_after_forward(net, x, upstream):
 
 def _hand_net():
     # 1-1-1 relu net: out = 3 * relu(2x - 1) + 0.5
-    return Mlp(
-        arch=(1, 1, 1),
-        weights=[np.array([[2.0]]), np.array([[3.0]])],
-        biases=[np.array([-1.0]), np.array([0.5])],
-        activation="relu",
-    )
+    # Layout W1, b1, W2, b2.
+    return Mlp((1, 1, 1), np.array([2.0, -1.0, 3.0, 0.5]), "relu")
 
 
 class TestInit:
@@ -139,12 +135,7 @@ class TestBackward:
         assert np.array_equal(grad, np.zeros_like(net.params))
 
     def test_single_linear_layer_chain_rule(self):
-        net = Mlp(
-            arch=(1, 1),
-            weights=[np.array([[4.0]])],
-            biases=[np.array([0.25])],
-            activation="relu",
-        )
+        net = Mlp((1, 1), np.array([4.0, 0.25]), "relu")
         x = np.array([[3.0]])
         g = np.array([[2.0]])
         grad = _backward_after_forward(net, x, g)
@@ -193,62 +184,40 @@ class TestGradcheck:
         assert gradcheck(net, x) == 0.0
 
 
-class TestParams:
-    def test_views_alias_params_in_blob_order(self):
-        w1, b1 = np.arange(6.0).reshape(3, 2), np.array([6.0, 7.0, 8.0])
-        w2, b2 = np.array([[9.0, 10.0, 11.0]]), np.array([12.0])
-        net = Mlp((2, 3, 1), [w1, w2], [b1, b2], "tanh")
-        # W1, b1, W2, b2, each W row-major: the trunk.bin order.
-        assert np.array_equal(net.params, np.arange(13.0))
-        net.weights[1][0, 2] = -1.0
-        net.biases[0][1] = -2.0
-        assert net.params[11] == -1.0 and net.params[7] == -2.0
-        # The network blob is the bytes of params.
-        assert np.frombuffer(blob(net.params), dtype="<f8")[11] == -1.0
-        # The constructor copies: the caller's arrays are not aliased.
-        assert w2[0, 2] == 11.0 and b1[1] == 7.0
-        w1[0, 0] = 100.0
-        assert net.params[0] == 0.0
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ShapeError):
-            Mlp((2, 3), [np.zeros((2, 3))], [np.zeros(3)], "tanh")
-
-    def test_unknown_activation_rejected(self):
-        with pytest.raises(ValueError, match="unknown activation 'bogus'"):
-            Mlp((2, 3), [np.zeros((3, 2))], [np.zeros(3)], "bogus")
-
-
 class TestFromParams:
+    """The one constructor, Mlp(arch, params, activation)."""
+
     def test_wrong_size_rejected(self):
         with pytest.raises(ShapeError, match=r"params shape \(12,\) != \(13,\)"):
-            Mlp.from_params((2, 3, 1), np.zeros(12), "tanh")
+            Mlp((2, 3, 1), np.zeros(12), "tanh")
         with pytest.raises(ShapeError):
-            Mlp.from_params((2, 3, 1), np.zeros((13, 1)), "tanh")
+            Mlp((2, 3, 1), np.zeros((13, 1)), "tanh")
 
     def test_owns_the_vector_it_is_given(self):
         # The stated contract: a float64 vector is taken over, not copied,
         # and the layers are views of it in blob order.
         flat = np.arange(13.0)
-        net = Mlp.from_params((2, 3, 1), flat, "tanh")
+        net = Mlp((2, 3, 1), flat, "tanh")
         assert net.params is flat
         assert all(np.shares_memory(net.params, a) for a in net.weights + net.biases)
         assert net.weights[1][0, 2] == 11.0 and net.biases[0][1] == 7.0
         net.weights[1][0, 2] = -1.0
         assert flat[11] == -1.0
+        # The network blob is the bytes of params.
+        assert np.frombuffer(blob(net.params), dtype="<f8")[11] == -1.0
 
     def test_other_dtypes_are_copied(self):
         flat = np.arange(13, dtype=np.float32)
-        net = Mlp.from_params((2, 3, 1), flat, "tanh")
+        net = Mlp((2, 3, 1), flat, "tanh")
         assert net.params.dtype == np.float64 and not np.shares_memory(net.params, flat)
         assert all(np.shares_memory(net.params, a) for a in net.weights + net.biases)
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="unknown activation 'bogus'"):
-            Mlp.from_params((2, 3), np.zeros(9), "bogus")
+            Mlp((2, 3), np.zeros(9), "bogus")
 
     def test_pickle_round_trip(self):
-        net = Mlp.from_params((3, 4, 2), np.random.default_rng(0).normal(size=26), "relu")
+        net = Mlp((3, 4, 2), np.random.default_rng(0).normal(size=26), "relu")
         dup = pickle.loads(pickle.dumps(net))
         assert (dup.arch, dup.activation) == (net.arch, net.activation)
         assert dup.params.tobytes() == net.params.tobytes()

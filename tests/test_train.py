@@ -316,6 +316,16 @@ class TestFinishTwoStep:
         assert np.array_equal(models[1].t_matrix, np.eye(4))
 
     @pytest.mark.parametrize("method", ["two_step", "two_step_no_qr"])
+    def test_finish_returns_a_new_record(self, method):
+        data = split_dataset(_tiny_dataset(seed=18, k=8), 0.75, seed=18)
+        cfg = TrainConfig(method=method, iters_trunk=10, iters_branch=10, seed=18)
+        model = _tiny_model(seed=18)
+        step1 = train_trunk_step1(data, _tiny_model(seed=19).trunk, cfg)
+        finished, _ = finish_two_step(data, model, step1, cfg)
+        assert finished is not model and finished.trunk is step1[0] and finished.t_matrix is not None
+        assert model.t_matrix is None and model.trunk is not step1[0]
+
+    @pytest.mark.parametrize("method", ["two_step", "two_step_no_qr"])
     def test_each_trained_network_passes_once(self, monkeypatch, method):
         # After training, one trunk pass at the sensors and one branch pass
         # at the training inputs serve the final losses, the QR and the
