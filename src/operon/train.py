@@ -23,12 +23,10 @@ from .deeponet import (
     DeepONetModel,
     FitWork,
     MonolithicWork,
-    assemble_c,
     assemble_phi,
     assembled_loss,
     check_width,
     fit_loss_and_grads,
-    monolithic_loss,
     monolithic_loss_and_grads,
 )
 from .errors import DuplicateSensorError, NonFiniteGradientError, RankDeficientError
@@ -87,7 +85,7 @@ class TrainConfig:
             return 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainReport:
     method: str
     loss_trace: list[float]
@@ -116,14 +114,16 @@ def report_files(report: TrainReport) -> dict:
 
 def _adam_loop(
     step, params: list[np.ndarray], grads: list[np.ndarray], iters: int, cfg: TrainConfig
-) -> list[float]:
+) -> tuple[list[float], float]:
     """Full-batch Adam on the arrays in params for iters iterations.
     step(t) writes the gradient at the current parameters into grads, one
-    array per parameter array, and returns the loss, for iteration
-    t = 1..iters; returns the trace of those losses. A loss or gradient
-    that is not finite aborts the run with NonFiniteGradientError, so
-    numpy's overflow and invalid-value warnings are silenced inside. The
-    optimizer state is freed on return, before the caller's _final_loss."""
+    array per parameter array, and returns the loss. Iterations
+    t = 1..iters each end with an update; step(iters + 1) evaluates the
+    trained parameters, and its gradient goes unused. Returns (trace,
+    final): the iters losses before each update and that last loss. A
+    loss or gradient that is not finite aborts the run with
+    NonFiniteGradientError, so numpy's overflow and invalid-value warnings
+    are silenced inside."""
     state = AdamState.for_params(params)
     trace: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -136,18 +136,10 @@ def _adam_loop(
                 adam_step(params, grads, state, cfg.lr_at(state.t))
             except NonFiniteGradientError as exc:
                 raise NonFiniteGradientError(f"{exc} (at iteration {t})") from exc
-    return trace
-
-
-def _final_loss(final, iters: int) -> tuple[float, object]:
-    """final(), the one evaluation (loss, value) after the last of iters
-    updates, with numpy's warnings silenced as in _adam_loop; a loss that
-    is not finite aborts the run with NonFiniteGradientError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        loss, value = final()
-    if not math.isfinite(loss):
-        raise NonFiniteGradientError(f"loss is {loss} after the last update (iteration {iters})")
-    return loss, value
+        final = step(iters + 1)
+    if not math.isfinite(final):
+        raise NonFiniteGradientError(f"loss is {final} after the last update (iteration {iters})")
+    return trace, final
 
 
 def _check_start(model: DeepONetModel, cfg: TrainConfig, methods: tuple[str, ...]) -> None:
@@ -171,11 +163,10 @@ def train_monolithic(
     def step(t):
         return monolithic_loss_and_grads(model, f_train, u_train, data.y_sensors, work)
 
-    trace = _adam_loop(
+    trace, final = _adam_loop(
         step, [model.trunk.params, model.branch.params],
         [work.fit.trunk.grad, work.branch.grad], cfg.iters_mono, cfg,
     )
-    final, _ = _final_loss(lambda: (monolithic_loss(model, data), None), cfg.iters_mono)
     report = TrainReport(
         method=METHODS[cfg.method],
         loss_trace=trace,
@@ -192,12 +183,14 @@ def train_trunk_step1(
     data: OperatorDataset, trunk: Mlp, cfg: TrainConfig
 ) -> tuple[Mlp, np.ndarray, np.ndarray, float, list[float]]:
     """Minimize ||Phi(mu) A - U||_F^2/(K m_y) over trunk parameters and the
-    free matrix A. Returns (trunk, a_star, phi, final_loss, trace) with phi
-    the trained trunk's value matrix at the sensors (assemble_phi).
+    free matrix A. Returns (trunk, a_star, phi, final_loss, trace): phi is
+    the trained trunk's value matrix at the sensors (assemble_phi), and
+    final_loss the loss at (phi, a_star), both from the loop's evaluation
+    after the last update.
 
     With cfg.ls_refit_every = r > 0, A is replaced by the exact
-    least-squares solution every r iterations (and once more after the
-    final trunk update)."""
+    least-squares solution every r iterations, and once more in that last
+    evaluation."""
     # train_u() is an F-ordered fancy-index copy; the residual subtraction
     # in every step runs about 3x faster against a C-ordered one.
     u_train = np.ascontiguousarray(data.train_u())
@@ -209,27 +202,18 @@ def train_trunk_step1(
     a_g = np.empty_like(a)
     work = FitWork(trunk, k, m_y)
 
-    def refit(phi):
-        # A trunk pushed out of the float range gets no refit; its loss is not finite.
-        if np.all(np.isfinite(phi)):
-            a[...] = linalg.least_squares(phi, u_train)
-
     def step(t):
         nn.forward(trunk, data.y_sensors, work.trunk)
-        if cfg.ls_refit_every > 0 and (t - 1) % cfg.ls_refit_every == 0:
-            refit(work.phi)
+        # t > iters_trunk is the evaluation after the last update. A trunk
+        # pushed out of the float range gets no refit; its loss is not finite.
+        refit = cfg.ls_refit_every > 0 and ((t - 1) % cfg.ls_refit_every == 0 or t > cfg.iters_trunk)
+        if refit and np.all(np.isfinite(work.phi)):
+            a[...] = linalg.least_squares(work.phi, u_train)
         return fit_loss_and_grads(trunk, data.y_sensors, a, u_train, a_g, work)
 
-    def final():
-        phi = assemble_phi(trunk, data.y_sensors)
-        if cfg.ls_refit_every > 0:
-            refit(phi)
-        return assembled_loss(phi, a, u_train), phi
-
     params, grads = [trunk.params, a], [work.trunk.grad, a_g]
-    trace = _adam_loop(step, params, grads, cfg.iters_trunk, cfg)
-    loss, phi = _final_loss(final, cfg.iters_trunk)
-    return trunk, a, phi, loss, trace
+    trace, loss = _adam_loop(step, params, grads, cfg.iters_trunk, cfg)
+    return trunk, a, work.phi, loss, trace
 
 
 def orthonormalize(
@@ -263,8 +247,9 @@ def train_branch_step2(
 ) -> tuple[Mlp, float, np.ndarray, list[float]]:
     """Fit the branch to the step-1 coefficients:
     minimize ||C(theta) - target||_F^2 / K by full-batch Adam. Returns
-    (branch, final_loss, c, trace) with c the trained branch's coefficient
-    matrix at the inputs (assemble_c)."""
+    (branch, final_loss, c, trace): c is the trained branch's coefficient
+    matrix at the inputs (assemble_c), and final_loss its loss, both from
+    the loop's evaluation after the last update."""
     n1, k = target.shape
     if branch.arch[-1] != n1:
         raise ValueError(f"branch output {branch.arch[-1]} != target rows {n1}")
@@ -279,14 +264,8 @@ def train_branch_step2(
         np.multiply(diff, diff, out=diff)
         return float(np.sum(diff)) / k
 
-    def final():
-        c = assemble_c(branch, f_inputs)
-        diff = c - target
-        return float(np.sum(diff * diff)) / k, c
-
-    trace = _adam_loop(step, [branch.params], [work.grad], cfg.iters_branch, cfg)
-    loss, c = _final_loss(final, cfg.iters_branch)
-    return branch, loss, c, trace
+    trace, loss = _adam_loop(step, [branch.params], [work.grad], cfg.iters_branch, cfg)
+    return branch, loss, work.acts[-1].T, trace
 
 
 def train_two_step(
@@ -316,9 +295,10 @@ def finish_two_step(
     else:
         t_star, target = orthonormalize_phi(phi, a_star)
     _, branch_loss, c, branch_trace = train_branch_step2(data.train_f(), target, model.branch, cfg)
-    final, _ = _final_loss(
-        lambda: (assembled_loss(phi @ t_star, c, data.train_u()), None), cfg.iters_branch
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        final = assembled_loss(phi @ t_star, c, data.train_u())
+    if not math.isfinite(final):
+        raise NonFiniteGradientError(f"loss is {final} after the last update (iteration {cfg.iters_branch})")
     report = TrainReport(
         method=METHODS[cfg.method],
         loss_trace=trunk_trace,

@@ -122,7 +122,7 @@ class TestPredict:
         y = np.random.default_rng(4).uniform(-1, 1, (6, 2))
         f = np.random.default_rng(5).normal(size=3)
         base = predict(model, f, y)
-        model.t_matrix = np.eye(model.width + 1)
+        model = replace(model, t_matrix=np.eye(model.width + 1))
         assert np.array_equal(predict(model, f, y), base)
 
     def test_matches_per_point_evaluation(self):
@@ -145,9 +145,7 @@ class TestPredict:
         t = rng.normal(size=(model.width + 1, model.width + 1))
         y = rng.uniform(-1, 1, (10, 2))
         f = rng.normal(size=3)
-        model.t_matrix = t
-        with_t = predict(model, f, y)
-        model.t_matrix = None
+        with_t = predict(replace(model, t_matrix=t), f, y)
         phi = assemble_phi(model.trunk, y)
         coeff = forward(model.branch, f[None, :])[0]
         assert np.max(np.abs(with_t - phi @ (t @ coeff))) <= 1e-12
@@ -207,8 +205,8 @@ class TestMonolithicLoss:
 class TestModelSerialization:
     def test_round_trip_bit_identical(self, tmp_path):
         model = _small_model(seed=12)
-        model.t_matrix = np.random.default_rng(12).normal(
-            size=(model.width + 1, model.width + 1)
+        model = replace(
+            model, t_matrix=np.random.default_rng(12).normal(size=(model.width + 1, model.width + 1))
         )
         save_model(model, tmp_path / "m")
         loaded = load_model(tmp_path / "m")

@@ -105,6 +105,7 @@ def test_kernels_stay_in_house(tmp_path):
 SURFACE = {
     "__init__.__version__": "the package version, which pyproject.toml reads",
     "deeponet.save_model": "library surface: writes a model directory",
+    "deeponet.monolithic_loss": "perfbench's tracer times it; the tests' reference training loss",
     "nn.mlp_copy": "perfbench's train workload copies its networks with it",
     "linalg.best_rank_k_error": "perfbench's tracer times it",
     "train.orthonormalize": "perfbench's certify_eval set-up and tracer call it",
